@@ -11,7 +11,6 @@ from .dynamics import (
     CoupledState,
     CouplingParams,
     FlipEvent,
-    LatchState,
     StepSizeError,
     SweepProtocol,
     Trajectory,
@@ -98,7 +97,7 @@ __all__ = [
     "AlignmentMultipole", "BroadeningBudget", "CompositeContourModel",
     "CoupledState", "CouplingParams", "DegenerateFitError", "DemodRecord",
     "DipoleConfig", "EnsembleParams", "FieldVector", "FitResult",
-    "FlipEvent", "LatchState", "NormalizedField", "OrientationMoment",
+    "FlipEvent", "NormalizedField", "OrientationMoment",
     "ScanConfig", "ScanRecord", "Series", "SignalMix", "StepSizeError",
     "StudyConfig", "StudyPreset", "StudyResult", "SweepProtocol",
     "Trajectory", "TransitionResult", "UnreachableThresholdError",

@@ -28,8 +28,8 @@ from .estimators import (
 )
 from .fitkit import DegenerateFitError, extract_transition, fit_record
 from .instrument import ScanConfig, lockin_demodulate, synthesize_record
-from .recordio import load_config, read_record, write_record
-from .spincore import EnsembleParams, SignalMix, experiment_signal_mix
+from .recordio import config_section, load_config, read_record, write_record
+from .spincore import EnsembleParams, SignalMix
 from .study import (
     DEFAULT_GRIDS,
     StudyPreset,
@@ -55,20 +55,6 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # config plumbing
-
-
-def _section(flat: dict, prefix: str, cls, **extra):
-    """Instantiate a dataclass from the ``prefix.*`` keys of a flat config."""
-    names = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in flat.items():
-        if key.startswith(prefix + "."):
-            name = key[len(prefix) + 1:]
-            if name not in names:
-                raise ValueError(f"unknown {prefix} field {name!r}")
-            kwargs[name] = value
-    kwargs.update(extra)
-    return cls(**kwargs)
 
 
 def default_simulate_config() -> dict:
@@ -140,11 +126,11 @@ def _emit(rows, fmt: str):
 
 def cmd_simulate(args) -> int:
     flat = _load_flat(args)
-    ramp = _section(flat, "ramp", SweepProtocol)
-    cfg = _section(flat, "instrument", ScanConfig, ramp=ramp)
-    p = _section(flat, "physics", EnsembleParams)
-    c = _section(flat, "coupling", CouplingParams)
-    mix = _section(flat, "mix", SignalMix)
+    ramp = config_section(flat, "ramp", SweepProtocol)
+    cfg = config_section(flat, "instrument", ScanConfig, ramp=ramp)
+    p = config_section(flat, "physics", EnsembleParams)
+    c = config_section(flat, "coupling", CouplingParams)
+    mix = config_section(flat, "mix", SignalMix)
     rec = synthesize_record(cfg, p, c, mix)
     path = write_record(rec, _out_dir(args) / "scan.txt")
     print(path)

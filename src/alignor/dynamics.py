@@ -19,10 +19,9 @@ import numpy as np
 from .spincore import (
     EnsembleParams,
     FieldVector,
-    Spin2Generators,
     ALIGNMENT_PUMP_X,
+    SPIN2_GENERATORS,
     alignment_steady_state_grid,
-    build_spin2_generators,
     orientation_steady_state_grid,
 )
 
@@ -80,21 +79,6 @@ def default_tau_flip(p: EnsembleParams, c: CouplingParams) -> float:
     if b == 0.0:
         return 0.01
     return 1.0 / (RAISED_COS_10_90 * math.pi * p.gamma_over_2pi * b)
-
-
-@dataclass(frozen=True)
-class LatchState:
-    """Sign memory of the frozen alignment-driving field."""
-
-    s: int = 1
-    flipping: bool = False
-    flip_progress: float = 0.0
-
-    def __post_init__(self):
-        if self.s not in (-1, 1):
-            raise ValueError("latch sign must be +1 or -1")
-        if not 0.0 <= self.flip_progress <= 1.0:
-            raise ValueError("flip_progress must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -297,15 +281,12 @@ def _flip_events(t, bx, my, flips, my0, direction):
 # coupled ODE stepping
 
 
-_GEN = build_spin2_generators()
-
-
 def _coupled_rhs(m1, m2, b, p: EnsembleParams, c: CouplingParams):
     v = np.asarray(p.pump_axis, float)
     scale = 1.0 / (1.0 + c.back_action * np.linalg.norm(m2))
     dm1 = scale * p.gamma_rad * np.cross(m1, b) - p.relax_rate * (m1 - p.m0 * v)
     b_eff = b + c.kappa * m1
-    dm2 = (-p.gamma_rad * (_GEN.contract(*b_eff) @ m2)
+    dm2 = (-p.gamma_rad * (SPIN2_GENERATORS.contract(*b_eff) @ m2)
            - p.alignment_relax_rate * (m2 - p.a0 * ALIGNMENT_PUMP_X))
     return dm1, dm2
 
@@ -377,7 +358,7 @@ def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
         tau = c.tau_flip if c.tau_flip is not None else default_tau_flip(pe, c)
         ell, flip_idx = latch_scan(t, m1[:, 1], direction, c.my0, tau, s0=initial_sign)
         by_eff = by + c.kappa * c.my0 * ell
-        m2 = alignment_steady_state_grid(bx, by_eff, bz, pe, _GEN)
+        m2 = alignment_steady_state_grid(bx, by_eff, bz, pe)
         b_eff = np.stack([bx, by_eff, bz], axis=-1)
         flips = _flip_events(t, bx, m1[:, 1], flip_idx, c.my0, direction)
         return Trajectory(t=t, b_applied=b_applied, b_eff=b_eff, m1=m1, m2=m2,
@@ -389,7 +370,7 @@ def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
     b_eff = np.empty((t.size, 3))
     state = CoupledState(
         m1=orientation_steady_state_grid(bx[0], by[0], bz[0], pe),
-        m2=alignment_steady_state_grid(bx[0], by[0], bz[0], pe, _GEN))
+        m2=alignment_steady_state_grid(bx[0], by[0], bz[0], pe))
     dt_out = t[1] - t[0] if t.size > 1 else 0.0
     for i in range(t.size):
         m1[i] = state.m1

@@ -9,13 +9,10 @@ polynomial, hyperbola, arctangent, Lorentzian) cover the parameter-vs-knob
 analyses.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
-
-# 10-90% fraction of the half-period of a raised-cosine step
-RAISED_COS_10_90 = (math.acos(-0.8) - math.acos(0.8)) / math.pi
 
 
 class DegenerateFitError(ValueError):
@@ -77,16 +74,12 @@ def _disp_sq(u):
 
 def composite_eval(m: CompositeContourModel, bx, branch: str = "up"):
     """Evaluate the composite contour on one sweep branch."""
-    bx = np.asarray(bx, dtype=float)
-    if branch == "up":
-        s, shift = m.branch_sign_up, -m.hysteresis_h / 2.0
-    elif branch == "down":
-        s, shift = m.branch_sign_down, +m.hysteresis_h / 2.0
-    else:
+    if branch not in ("up", "down"):
         raise ValueError("branch must be 'up' or 'down'")
-    u = (bx - m.center) / m.w_anti
-    v = (bx - m.center + shift) / m.w_sym
-    return m.a_anti * _disp_sq(u) + s * m.a_sym * _lorentz_sq(v) + m.offset
+    bx = np.asarray(bx, dtype=float)
+    sigma = np.full(bx.shape, 1.0 if branch == "up" else -1.0)
+    return _composite_fn((bx, sigma), m.free_params(),
+                         (m.branch_sign_up, m.branch_sign_down))
 
 
 def _composite_fn(x, p, signs):
@@ -319,23 +312,18 @@ def fit_record(rec, init=None):
     sigma = np.concatenate([np.ones(bx_up.size), -np.ones(bx_down.size)])
     y = np.concatenate([s_up, s_down])
     signs = (1.0, -1.0)
-    p0 = np.asarray(init, dtype=float) if init is not None \
+    p0 = np.array(init, dtype=float) if init is not None \
         else _initial_guess(bx_up, s_up, bx_down, s_down)
     if single:
         p0[5] = 0.0
 
     def fn(x, p):
-        if single:
-            p = p.copy()
-            p[5] = 0.0
         return _composite_fn(x, p, signs)
 
     def jc(x, p):
-        if single:
-            p = p.copy()
-            p[5] = 0.0
         j = _composite_jac(x, p, signs)
         if single:
+            # a zero column leaves hysteresis_h at its starting value of 0
             j[:, 5] = 0.0
         return j
 
@@ -532,6 +520,16 @@ def _lorentz_jac(x, p):
     j[:, 1] = amp * 2.0 * u * u / (w * den * den)
     j[:, 2] = 1.0
     return j
+
+
+# trend kind -> model f(x, params), the curve each fit_trend kind fits
+TREND_EVAL = {
+    "linear": lambda x, p: p[0] * x + p[1],
+    "polynomial": lambda x, p: np.polyval(list(p)[::-1], x),
+    "hyperbola": lambda x, p: p[0] + p[1] / x,
+    "arctan": _arctan_fn,
+    "lorentzian": _lorentz_fn,
+}
 
 
 def fit_trend(x, y, kind: str, degree: int = 3, init=None) -> FitResult:

@@ -21,16 +21,12 @@ from .dynamics import (
     sweep_profile,
 )
 from .spincore import (
+    TWO_PI,
     EnsembleParams,
     SignalMix,
     alignment_steady_state_grid,
-    build_spin2_generators,
     orientation_steady_state_grid,
 )
-
-_GEN = build_spin2_generators()
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
     by_eff = by + c.kappa * c.my0 * ell
 
     m1 = orientation_steady_state_grid(bx_mod, by, bz, pe)
-    m2 = alignment_steady_state_grid(bx_mod, by_eff, bz, pe, _GEN)
+    m2 = alignment_steady_state_grid(bx_mod, by_eff, bz, pe)
     st = mix.baseline_t + mix.c_t * m2[:, 0]
     sb = mix.baseline_b + mix.c_al * m2[:, 4] + mix.c_or * m1[:, 2]
     rng = np.random.default_rng(cfg.seed)

@@ -6,7 +6,7 @@ plot also writes ``<name>.dat`` with the series columns so the numbers are
 greppable without an SVG viewer.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from pathlib import Path
 

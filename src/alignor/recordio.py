@@ -7,7 +7,9 @@ byte-identical.  Configs are flat ``section.key = value`` text files.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+import re
 
 import numpy as np
 
@@ -33,10 +35,18 @@ def _meta_lines(meta: dict):
         yield f"# meta.{k} = {_format_value(meta[k])}"
 
 
+def _parse_meta_value(text: str):
+    # repr writes non-finite floats as bare names, which literal_eval rejects
+    if text in ("nan", "inf", "-inf"):
+        return float(text)
+    return ast.literal_eval(text)
+
+
 def _parse_header(lines):
-    if not lines or not lines[0].startswith(_MAGIC):
+    sig = re.fullmatch(_MAGIC + " v([0-9]+)", lines[0]) if lines else None
+    if sig is None:
         raise ValueError("not a record file: missing signature line")
-    version = int(lines[0].split("v")[-1])
+    version = int(sig.group(1))
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported record format version {version} "
                          f"(supported: {FORMAT_VERSION})")
@@ -48,7 +58,7 @@ def _parse_header(lines):
             kind = body.split(":", 1)[1].strip()
         elif body.startswith("meta."):
             key, val = body[5:].split("=", 1)
-            meta[key.strip()] = ast.literal_eval(val.strip())
+            meta[key.strip()] = _parse_meta_value(val.strip())
     if kind not in ("scan", "demod"):
         raise ValueError(f"unknown record kind {kind!r}")
     return kind, meta
@@ -144,6 +154,20 @@ def _parse_scalar(s: str):
         return ast.literal_eval(s)
     except (ValueError, SyntaxError):
         return s
+
+
+def config_section(flat: dict, prefix: str, cls, **extra):
+    """Instantiate a dataclass from the ``prefix.*`` keys of a flat config."""
+    names = {f.name for f in fields(cls)}
+    kwargs = {}
+    for key, value in flat.items():
+        if key.startswith(prefix + "."):
+            name = key[len(prefix) + 1:]
+            if name not in names:
+                raise ValueError(f"unknown {prefix} field {name!r}")
+            kwargs[name] = value
+    kwargs.update(extra)
+    return cls(**kwargs)
 
 
 def load_config(path) -> dict:

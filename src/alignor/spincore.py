@@ -217,6 +217,9 @@ def build_spin2_generators() -> Spin2Generators:
     return Spin2Generators(gx=to_real(jx), gy=to_real(jy), gz=to_real(jz))
 
 
+SPIN2_GENERATORS = build_spin2_generators()
+
+
 # Rank-2 pump tensor for linear polarization along x: the q=0 tensor rotated
 # from z to x (Wigner d: d200 = -1/2, d2(+-2)0 = sqrt(3/8), times the sqrt(2)
 # basis normalization on the cosine components).  Unit Euclidean norm.
@@ -279,8 +282,7 @@ def orientation_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     return p.m0 * num / (gam**2 + np.sum(w * w, axis=-1))[..., None]
 
 
-def alignment_steady_state(B: FieldVector, p: EnsembleParams,
-                           g: Spin2Generators) -> AlignmentMultipole:
+def alignment_steady_state(B: FieldVector, p: EnsembleParams) -> AlignmentMultipole:
     """Steady state of the rank-2 moment under field B with x-aligned pump.
 
     Solves (gamma B.G + Gamma I) m = Gamma a0 p_x.  The sign of the precession
@@ -288,17 +290,17 @@ def alignment_steady_state(B: FieldVector, p: EnsembleParams,
     closed-form equivalence test.
     """
     gam = p.alignment_relax_rate
-    a = p.gamma_rad * g.contract(B.bx, B.by, B.bz) + gam * np.eye(5)
+    a = p.gamma_rad * SPIN2_GENERATORS.contract(B.bx, B.by, B.bz) + gam * np.eye(5)
     m = np.linalg.solve(a, gam * p.a0 * ALIGNMENT_PUMP_X)
     return AlignmentMultipole.from_array(m)
 
 
-def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams,
-                                g: Spin2Generators) -> np.ndarray:
+def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     """Vectorized alignment steady state; returns shape (..., 5)."""
     bx, by, bz = np.broadcast_arrays(np.asarray(bx, float), np.asarray(by, float),
                                      np.asarray(bz, float))
     gal = p.alignment_relax_rate
+    g = SPIN2_GENERATORS
     a = (p.gamma_rad * (bx[..., None, None] * g.gx + by[..., None, None] * g.gy
                         + bz[..., None, None] * g.gz)
          + gal * np.eye(5))

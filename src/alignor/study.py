@@ -15,7 +15,7 @@ trend fits, and SVG plots into an output directory.  ``report`` rebuilds
 tables and plots from a saved points table without re-simulation.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,10 +23,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dynamics import CouplingParams, SweepProtocol, effective_field_from_transient
-from .fitkit import extract_transition, fit_record, fit_trend
+from .fitkit import TREND_EVAL, extract_transition, fit_record, fit_trend
 from .instrument import ScanConfig, lockin_demodulate, synthesize_record
 from .plotsvg import Series, emit_plot
-from .recordio import write_record
+from .recordio import config_section, write_record
 from .spincore import EnsembleParams, SignalMix, experiment_signal_mix
 
 STUDY_KINDS = ("chi_grid", "bz_grid", "by_grid", "single")
@@ -110,17 +110,9 @@ def study_config_from_dict(flat: dict) -> StudyConfig:
     grid = flat.get("study.grid", ())
     if not isinstance(grid, (list, tuple)):
         grid = (grid,)
-    preset_kwargs = {}
-    names = {f.name for f in fields(StudyPreset)}
-    for key, value in flat.items():
-        if key.startswith("preset."):
-            name = key[len("preset."):]
-            if name not in names:
-                raise ValueError(f"unknown preset field {name!r}")
-            preset_kwargs[name] = value
     return StudyConfig(kind=flat.get("study.kind", "single"), grid=tuple(grid),
                        seed=int(flat.get("study.seed", 0)),
-                       preset=StudyPreset(**preset_kwargs))
+                       preset=config_section(flat, "preset", StudyPreset))
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +262,6 @@ def _fit_trends(kind: str, points) -> tuple:
         if quantity in ("a_anti", "a_sym"):
             y = np.abs(y)
         for tk in trend_kinds:
-            # closed-form fits need as many points as parameters; the
-            # iterative fits want a 2x margin
-            needed = {"linear": 2, "hyperbola": 2, "polynomial": 4,
-                      "arctan": 6, "lorentzian": 6}[tk]
-            if ok.sum() < needed:
-                continue
             try:
                 res = fit_trend(x[ok], y[ok], tk)
             except Exception:
@@ -338,15 +324,6 @@ def _write_trends_table(trends, path: Path):
     path.write_text("\n".join(lines) + "\n")
 
 
-_TREND_EVAL = {
-    "linear": lambda x, p: p[0] * x + p[1],
-    "hyperbola": lambda x, p: p[0] + p[1] / x,
-    "arctan": lambda x, p: p[0] * np.arctan(x / p[1]) + p[2],
-    "lorentzian": lambda x, p: p[0] / (1.0 + (x / p[1]) ** 2) + p[2],
-    "polynomial": lambda x, p: np.polyval(list(p)[::-1], x),
-}
-
-
 def _plot_trend(points, trend: TrendFit, xlabel: str, path: Path):
     x = np.array([pt.x for pt in points])
     y = np.array([getattr(pt, trend.quantity) for pt in points])
@@ -358,7 +335,7 @@ def _plot_trend(points, trend: TrendFit, xlabel: str, path: Path):
     xs = np.linspace(x[ok].min(), x[ok].max(), 200)
     if trend.kind == "hyperbola":
         xs = xs[np.abs(xs) > 1e-12]
-    fitted = _TREND_EVAL[trend.kind](xs, np.array(trend.params))
+    fitted = TREND_EVAL[trend.kind](xs, np.array(trend.params))
     emit_plot([Series("measured", x[ok], y[ok], markers=True),
                Series(f"{trend.kind} fit", xs, fitted, dashed=True)],
               path, title=f"{trend.quantity} vs {xlabel}", xlabel=xlabel,
@@ -377,48 +354,50 @@ def _point_settings(cfg: StudyConfig, value: float):
     return chi, by, bz
 
 
+def _write_trends(kind: str, points, out: Path) -> tuple:
+    """Fit the trends of a study kind; write trends.txt and one plot each."""
+    trends = _fit_trends(kind, points)
+    _write_trends_table(trends, out / "trends.txt")
+    xlabel = _X_LABEL[kind]
+    for tr in trends:
+        _plot_trend(points, tr, xlabel,
+                    out / f"trend_{tr.quantity}_{tr.kind}.svg")
+    return trends
+
+
 def run_study(cfg: StudyConfig, out_dir) -> StudyResult:
     """Run every grid point, then write tables, records, and figures."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = []
+    loops = []
     for i, value in enumerate(cfg.grid):
         chi, by, bz = _point_settings(cfg, value)
         records = {}
         pt = measure_point(cfg.preset, chi, by, bz, seed=cfg.seed + 10 * i,
                            x=value, records=records)
         points.append(pt)
+        loops.append(records["loop"])
         for name, rec in records.items():
             write_record(rec, out / f"point_{i:02d}_{name}.txt")
     points = tuple(points)
-    trends = _fit_trends(cfg.kind, points)
     _write_points_table(cfg, points, out / "points.txt")
-    _write_trends_table(trends, out / "trends.txt")
-    xlabel = _X_LABEL[cfg.kind]
-    for tr in trends:
-        _plot_trend(points, tr, xlabel,
-                    out / f"trend_{tr.quantity}_{tr.kind}.svg")
-    if points:
-        _plot_points_overview(cfg, out)
+    trends = _write_trends(cfg.kind, points, out)
+    _plot_points_overview(cfg, loops, out)
     return StudyResult(config=cfg, points=points, trends=trends, out_dir=out)
 
 
-def _plot_points_overview(cfg: StudyConfig, out: Path):
+def _plot_points_overview(cfg: StudyConfig, loops, out: Path):
     """Overlay the loop contours of the first and last grid point."""
     series = []
     for i in (0, len(cfg.grid) - 1):
-        path = out / f"point_{i:02d}_loop.txt"
-        if not path.exists():
-            continue
-        from .recordio import read_record
-        rec = read_record(path)
+        rec = loops[i]
         label = f"{cfg.grid[i]:g}"
         series.append(Series(f"up {label}", rec.bx_up, rec.s_up))
         series.append(Series(f"down {label}", rec.bx_down, rec.s_down,
                              dashed=True))
-    if series:
-        emit_plot(series, out / "loops.svg", title="hysteresis loops",
-                  xlabel="B_x (nT)", ylabel="demodulated signal")
+    emit_plot(series, out / "loops.svg", title="hysteresis loops",
+              xlabel="B_x (nT)", ylabel="demodulated signal")
 
 
 def report(study_dir) -> StudyResult:
@@ -429,12 +408,7 @@ def report(study_dir) -> StudyResult:
     """
     out = Path(study_dir)
     kind, seed, points = read_points_table(out / "points.txt")
-    trends = _fit_trends(kind, points)
-    _write_trends_table(trends, out / "trends.txt")
-    xlabel = _X_LABEL[kind]
-    for tr in trends:
-        _plot_trend(points, tr, xlabel,
-                    out / f"trend_{tr.quantity}_{tr.kind}.svg")
+    trends = _write_trends(kind, points, out)
     cfg = StudyConfig(kind=kind, grid=tuple(pt.x for pt in points), seed=seed)
     return StudyResult(config=cfg, points=points, trends=trends, out_dir=out)
 

@@ -27,7 +27,6 @@ from alignor import (
     alignment_signal_shape,
     alignment_steady_state_grid,
     broadening_rate,
-    build_spin2_generators,
     composite_eval,
     cs_number_density,
     dipole_field,
@@ -53,8 +52,6 @@ from alignor.fitkit import (
     _lorentz_jac,
 )
 
-GEN = build_spin2_generators()
-
 
 def _verdict(n, ok, detail):
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -67,7 +64,7 @@ def test_criterion_01_steady_state_matches_closed_form_oracle():
     ax = np.linspace(-3.0, 3.0, 21)
     bx, by, bz = np.meshgrid(ax, ax, ax, indexing="ij")
     f = p.width_nt  # nT per unit of normalized field
-    obs = alignment_steady_state_grid(bx * f, by * f, bz * f, p, GEN)[..., 4]
+    obs = alignment_steady_state_grid(bx * f, by * f, bz * f, p)[..., 4]
     closed = np.array([
         alignment_signal_closed_form(NormalizedField(x, y, z))
         for x, y, z in zip(bx.ravel(), by.ravel(), bz.ravel())

@@ -4,9 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from alignor.dynamics import RAISED_COS_10_90
 from alignor.fitkit import (
     COMPOSITE_PARAM_NAMES,
-    RAISED_COS_10_90,
+    TREND_EVAL,
+    TREND_KINDS,
     CompositeContourModel,
     DegenerateFitError,
     _arctan_fn,
@@ -247,6 +249,14 @@ class TestFitRecord:
         assert res.model.hysteresis_h == 0.0
         assert any("single branch" in w for w in res.warnings)
 
+    def test_single_branch_leaves_init_untouched(self):
+        rec = make_record(self.TRUE, noise=0.0005, seed=4)
+        one = SimpleNamespace(bx_up=rec.bx_up, s_up=rec.s_up, bx_down=None)
+        init = np.array([0.1, 3.2, 0.15, 2.5, 0.2, 1.8, 6.0])
+        res = fit_record(one, init=init)
+        assert res.model.hysteresis_h == 0.0
+        assert init.tolist() == [0.1, 3.2, 0.15, 2.5, 0.2, 1.8, 6.0]
+
 
 class TestExtractTransition:
     def latch_record(self, tau_flip=0.05, b_flip=1.0, rate=2.0, fs=2000.0):
@@ -353,6 +363,21 @@ class TestFitTrend:
         assert res.params == pytest.approx([0.5, -1.0, 0.0, 0.25], abs=1e-9)
         with pytest.raises(ValueError):
             fit_trend(x[:2], y[:2], "polynomial", degree=3)
+
+    @pytest.mark.parametrize("kind", TREND_KINDS)
+    def test_trend_eval_is_the_fitted_model(self, kind):
+        x = np.linspace(0.25, 5.0, 25)
+        truth = {"linear": 2.0 * x + 1.0,
+                 "polynomial": 0.5 - x + 0.25 * x**3,
+                 "hyperbola": 1.5 + 0.8 / x,
+                 "arctan": 1.2 * np.arctan(x / 0.8) - 0.3,
+                 "lorentzian": 2.0 / (1 + (x / 1.5) ** 2) + 0.5}[kind]
+        y = truth + 0.01 * np.random.default_rng(5).standard_normal(x.size)
+        res = fit_trend(x, y, kind)
+        resid = y - TREND_EVAL[kind](x, res.params)
+        assert res.residual_rms > 0.0
+        assert math.sqrt(np.mean(resid**2)) == pytest.approx(res.residual_rms,
+                                                             rel=1e-9)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

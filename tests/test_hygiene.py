@@ -1,0 +1,75 @@
+"""Static checks on the package source: no unused imports, and the shared
+constants and spin-2 generators each defined in exactly one place."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "alignor"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def _exported_names(tree):
+    """Names listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _exported_names(tree)
+    unused = sorted(set(_imported_names(tree)) - used)
+    assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def _count(predicate):
+    return sum(predicate(node) for path in SRC.rglob("*.py")
+               for node in ast.walk(_tree(path)))
+
+
+def _is_call_to(name):
+    def pred(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (isinstance(f, ast.Name) and f.id == name) or \
+            (isinstance(f, ast.Attribute) and f.attr == name)
+    return pred
+
+
+def _is_assignment_to(name):
+    def pred(node):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            return False
+        return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+    return pred
+
+
+def test_spin2_generators_built_once():
+    assert _count(_is_call_to("build_spin2_generators")) == 1
+
+
+@pytest.mark.parametrize("name", ["TWO_PI", "RAISED_COS_10_90"])
+def test_constant_assigned_once(name):
+    assert _count(_is_assignment_to(name)) == 1

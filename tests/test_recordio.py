@@ -1,3 +1,6 @@
+from dataclasses import replace
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,28 @@ class TestRecordFile:
         text = f.read_text().replace("v1", "v9", 1)
         f.write_text(text)
         with pytest.raises(ValueError, match="version"):
+            read_record(f)
+
+    def test_non_finite_meta_round_trip(self, scan_record, tmp_path):
+        rec = replace(scan_record, meta={**scan_record.meta, "a": math.nan,
+                                         "b": math.inf, "c": -math.inf})
+        f1 = tmp_path / "rec.txt"
+        f2 = tmp_path / "rec2.txt"
+        write_record(rec, f1)
+        back = read_record(f1)
+        write_record(back, f2)
+        assert f1.read_bytes() == f2.read_bytes()
+        assert math.isnan(back.meta["a"])
+        assert back.meta["b"] == math.inf and back.meta["c"] == -math.inf
+
+    @pytest.mark.parametrize("signature", [
+        "# alignor-recordv1", "# alignor-record-vv1", "# alignor-record v1x",
+        "# alignor-record v", "# alignor-record  v1"])
+    def test_malformed_signature_rejected(self, scan_record, tmp_path, signature):
+        f = tmp_path / "rec.txt"
+        write_record(scan_record, f)
+        f.write_text(f.read_text().replace("# alignor-record v1", signature, 1))
+        with pytest.raises(ValueError, match="signature"):
             read_record(f)
 
     def test_not_a_record_file(self, tmp_path):

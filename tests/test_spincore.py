@@ -160,7 +160,7 @@ class TestAlignmentSteadyState:
     P = EnsembleParams(relax_rate=40.0, a0=0.7)
 
     def test_zero_field_equilibrium(self):
-        m = alignment_steady_state(FieldVector(0, 0, 0), self.P, GEN)
+        m = alignment_steady_state(FieldVector(0, 0, 0), self.P)
         assert np.allclose(m.as_array(), self.P.a0 * ALIGNMENT_PUMP_X, atol=1e-14)
 
     def test_matches_closed_form_on_grid(self):
@@ -168,7 +168,7 @@ class TestAlignmentSteadyState:
         ax = np.linspace(-3, 3, 21)
         bx, by, bz = np.meshgrid(ax, ax, ax, indexing="ij")
         f = self.P.width_nt  # nT per unit of b
-        m = alignment_steady_state_grid(bx * f, by * f, bz * f, self.P, GEN)
+        m = alignment_steady_state_grid(bx * f, by * f, bz * f, self.P)
         shape = alignment_signal_shape(bx, by, bz)
         obs = m[..., 4]
         mask = np.abs(shape) > 1e-12
@@ -181,22 +181,22 @@ class TestAlignmentSteadyState:
         b = NormalizedField(0.7, -0.4, 0.2)
         f = self.P.width_nt
         m = alignment_steady_state(FieldVector(b.bx * f, b.by * f, b.bz * f),
-                                   self.P, GEN)
+                                   self.P)
         assert ALIGNMENT_SIGNAL_CALIBRATION * m.m2s / self.P.a0 == pytest.approx(
             alignment_signal_closed_form(b), rel=1e-12)
 
     def test_observable_odd_parity(self):
         f = self.P.width_nt
-        m_plus = alignment_steady_state(FieldVector(1.3 * f, 0.5 * f, 0), self.P, GEN)
-        m_minus = alignment_steady_state(FieldVector(-1.3 * f, 0.5 * f, 0), self.P, GEN)
+        m_plus = alignment_steady_state(FieldVector(1.3 * f, 0.5 * f, 0), self.P)
+        m_minus = alignment_steady_state(FieldVector(-1.3 * f, 0.5 * f, 0), self.P)
         assert m_plus.coherence_signal == pytest.approx(-m_minus.coherence_signal,
                                                         rel=1e-12)
 
     def test_linear_in_a0(self):
         from dataclasses import replace
         B = FieldVector(5.0, 2.0, -3.0)
-        m1 = alignment_steady_state(B, self.P, GEN).as_array()
-        m2 = alignment_steady_state(B, replace(self.P, a0=2 * self.P.a0), GEN).as_array()
+        m1 = alignment_steady_state(B, self.P).as_array()
+        m2 = alignment_steady_state(B, replace(self.P, a0=2 * self.P.a0)).as_array()
         assert np.allclose(m2, 2 * m1, rtol=1e-13)
 
 
@@ -224,7 +224,7 @@ class TestSignals:
         mix = SignalMix(c_al=2.0, c_or=0.0)
         f = p.width_nt
         b = NormalizedField(0.9, 0.2, -0.1)
-        m2 = alignment_steady_state(FieldVector(b.bx * f, b.by * f, b.bz * f), p, GEN)
+        m2 = alignment_steady_state(FieldVector(b.bx * f, b.by * f, b.bz * f), p)
         _, sb = signals_from_state(OrientationMoment(), m2, mix)
         expect = 2.0 * alignment_signal_closed_form(b) / ALIGNMENT_SIGNAL_CALIBRATION
         assert sb == pytest.approx(expect, rel=1e-12)
@@ -232,12 +232,12 @@ class TestSignals:
     def test_experiment_scale_preset(self):
         mix = experiment_signal_mix(by_eff_norm=0.1)
         p = EnsembleParams()
-        m2_eq = alignment_steady_state(FieldVector(0, 0, 0), p, GEN)
+        m2_eq = alignment_steady_state(FieldVector(0, 0, 0), p)
         st, _ = signals_from_state(OrientationMoment(), m2_eq, mix)
         assert st == pytest.approx(6.0, rel=1e-6)
         # max alignment swing of S_B across a bx scan at by_eff_norm = 0.1
         bx = np.linspace(-5, 5, 2001) * p.width_nt
-        m = alignment_steady_state_grid(bx, 0.1 * p.width_nt, 0.0, p, GEN)
+        m = alignment_steady_state_grid(bx, 0.1 * p.width_nt, 0.0, p)
         swing = np.max(np.abs(mix.c_al * m[:, 4]))
         assert swing == pytest.approx(0.3, rel=1e-3)
 

@@ -147,6 +147,12 @@ class TestChiGridStudy:
         assert (stash / "trends.txt").read_bytes() == \
             (res.out_dir / "trends.txt").read_bytes()
         assert len(rep.points) == len(res.points)
+        figures = sorted(p.name for p in res.out_dir.glob("trend_*.*"))
+        assert figures == sorted(p.name for p in stash.glob("trend_*.*"))
+        assert any(name.endswith(".svg") for name in figures)
+        assert any(name.endswith(".dat") for name in figures)
+        for name in figures:
+            assert (stash / name).read_bytes() == (res.out_dir / name).read_bytes()
 
 
 class TestOtherGrids:
