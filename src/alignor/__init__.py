@@ -65,13 +65,9 @@ from .recordio import (
     write_record,
 )
 from .spincore import (
-    AlignmentMultipole,
     EnsembleParams,
     FieldVector,
-    NormalizedField,
-    OrientationMoment,
     SignalMix,
-    alignment_signal_closed_form,
     alignment_signal_shape,
     alignment_steady_state,
     alignment_steady_state_grid,
@@ -94,17 +90,15 @@ from .study import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentMultipole", "BroadeningBudget", "CompositeContourModel",
-    "CoupledState", "CouplingParams", "DegenerateFitError", "DemodRecord",
-    "DipoleConfig", "EnsembleParams", "FieldVector", "FitResult",
-    "FlipEvent", "NormalizedField", "OrientationMoment",
-    "ScanConfig", "ScanRecord", "Series", "SignalMix", "StepSizeError",
-    "StudyConfig", "StudyPreset", "StudyResult", "SweepProtocol",
-    "Trajectory", "TransitionResult", "UnreachableThresholdError",
-    "alignment_signal_closed_form", "alignment_signal_shape",
-    "alignment_steady_state", "alignment_steady_state_grid",
-    "broadening_rate", "build_spin2_generators", "calibrate_phase",
-    "circular_power", "composite_eval", "cs_number_density",
+    "BroadeningBudget", "CompositeContourModel", "CoupledState",
+    "CouplingParams", "DegenerateFitError", "DemodRecord", "DipoleConfig",
+    "EnsembleParams", "FieldVector", "FitResult", "FlipEvent", "ScanConfig",
+    "ScanRecord", "Series", "SignalMix", "StepSizeError", "StudyConfig",
+    "StudyPreset", "StudyResult", "SweepProtocol", "Trajectory",
+    "TransitionResult", "UnreachableThresholdError", "alignment_signal_shape",
+    "alignment_steady_state", "alignment_steady_state_grid", "broadening_rate",
+    "build_spin2_generators", "calibrate_phase", "circular_power",
+    "composite_eval", "cs_number_density",
     "cs_vapor_pressure_pa", "default_tau_flip", "dipole_field",
     "dump_config", "effective_field_from_transient", "effective_params",
     "emit_plot", "ensemble_volume", "extract_transition", "fit_record",

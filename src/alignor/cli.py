@@ -4,9 +4,11 @@ Configs are flat ``section.key = value`` text files; sections map onto the
 library dataclasses (``ramp.*`` -> SweepProtocol, ``instrument.*`` ->
 ScanConfig, ``physics.*`` -> EnsembleParams, ``coupling.*`` ->
 CouplingParams, ``mix.*`` -> SignalMix, ``study.*``/``preset.*`` ->
-StudyConfig).  Exit codes: 0 success, 1 usage error, 2 data error, 3 fit
-non-convergence (partial output is still printed).  The ALIGNOR_OUT
-environment variable overrides the base output directory.
+StudyConfig); a scan is sampled at ``instrument.sample_rate``, so
+``simulate`` rejects ``ramp.sample_rate``.  Exit codes: 0 success, 1 usage
+error, 2 data error, 3 fit non-convergence (partial output is still
+printed).  The ALIGNOR_OUT environment variable overrides the base output
+directory.
 """
 
 import argparse
@@ -126,6 +128,9 @@ def _emit(rows, fmt: str):
 
 def cmd_simulate(args) -> int:
     flat = _load_flat(args)
+    if "ramp.sample_rate" in flat:
+        raise ValueError("ramp.sample_rate is not used by simulate; "
+                         "set instrument.sample_rate instead")
     ramp = config_section(flat, "ramp", SweepProtocol)
     cfg = config_section(flat, "instrument", ScanConfig, ramp=ramp)
     p = config_section(flat, "physics", EnsembleParams)

@@ -20,9 +20,9 @@ from .spincore import (
     EnsembleParams,
     FieldVector,
     ALIGNMENT_PUMP_X,
-    SPIN2_GENERATORS,
     alignment_steady_state_grid,
     orientation_steady_state_grid,
+    spin2_contract,
 )
 
 # 10-90% fraction of the half-period of a raised-cosine step
@@ -286,7 +286,7 @@ def _coupled_rhs(m1, m2, b, p: EnsembleParams, c: CouplingParams):
     scale = 1.0 / (1.0 + c.back_action * np.linalg.norm(m2))
     dm1 = scale * p.gamma_rad * np.cross(m1, b) - p.relax_rate * (m1 - p.m0 * v)
     b_eff = b + c.kappa * m1
-    dm2 = (-p.gamma_rad * (SPIN2_GENERATORS.contract(*b_eff) @ m2)
+    dm2 = (-p.gamma_rad * (spin2_contract(*b_eff) @ m2)
            - p.alignment_relax_rate * (m2 - p.a0 * ALIGNMENT_PUMP_X))
     return dm1, dm2
 

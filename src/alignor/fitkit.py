@@ -54,11 +54,6 @@ class CompositeContourModel:
         return np.array([self.a_anti, self.w_anti, self.a_sym, self.w_sym,
                          self.center, self.hysteresis_h, self.offset])
 
-    def with_params(self, p):
-        return replace(self, a_anti=float(p[0]), w_anti=float(p[1]),
-                       a_sym=float(p[2]), w_sym=float(p[3]), center=float(p[4]),
-                       hysteresis_h=float(p[5]), offset=float(p[6]))
-
 
 COMPOSITE_PARAM_NAMES = ("a_anti", "w_anti", "a_sym", "w_sym",
                          "center", "hysteresis_h", "offset")

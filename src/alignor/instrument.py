@@ -6,7 +6,7 @@ lockin_demodulate turns it into the per-branch demodulated contour that the
 fitting layer consumes.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 import math
 
 import numpy as np
@@ -26,6 +26,7 @@ from .spincore import (
     SignalMix,
     alignment_steady_state_grid,
     orientation_steady_state_grid,
+    signals_from_state,
 )
 
 
@@ -96,7 +97,7 @@ class DemodRecord:
 
 
 def record_meta(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
-                mix: SignalMix, mode: str) -> dict:
+                mix: SignalMix) -> dict:
     """Flat metadata dict sufficient to regenerate the record bit-for-bit."""
     r = cfg.ramp
     return {
@@ -112,10 +113,7 @@ def record_meta(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
         "m0": p.m0, "a0": p.a0,
         "relax_ratio_alignment": p.relax_ratio_alignment,
         "kappa": c.kappa, "my0": c.my0, "tau_flip": c.tau_flip,
-        "back_action": c.back_action,
-        "c_al": mix.c_al, "c_or": mix.c_or, "c_t": mix.c_t,
-        "baseline_t": mix.baseline_t, "baseline_b": mix.baseline_b,
-        "mode": mode,
+        "back_action": c.back_action, **asdict(mix), "mode": "latch",
     }
 
 
@@ -136,9 +134,8 @@ def config_from_meta(meta: dict):
                        relax_ratio_alignment=meta.get("relax_ratio_alignment", 1.0))
     c = CouplingParams(kappa=meta["kappa"], my0=meta["my0"],
                        tau_flip=meta["tau_flip"], back_action=meta["back_action"])
-    mix = SignalMix(c_al=meta["c_al"], c_or=meta["c_or"], c_t=meta["c_t"],
-                    baseline_t=meta["baseline_t"], baseline_b=meta["baseline_b"])
-    return cfg, p, c, mix, meta.get("mode", "latch")
+    mix = SignalMix(**{f.name: meta[f.name] for f in fields(SignalMix)})
+    return cfg, p, c, mix
 
 
 def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
@@ -168,20 +165,18 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
 
     m1 = orientation_steady_state_grid(bx_mod, by, bz, pe)
     m2 = alignment_steady_state_grid(bx_mod, by_eff, bz, pe)
-    st = mix.baseline_t + mix.c_t * m2[:, 0]
-    sb = mix.baseline_b + mix.c_al * m2[:, 4] + mix.c_or * m1[:, 2]
+    st, sb = signals_from_state(m1, m2, mix)
     rng = np.random.default_rng(cfg.seed)
     if cfg.noise_rms > 0:
         st = st + cfg.noise_rms * rng.standard_normal(t.size)
         sb = sb + cfg.noise_rms * rng.standard_normal(t.size)
     return ScanRecord(t=t, bx_ramp=bx_ramp, st_raw=st, sb_raw=sb, direction=dirs,
-                      meta=record_meta(cfg, p, c, mix, "latch"))
+                      meta=record_meta(cfg, p, c, mix))
 
 
 def synthesize_from_meta(meta: dict) -> ScanRecord:
     """Regenerate a record from its own metadata (deterministic replay)."""
-    cfg, p, c, mix, _ = config_from_meta(meta)
-    return synthesize_record(cfg, p, c, mix)
+    return synthesize_record(*config_from_meta(meta))
 
 
 # 10-90% step-response time of lowpass_filter, in units of 1/cutoff

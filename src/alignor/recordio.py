@@ -35,11 +35,16 @@ def _meta_lines(meta: dict):
         yield f"# meta.{k} = {_format_value(meta[k])}"
 
 
-def _parse_meta_value(text: str):
-    # repr writes non-finite floats as bare names, which literal_eval rejects
-    if text in ("nan", "inf", "-inf"):
-        return float(text)
-    return ast.literal_eval(text)
+class _NonFinite(ast.NodeTransformer):
+    """Turn the bare names nan and inf, which repr writes for non-finite
+    floats and literal_eval rejects, into float constants."""
+
+    def visit_Name(self, node):
+        return ast.Constant(float(node.id)) if node.id in ("nan", "inf") else node
+
+
+def _parse_literal(text: str):
+    return ast.literal_eval(_NonFinite().visit(ast.parse(text, mode="eval")))
 
 
 def _parse_header(lines):
@@ -58,7 +63,7 @@ def _parse_header(lines):
             kind = body.split(":", 1)[1].strip()
         elif body.startswith("meta."):
             key, val = body[5:].split("=", 1)
-            meta[key.strip()] = _parse_meta_value(val.strip())
+            meta[key.strip()] = _parse_literal(val.strip())
     if kind not in ("scan", "demod"):
         raise ValueError(f"unknown record kind {kind!r}")
     return kind, meta
@@ -125,12 +130,17 @@ def read_record(path):
 # flat dotted-key config files
 
 
+# one comma-separated list item; quoted strings may hold commas
+_LIST_ITEM = re.compile(r"""(?:'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*"|[^,])+""")
+
+
 def parse_config(text: str) -> dict:
     """Parse ``section.key = value`` lines into a flat dict.
 
     Values are Python literals where possible (numbers, strings, booleans,
-    None); comma-separated values become lists; everything else stays a
-    string.  Lines starting with '#' and blank lines are ignored.
+    None, lists); comma-separated values become lists, split only on commas
+    outside quotes; everything else stays a string.  Lines starting with '#'
+    and blank lines are ignored.
     """
     out = {}
     for n, raw in enumerate(text.splitlines(), start=1):
@@ -142,16 +152,19 @@ def parse_config(text: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if not key:
             raise ValueError(f"config line {n}: empty key")
-        if "," in val:
-            out[key] = [_parse_scalar(v.strip()) for v in val.split(",") if v.strip()]
-        else:
-            out[key] = _parse_scalar(val)
+        try:
+            value = _parse_literal(val)
+        except (ValueError, SyntaxError):
+            # not one literal: bare words, maybe a list mixed with literals
+            value = val if "," not in val else [
+                _parse_scalar(v.strip()) for v in _LIST_ITEM.findall(val) if v.strip()]
+        out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
 def _parse_scalar(s: str):
     try:
-        return ast.literal_eval(s)
+        return _parse_literal(s)
     except (ValueError, SyntaxError):
         return s
 
@@ -175,12 +188,13 @@ def load_config(path) -> dict:
 
 
 def dump_config(cfg: dict, path) -> Path:
+    """Write a flat config that parse_config reads back; lists in brackets."""
     path = Path(path)
     lines = []
     for k in sorted(cfg):
         v = cfg[k]
         if isinstance(v, (list, tuple)):
-            lines.append(f"{k} = " + ", ".join(_format_value(x) for x in v))
+            lines.append(f"{k} = [" + ", ".join(_format_value(x) for x in v) + "]")
         else:
             lines.append(f"{k} = {_format_value(v)}")
     path.write_text("\n".join(lines) + "\n")

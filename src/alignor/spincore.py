@@ -3,9 +3,14 @@
 The vapor carries two moments: a rank-1 orientation (a Bloch vector pumped by
 the circular light component) and a rank-2 alignment (pumped by the linear
 component, polarization axis x, light along z).  Both precess about the applied
-magnetic field and relax at a common rate.  This module holds the value types,
-the real spin-2 rotation generators, the closed-form alignment lineshape and
-the linear steady-state solvers that the rest of the package builds on.
+magnetic field and relax at a common rate.  Moments are plain numpy arrays:
+the orientation as (..., 3) = (mx, my, mz), the alignment as (..., 5) in the
+real z-quantized basis (m0c, m1c, m1s, m2c, m2s), with m0c = rho_0,
+m_qc = sqrt(2)*Re rho_q and m_qs = -sqrt(2)*Im rho_q for q > 0.  This module holds the validated input
+types (FieldVector, EnsembleParams), the real spin-2 rotation generators and
+their one contraction with the field, the closed-form alignment lineshape,
+the scalar and grid steady-state solvers, and the one signal mix that turns
+moments into photodetector signals.
 """
 
 from dataclasses import dataclass, replace
@@ -89,100 +94,9 @@ class EnsembleParams:
         return replace(self, m0=m0)
 
 
-@dataclass(frozen=True)
-class NormalizedField:
-    """Dimensionless field b_i = gamma*B_i/relax_rate.
-
-    Keeps a reference to the source field so normalize/denormalize round-trips
-    are bit-exact.
-    """
-
-    bx: float
-    by: float
-    bz: float
-    source: FieldVector | None = None
-
-    @property
-    def byz2(self) -> float:
-        return self.by**2 + self.bz**2
-
-    @classmethod
-    def from_field(cls, B: FieldVector, p: EnsembleParams) -> "NormalizedField":
-        f = p.gamma_rad / p.relax_rate
-        return cls(B.bx * f, B.by * f, B.bz * f, source=B)
-
-    def denormalize(self, p: EnsembleParams) -> FieldVector:
-        if self.source is not None:
-            return self.source
-        f = p.relax_rate / p.gamma_rad
-        return FieldVector(self.bx * f, self.by * f, self.bz * f)
-
-
-@dataclass(frozen=True)
-class OrientationMoment:
-    """Dimensionless orientation (rank-1) moment components."""
-
-    mx: float = 0.0
-    my: float = 0.0
-    mz: float = 0.0
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.mx**2 + self.my**2 + self.mz**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mx, self.my, self.mz])
-
-
-@dataclass(frozen=True)
-class AlignmentMultipole:
-    """Rank-2 moment in the real z-quantized basis (m0c, m1c, m1s, m2c, m2s).
-
-    m_qc = sqrt(2)*Re rho_q and m_qs = -sqrt(2)*Im rho_q for q > 0; m0c = rho_0.
-    """
-
-    m0c: float = 0.0
-    m1c: float = 0.0
-    m1s: float = 0.0
-    m2c: float = 0.0
-    m2s: float = 0.0
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    @property
-    def coherence_signal(self) -> float:
-        """The component seen by the balanced polarimeter (probe along z).
-
-        Frozen to m2s by the closed-form equivalence test: it is the unique
-        component proportional to ``alignment_signal_closed_form``.
-        """
-        return self.m2s
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m0c, self.m1c, self.m1s, self.m2c, self.m2s])
-
-    @classmethod
-    def from_array(cls, a) -> "AlignmentMultipole":
-        return cls(*(float(v) for v in a))
-
-
-@dataclass(frozen=True)
-class Spin2Generators:
-    """Real antisymmetric 5x5 rotation generators of the alignment basis."""
-
-    gx: np.ndarray
-    gy: np.ndarray
-    gz: np.ndarray
-
-    def contract(self, bx, by, bz) -> np.ndarray:
-        """B.G for scalar field components."""
-        return bx * self.gx + by * self.gy + bz * self.gz
-
-
-def build_spin2_generators() -> Spin2Generators:
-    """Construct the spin-2 generators in the (m0c, m1c, m1s, m2c, m2s) basis.
+def build_spin2_generators() -> np.ndarray:
+    """Read-only (3, 5, 5) stack (gx, gy, gz) of spin-2 generators in the
+    (m0c, m1c, m1s, m2c, m2s) basis.
 
     Built from the complex j=2 angular momentum matrices (ladder coefficients
     sqrt(6 - q(q+-1))) transformed to the real basis; the results satisfy
@@ -210,14 +124,26 @@ def build_spin2_generators() -> Spin2Generators:
         g = u @ (-1j * j) @ u.conj().T
         if np.abs(g.imag).max() > 1e-12:
             raise AssertionError("generator not real in this basis")
-        out = g.real.copy()
-        out.flags.writeable = False
-        return out
+        return g.real
 
-    return Spin2Generators(gx=to_real(jx), gy=to_real(jy), gz=to_real(jz))
+    gens = np.stack([to_real(jx), to_real(jy), to_real(jz)])
+    gens.flags.writeable = False
+    return gens
 
 
 SPIN2_GENERATORS = build_spin2_generators()
+
+
+def spin2_contract(bx, by, bz) -> np.ndarray:
+    """B.G of shape (..., 5, 5) for scalar or broadcastable field components.
+
+    Every entry of B.G has at most one non-zero generator term, so this
+    elementwise sum is exact.
+    """
+    g = SPIN2_GENERATORS
+    return (np.asarray(bx, float)[..., None, None] * g[0]
+            + np.asarray(by, float)[..., None, None] * g[1]
+            + np.asarray(bz, float)[..., None, None] * g[2])
 
 
 # Rank-2 pump tensor for linear polarization along x: the q=0 tensor rotated
@@ -244,16 +170,11 @@ def alignment_signal_shape(bx, by, bz):
     return num / den
 
 
-def alignment_signal_closed_form(b: NormalizedField) -> float:
-    """Closed-form alignment signal for a normalized field point."""
-    return float(alignment_signal_shape(b.bx, b.by, b.bz))
-
-
-def orientation_steady_state(B: FieldVector, p: EnsembleParams) -> OrientationMoment:
+def orientation_steady_state(B: FieldVector, p: EnsembleParams) -> np.ndarray:
     """Steady state of dM/dt = gamma M x B - Gamma (M - m0 * pump_axis).
 
     Equivalent linear system: (Gamma I + gamma [B]_x) M = Gamma m0 pump_axis,
-    with [B]_x the cross-product matrix of B.
+    with [B]_x the cross-product matrix of B.  Returns (mx, my, mz).
     """
     w = p.gamma_rad * B.as_array()
     a = p.relax_rate * np.eye(3) + np.array([
@@ -261,8 +182,7 @@ def orientation_steady_state(B: FieldVector, p: EnsembleParams) -> OrientationMo
         [w[2], 0.0, -w[0]],
         [-w[1], w[0], 0.0],
     ])
-    m = np.linalg.solve(a, p.relax_rate * p.m0 * np.asarray(p.pump_axis, dtype=float))
-    return OrientationMoment(*m)
+    return np.linalg.solve(a, p.relax_rate * p.m0 * np.asarray(p.pump_axis, dtype=float))
 
 
 def orientation_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
@@ -282,17 +202,17 @@ def orientation_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     return p.m0 * num / (gam**2 + np.sum(w * w, axis=-1))[..., None]
 
 
-def alignment_steady_state(B: FieldVector, p: EnsembleParams) -> AlignmentMultipole:
+def alignment_steady_state(B: FieldVector, p: EnsembleParams) -> np.ndarray:
     """Steady state of the rank-2 moment under field B with x-aligned pump.
 
-    Solves (gamma B.G + Gamma I) m = Gamma a0 p_x.  The sign of the precession
-    term (multipole components transform contragrediently) is frozen by the
+    Solves (gamma B.G + Gamma I) m = Gamma a0 p_x and returns m in the
+    (m0c, m1c, m1s, m2c, m2s) basis.  The sign of the precession term
+    (multipole components transform contragrediently) is frozen by the
     closed-form equivalence test.
     """
     gam = p.alignment_relax_rate
-    a = p.gamma_rad * SPIN2_GENERATORS.contract(B.bx, B.by, B.bz) + gam * np.eye(5)
-    m = np.linalg.solve(a, gam * p.a0 * ALIGNMENT_PUMP_X)
-    return AlignmentMultipole.from_array(m)
+    a = p.gamma_rad * spin2_contract(B.bx, B.by, B.bz) + gam * np.eye(5)
+    return np.linalg.solve(a, gam * p.a0 * ALIGNMENT_PUMP_X)
 
 
 def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
@@ -300,10 +220,7 @@ def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     bx, by, bz = np.broadcast_arrays(np.asarray(bx, float), np.asarray(by, float),
                                      np.asarray(bz, float))
     gal = p.alignment_relax_rate
-    g = SPIN2_GENERATORS
-    a = (p.gamma_rad * (bx[..., None, None] * g.gx + by[..., None, None] * g.gy
-                        + bz[..., None, None] * g.gz)
-         + gal * np.eye(5))
+    a = p.gamma_rad * spin2_contract(bx, by, bz) + gal * np.eye(5)
     rhs = np.broadcast_to(gal * p.a0 * ALIGNMENT_PUMP_X, bx.shape + (5,))
     return np.linalg.solve(a, rhs[..., None])[..., 0]
 
@@ -324,11 +241,14 @@ class SignalMix:
     baseline_b: float = 0.0
 
 
-def signals_from_state(m1: OrientationMoment, m2: AlignmentMultipole,
-                       mix: SignalMix) -> tuple[float, float]:
-    """Photocurrent-like (S_T, S_B) pair from the two moments."""
-    st = mix.baseline_t + mix.c_t * m2.m0c
-    sb = mix.baseline_b + mix.c_al * m2.coherence_signal + mix.c_or * m1.mz
+def signals_from_state(m1, m2, mix: SignalMix):
+    """Photocurrent-like (S_T, S_B) from moments of shape (..., 3) and (..., 5).
+
+    S_T reads the alignment m0c (absorption); S_B the polarimeter-visible
+    coherence m2s plus the orientation mz (circular birefringence).
+    """
+    st = mix.baseline_t + mix.c_t * m2[..., 0]
+    sb = mix.baseline_b + mix.c_al * m2[..., 4] + mix.c_or * m1[..., 2]
     return st, sb
 
 

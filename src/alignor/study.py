@@ -253,18 +253,24 @@ class StudyResult:
     out_dir: Path
 
 
+def _trend_data(points, quantity: str):
+    """Finite (grid value, quantity) pairs; amplitudes enter as |y|."""
+    x = np.array([pt.x for pt in points])
+    y = np.array([getattr(pt, quantity) for pt in points])
+    if quantity in ("a_anti", "a_sym"):
+        y = np.abs(y)
+    ok = np.isfinite(x) & np.isfinite(y)
+    return x[ok], y[ok]
+
+
 def _fit_trends(kind: str, points) -> tuple:
     trends = []
     for quantity, trend_kinds in TREND_MAP[kind]:
-        x = np.array([pt.x for pt in points])
-        y = np.array([getattr(pt, quantity) for pt in points])
-        ok = np.isfinite(x) & np.isfinite(y)
-        if quantity in ("a_anti", "a_sym"):
-            y = np.abs(y)
+        x, y = _trend_data(points, quantity)
         for tk in trend_kinds:
             try:
-                res = fit_trend(x[ok], y[ok], tk)
-            except Exception:
+                res = fit_trend(x, y, tk)
+            except ValueError:  # too few points, or a degenerate fit
                 continue
             names = tuple(res.param_names) if res.param_names else \
                 tuple(f"p{i}" for i in range(len(res.params)))
@@ -272,7 +278,7 @@ def _fit_trends(kind: str, points) -> tuple:
                 quantity=quantity, kind=tk,
                 params=tuple(float(v) for v in res.params),
                 param_names=names, residual_rms=float(res.residual_rms),
-                converged=bool(res.converged), n_points=int(ok.sum())))
+                converged=bool(res.converged), n_points=x.size))
     return tuple(trends)
 
 
@@ -325,18 +331,12 @@ def _write_trends_table(trends, path: Path):
 
 
 def _plot_trend(points, trend: TrendFit, xlabel: str, path: Path):
-    x = np.array([pt.x for pt in points])
-    y = np.array([getattr(pt, trend.quantity) for pt in points])
-    if trend.quantity in ("a_anti", "a_sym"):
-        y = np.abs(y)
-    ok = np.isfinite(x) & np.isfinite(y)
-    if not np.any(ok):
-        return
-    xs = np.linspace(x[ok].min(), x[ok].max(), 200)
+    x, y = _trend_data(points, trend.quantity)
+    xs = np.linspace(x.min(), x.max(), 200)
     if trend.kind == "hyperbola":
         xs = xs[np.abs(xs) > 1e-12]
     fitted = TREND_EVAL[trend.kind](xs, np.array(trend.params))
-    emit_plot([Series("measured", x[ok], y[ok], markers=True),
+    emit_plot([Series("measured", x, y, markers=True),
                Series(f"{trend.kind} fit", xs, fitted, dashed=True)],
               path, title=f"{trend.quantity} vs {xlabel}", xlabel=xlabel,
               ylabel=trend.quantity)

@@ -18,12 +18,10 @@ from alignor import (
     CouplingParams,
     DipoleConfig,
     EnsembleParams,
-    NormalizedField,
     ScanConfig,
     SignalMix,
     StudyConfig,
     SweepProtocol,
-    alignment_signal_closed_form,
     alignment_signal_shape,
     alignment_steady_state_grid,
     broadening_rate,
@@ -65,10 +63,7 @@ def test_criterion_01_steady_state_matches_closed_form_oracle():
     bx, by, bz = np.meshgrid(ax, ax, ax, indexing="ij")
     f = p.width_nt  # nT per unit of normalized field
     obs = alignment_steady_state_grid(bx * f, by * f, bz * f, p)[..., 4]
-    closed = np.array([
-        alignment_signal_closed_form(NormalizedField(x, y, z))
-        for x, y, z in zip(bx.ravel(), by.ravel(), bz.ravel())
-    ]).reshape(bx.shape)
+    closed = alignment_signal_shape(bx, by, bz)
     mask = np.abs(closed) > 1e-12
     # one scalar calibration between model and oracle normalizations
     cal = float(np.sum(obs[mask] * closed[mask]) / np.sum(closed[mask] ** 2))

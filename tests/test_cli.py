@@ -122,6 +122,17 @@ class TestPipeline:
         code, _, err = run(capsys, "fit", str(tmp_path / "nope.txt"))
         assert code == 2
 
+    def test_simulate_rejects_ramp_sample_rate(self, tmp_path, capsys):
+        # the scan is sampled at instrument.sample_rate; a ramp rate would
+        # be silently ignored
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SMALL_CONFIG + "ramp.sample_rate = 50.0\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "instrument.sample_rate" in err
+        assert not (tmp_path / "scan.txt").exists()
+
     def test_env_var_overrides_output_base(self, pipeline, tmp_path,
                                            monkeypatch, capsys):
         monkeypatch.setenv("ALIGNOR_OUT", str(tmp_path))

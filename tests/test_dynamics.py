@@ -125,8 +125,8 @@ class TestStepCoupled:
         n = int(20.0 / P.relax_rate / dt)
         for _ in range(n):
             state = step_coupled(state, B, P, c, dt)
-        m1_ref = orientation_steady_state(B, P).as_array()
-        m2_ref = alignment_steady_state(B, P).as_array()
+        m1_ref = orientation_steady_state(B, P)
+        m2_ref = alignment_steady_state(B, P)
         assert np.max(np.abs(state.m1 - m1_ref)) < 1e-6
         assert np.max(np.abs(state.m2 - m2_ref)) < 1e-6
 

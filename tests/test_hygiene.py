@@ -1,5 +1,6 @@
-"""Static checks on the package source: no unused imports, and the shared
-constants and spin-2 generators each defined in exactly one place."""
+"""Static checks on the package source: no unused imports, the shared
+constants and spin-2 generators each defined in exactly one place, and the
+B.G contraction and the signal mix each written once."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,34 @@ def test_spin2_generators_built_once():
 @pytest.mark.parametrize("name", ["TWO_PI", "RAISED_COS_10_90"])
 def test_constant_assigned_once(name):
     assert _count(_is_assignment_to(name)) == 1
+
+
+def _enclosing_functions(predicate):
+    """(module, innermost enclosing function) of every node matching predicate."""
+    found = []
+
+    def visit(node, module, func):
+        if predicate(node):
+            found.append((module, func))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in SRC.rglob("*.py"):
+        visit(_tree(path), path.stem, None)
+    return found
+
+
+def test_spin2_generators_read_only_by_contraction():
+    def reads(node):
+        return (isinstance(node, ast.Name) and node.id == "SPIN2_GENERATORS"
+                and isinstance(node.ctx, ast.Load)) or \
+            (isinstance(node, ast.Attribute) and node.attr == "SPIN2_GENERATORS")
+    assert _enclosing_functions(reads) == [("spincore", "spin2_contract")]
+
+
+def test_signal_mix_written_once():
+    uses = _enclosing_functions(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "c_al")
+    assert set(uses) == {("spincore", "signals_from_state")}

@@ -76,11 +76,12 @@ class TestSynthesizeRecord:
         rec = synthesize_record(cfg, P, C)
         rec2 = synthesize_from_meta(rec.meta)
         assert rec.sb_raw.tobytes() == rec2.sb_raw.tobytes()
-        cfg2, p2, c2, mix2, mode = config_from_meta(rec.meta)
+        cfg2, p2, c2, mix2 = config_from_meta(rec.meta)
         assert cfg2 == cfg
         assert p2 == P
         assert c2 == C
-        assert mode == "latch"
+        assert mix2 == SignalMix()
+        assert rec.meta["mode"] == "latch"
 
     def test_reference_preset_hysteresis_phenomenology(self):
         from alignor.fitkit import extract_transition

@@ -1,0 +1,142 @@
+"""Property tests: record and config round trips, scalar oracles vs grids."""
+
+import math
+from pathlib import Path
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from alignor.instrument import DemodRecord, ScanRecord
+from alignor.recordio import dump_config, load_config, read_record, write_record
+from alignor.spincore import (
+    ALIGNMENT_SIGNAL_CALIBRATION,
+    EnsembleParams,
+    FieldVector,
+    alignment_signal_shape,
+    alignment_steady_state,
+    alignment_steady_state_grid,
+    orientation_steady_state,
+    orientation_steady_state_grid,
+)
+
+SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+FLOATS = st.one_of(SPECIAL_FLOATS, st.floats())
+SCALARS = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(),
+                    st.text(), st.text(alphabet=",'\" ab"))
+KEYS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?",
+                     fullmatch=True)
+
+
+def _float_reprs(a):
+    """Bit-level view that treats every NaN alike and tells -0.0 from 0.0."""
+    return [repr(float(v)) for v in a]
+
+
+def _same_dict(a, b):
+    return repr(sorted(a.items())) == repr(sorted(b.items()))
+
+
+@st.composite
+def scan_records(draw):
+    n = draw(st.integers(0, 12))
+    cols = [draw(arrays(np.float64, n, elements=FLOATS)) for _ in range(5)]
+    meta = draw(st.dictionaries(KEYS, SCALARS, max_size=6))
+    return ScanRecord(*cols, meta=meta)
+
+
+@st.composite
+def demod_records(draw):
+    branches = []
+    for _ in range(2):
+        n = draw(st.integers(0, 8))
+        branches += [draw(arrays(np.float64, n, elements=FLOATS)) for _ in range(4)]
+    bx_up, s_up, st_up, t_up, bx_down, s_down, st_down, t_down = branches
+    return DemodRecord(bx_up=bx_up, s_up=s_up, st_up=st_up, t_up=t_up,
+                       bx_down=bx_down, s_down=s_down, st_down=st_down,
+                       t_down=t_down,
+                       meta=draw(st.dictionaries(KEYS, SCALARS, max_size=6)))
+
+
+def _round_trip(rec):
+    with tempfile.TemporaryDirectory() as tmp:
+        f1, f2 = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+        write_record(rec, f1)
+        back = read_record(f1)
+        write_record(back, f2)
+        assert f1.read_bytes() == f2.read_bytes()
+    assert type(back) is type(rec)
+    assert _same_dict(back.meta, rec.meta)
+    return back
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_records())
+def test_scan_record_round_trip(rec):
+    back = _round_trip(rec)
+    for name in ("t", "bx_ramp", "st_raw", "sb_raw", "direction"):
+        assert _float_reprs(getattr(back, name)) == _float_reprs(getattr(rec, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(demod_records())
+def test_demod_record_round_trip(rec):
+    back = _round_trip(rec)
+    for name in ("bx_up", "s_up", "st_up", "t_up",
+                 "bx_down", "s_down", "st_down", "t_down"):
+        assert _float_reprs(getattr(back, name)) == _float_reprs(getattr(rec, name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(KEYS, st.one_of(SCALARS, st.lists(SCALARS, max_size=4)),
+                       max_size=8))
+def test_config_dump_parse_identity(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        back = load_config(dump_config(cfg, Path(tmp) / "c.cfg"))
+    assert _same_dict(back, cfg)
+
+
+@st.composite
+def ensembles(draw):
+    axis = np.array(draw(st.tuples(*[st.floats(-1, 1)] * 3)))
+    norm = np.linalg.norm(axis)
+    axis = tuple(axis / norm) if norm > 1e-3 else (0.0, 0.0, 1.0)
+    return EnsembleParams(gamma_over_2pi=draw(st.floats(1.0, 5.0)),
+                          relax_rate=draw(st.floats(10.0, 500.0)),
+                          m0=draw(st.floats(0.1, 2.0)),
+                          a0=draw(st.floats(0.1, 2.0)),
+                          pump_axis=axis,
+                          relax_ratio_alignment=draw(st.floats(0.5, 3.0)))
+
+
+FIELDS = st.lists(st.tuples(*[st.floats(-100.0, 100.0)] * 3), min_size=1,
+                  max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensembles(), FIELDS)
+def test_scalar_oracles_match_grids(p, fields):
+    b = np.array(fields)
+    m1 = orientation_steady_state_grid(b[:, 0], b[:, 1], b[:, 2], p)
+    m2 = alignment_steady_state_grid(b[:, 0], b[:, 1], b[:, 2], p)
+    for i, row in enumerate(b):
+        B = FieldVector(*row)
+        o = orientation_steady_state(B, p)
+        a = alignment_steady_state(B, p)
+        assert np.max(np.abs(m1[i] - o)) <= 1e-12 * np.linalg.norm(o)
+        assert np.max(np.abs(m2[i] - a)) <= 1e-12 * np.linalg.norm(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensembles(), st.lists(st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+                             min_size=1, max_size=8))
+def test_closed_form_matches_alignment_grid(p, fields):
+    # dimensionless b = gamma*B / alignment relax rate
+    b = np.array(fields)
+    B = b * (p.alignment_relax_rate / p.gamma_rad)
+    m2s = alignment_steady_state_grid(B[:, 0], B[:, 1], B[:, 2], p)[:, 4]
+    shape = alignment_signal_shape(b[:, 0], b[:, 1], b[:, 2])
+    assert ALIGNMENT_SIGNAL_CALIBRATION * m2s / p.a0 == pytest.approx(
+        shape, rel=1e-12, abs=1e-12)

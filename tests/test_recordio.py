@@ -116,6 +116,14 @@ class TestConfig:
         f = dump_config(cfg, tmp_path / "c.cfg")
         assert load_config(f) == cfg
 
+    def test_quoted_commas_stay_in_one_value(self):
+        cfg = parse_config('a.b = "x,y"\n'
+                           "a.c = 'p,q', bare, 2\n"
+                           "a.d = one, two\n")
+        assert cfg["a.b"] == "x,y"
+        assert cfg["a.c"] == ["p,q", "bare", 2]
+        assert cfg["a.d"] == ["one", "two"]
+
     def test_bad_lines(self):
         with pytest.raises(ValueError):
             parse_config("no equals sign here")

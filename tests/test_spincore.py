@@ -6,13 +6,9 @@ import pytest
 from alignor.spincore import (
     ALIGNMENT_PUMP_X,
     ALIGNMENT_SIGNAL_CALIBRATION,
-    AlignmentMultipole,
     EnsembleParams,
     FieldVector,
-    NormalizedField,
-    OrientationMoment,
     SignalMix,
-    alignment_signal_closed_form,
     alignment_signal_shape,
     alignment_steady_state,
     alignment_steady_state_grid,
@@ -24,27 +20,28 @@ from alignor.spincore import (
 )
 
 GEN = build_spin2_generators()
+GX, GY, GZ = GEN
 
 
 class TestGenerators:
     def test_antisymmetric(self):
-        for g in (GEN.gx, GEN.gy, GEN.gz):
+        for g in GEN:
             assert np.abs(g + g.T).max() < 1e-12
 
     def test_cyclic_commutators(self):
         def comm(a, b):
             return a @ b - b @ a
 
-        assert np.abs(comm(GEN.gx, GEN.gy) - GEN.gz).max() < 1e-12
-        assert np.abs(comm(GEN.gy, GEN.gz) - GEN.gx).max() < 1e-12
-        assert np.abs(comm(GEN.gz, GEN.gx) - GEN.gy).max() < 1e-12
+        assert np.abs(comm(GX, GY) - GZ).max() < 1e-12
+        assert np.abs(comm(GY, GZ) - GX).max() < 1e-12
+        assert np.abs(comm(GZ, GX) - GY).max() < 1e-12
 
     def test_casimir(self):
-        c = GEN.gx @ GEN.gx + GEN.gy @ GEN.gy + GEN.gz @ GEN.gz
+        c = GX @ GX + GY @ GY + GZ @ GZ
         assert np.abs(c + 6.0 * np.eye(5)).max() < 1e-12
 
     def test_gz_singular_values(self):
-        sv = np.sort(np.linalg.svd(GEN.gz)[1])
+        sv = np.sort(np.linalg.svd(GZ)[1])
         assert np.allclose(sv, [0.0, 1.0, 1.0, 2.0, 2.0], atol=1e-12)
 
     def test_casimir_against_complex_ladder_oracle(self):
@@ -60,7 +57,7 @@ class TestGenerators:
         j2 = jx @ jx + jy @ jy + jz @ jz
         assert np.abs(j2 - 6.0 * np.eye(5)).max() < 1e-12
         # eigenvalue content of the real generators matches -i*J_k
-        for g, j in ((GEN.gx, jx), (GEN.gy, jy), (GEN.gz, jz)):
+        for g, j in zip(GEN, (jx, jy, jz)):
             ev_real = np.linalg.eigvals(g)
             ev_cplx = np.linalg.eigvals(-1j * j)
             assert np.abs(ev_real.real).max() < 1e-12
@@ -70,18 +67,18 @@ class TestGenerators:
 
 class TestClosedForm:
     def test_zero_field(self):
-        assert alignment_signal_closed_form(NormalizedField(0, 0, 0)) == 0.0
+        assert alignment_signal_shape(0, 0, 0) == 0.0
 
     def test_pure_bz(self):
         # 0.5*(1+0.25) / ((1+1)*(1.25)) = 0.25, frozen from 40-digit evaluation
-        assert alignment_signal_closed_form(NormalizedField(0, 0, 0.5)) == pytest.approx(
+        assert alignment_signal_shape(0, 0, 0.5) == pytest.approx(
             0.25, abs=1e-12)
 
     def test_point_values_frozen(self):
         # mpmath 40-digit oracle values
-        assert alignment_signal_closed_form(NormalizedField(1.0, 0.1, 0.0)) == pytest.approx(
+        assert alignment_signal_shape(1.0, 0.1, 0.0) == pytest.approx(
             -0.04915896706941483, rel=1e-12)
-        assert alignment_signal_closed_form(NormalizedField(0.3, -0.2, 0.1)) == pytest.approx(
+        assert alignment_signal_shape(0.3, -0.2, 0.1) == pytest.approx(
             0.12179487179487179, rel=1e-12)
 
     def test_odd_in_bx_at_zero_bz(self):
@@ -106,31 +103,31 @@ class TestOrientationSteadyState:
     P = EnsembleParams(relax_rate=50.0, m0=0.8)
 
     def test_zero_field(self):
-        m = orientation_steady_state(FieldVector(0, 0, 0), self.P)
-        assert m.mx == pytest.approx(0.0, abs=1e-15)
-        assert m.my == pytest.approx(0.0, abs=1e-15)
-        assert m.mz == pytest.approx(self.P.m0, rel=1e-14)
+        mx, my, mz = orientation_steady_state(FieldVector(0, 0, 0), self.P)
+        assert mx == pytest.approx(0.0, abs=1e-15)
+        assert my == pytest.approx(0.0, abs=1e-15)
+        assert mz == pytest.approx(self.P.m0, rel=1e-14)
 
     def test_half_width_point(self):
         # gamma*Bx = Gamma: mz = m0/2, |my| = m0/2
         bx = self.P.width_nt
-        m = orientation_steady_state(FieldVector(bx, 0, 0), self.P)
-        assert m.mz == pytest.approx(self.P.m0 / 2, rel=1e-12)
-        assert abs(m.my) == pytest.approx(self.P.m0 / 2, rel=1e-12)
-        assert m.my > 0  # frozen sign of the M x B convention
-        assert m.mx == pytest.approx(0.0, abs=1e-15)
+        mx, my, mz = orientation_steady_state(FieldVector(bx, 0, 0), self.P)
+        assert mz == pytest.approx(self.P.m0 / 2, rel=1e-12)
+        assert abs(my) == pytest.approx(self.P.m0 / 2, rel=1e-12)
+        assert my > 0  # frozen sign of the M x B convention
+        assert mx == pytest.approx(0.0, abs=1e-15)
 
     def test_no_x_projection_for_x_field(self):
         for bx in (-30.0, -2.0, 5.0, 100.0):
-            m = orientation_steady_state(FieldVector(bx, 0, 0), self.P)
-            assert m.mx == pytest.approx(0.0, abs=1e-14)
+            mx = orientation_steady_state(FieldVector(bx, 0, 0), self.P)[0]
+            assert mx == pytest.approx(0.0, abs=1e-14)
 
     def test_direct_linear_solve_oracle(self):
         # brute-force oracle: residual of the Bloch equation at the solution
         rng = np.random.default_rng(11)
         for _ in range(50):
             B = FieldVector(*rng.uniform(-40, 40, 3))
-            m = orientation_steady_state(B, self.P).as_array()
+            m = orientation_steady_state(B, self.P)
             torque = self.P.gamma_rad * np.cross(m, B.as_array())
             relax = self.P.relax_rate * (m - self.P.m0 * np.array(self.P.pump_axis))
             assert np.abs(torque - relax).max() < 1e-10
@@ -139,12 +136,13 @@ class TestOrientationSteadyState:
         rng = np.random.default_rng(12)
         for _ in range(1000):
             B = FieldVector(*rng.uniform(-100, 100, 3))
-            assert orientation_steady_state(B, self.P).norm <= self.P.m0 * (1 + 1e-12)
+            m = orientation_steady_state(B, self.P)
+            assert np.linalg.norm(m) <= self.P.m0 * (1 + 1e-12)
 
     def test_linear_in_m0(self):
         B = FieldVector(3.0, -1.0, 2.0)
-        m1 = orientation_steady_state(B, self.P).as_array()
-        m2 = orientation_steady_state(B, self.P.with_m0(2 * self.P.m0)).as_array()
+        m1 = orientation_steady_state(B, self.P)
+        m2 = orientation_steady_state(B, self.P.with_m0(2 * self.P.m0))
         assert np.allclose(m2, 2 * m1, rtol=1e-13)
 
     def test_grid_matches_pointwise(self):
@@ -152,7 +150,7 @@ class TestOrientationSteadyState:
         b = rng.uniform(-30, 30, (40, 3))
         grid = orientation_steady_state_grid(b[:, 0], b[:, 1], b[:, 2], self.P)
         for i in range(40):
-            m = orientation_steady_state(FieldVector(*b[i]), self.P).as_array()
+            m = orientation_steady_state(FieldVector(*b[i]), self.P)
             assert np.allclose(grid[i], m, rtol=1e-11, atol=1e-13)
 
 
@@ -161,7 +159,7 @@ class TestAlignmentSteadyState:
 
     def test_zero_field_equilibrium(self):
         m = alignment_steady_state(FieldVector(0, 0, 0), self.P)
-        assert np.allclose(m.as_array(), self.P.a0 * ALIGNMENT_PUMP_X, atol=1e-14)
+        assert np.allclose(m, self.P.a0 * ALIGNMENT_PUMP_X, atol=1e-14)
 
     def test_matches_closed_form_on_grid(self):
         # core oracle equivalence: m2s is proportional to the closed form
@@ -178,44 +176,37 @@ class TestAlignmentSteadyState:
         assert cal == pytest.approx(self.P.a0 / ALIGNMENT_SIGNAL_CALIBRATION, rel=1e-9)
 
     def test_calibration_constant(self):
-        b = NormalizedField(0.7, -0.4, 0.2)
+        b = (0.7, -0.4, 0.2)
         f = self.P.width_nt
-        m = alignment_steady_state(FieldVector(b.bx * f, b.by * f, b.bz * f),
-                                   self.P)
-        assert ALIGNMENT_SIGNAL_CALIBRATION * m.m2s / self.P.a0 == pytest.approx(
-            alignment_signal_closed_form(b), rel=1e-12)
+        m = alignment_steady_state(FieldVector(*(v * f for v in b)), self.P)
+        assert ALIGNMENT_SIGNAL_CALIBRATION * m[4] / self.P.a0 == pytest.approx(
+            alignment_signal_shape(*b), rel=1e-12)
 
     def test_observable_odd_parity(self):
         f = self.P.width_nt
         m_plus = alignment_steady_state(FieldVector(1.3 * f, 0.5 * f, 0), self.P)
         m_minus = alignment_steady_state(FieldVector(-1.3 * f, 0.5 * f, 0), self.P)
-        assert m_plus.coherence_signal == pytest.approx(-m_minus.coherence_signal,
-                                                        rel=1e-12)
+        assert m_plus[4] == pytest.approx(-m_minus[4], rel=1e-12)
 
     def test_linear_in_a0(self):
         from dataclasses import replace
         B = FieldVector(5.0, 2.0, -3.0)
-        m1 = alignment_steady_state(B, self.P).as_array()
-        m2 = alignment_steady_state(B, replace(self.P, a0=2 * self.P.a0)).as_array()
+        m1 = alignment_steady_state(B, self.P)
+        m2 = alignment_steady_state(B, replace(self.P, a0=2 * self.P.a0))
         assert np.allclose(m2, 2 * m1, rtol=1e-13)
 
 
-class TestNormalizedField:
-    def test_round_trip_exact(self):
-        p = EnsembleParams(relax_rate=37.3)
-        B = FieldVector(1.234567, -9.87, 0.001)
-        b = NormalizedField.from_field(B, p)
-        assert b.denormalize(p) == B
-
-    def test_values(self):
+class TestEnsembleParams:
+    def test_width_normalizes_field(self):
+        # b = gamma*B/relax_rate is 1 at B = width_nt
         p = EnsembleParams(gamma_over_2pi=1.27, relax_rate=2 * math.pi * 1.27 * 10.0)
-        b = NormalizedField.from_field(FieldVector(10.0, 0, 0), p)
-        assert b.bx == pytest.approx(1.0, rel=1e-12)
+        assert p.width_nt == pytest.approx(10.0, rel=1e-12)
+        assert p.gamma_rad * 10.0 / p.relax_rate == pytest.approx(1.0, rel=1e-12)
 
 
 class TestSignals:
     def test_zero(self):
-        st, sb = signals_from_state(OrientationMoment(), AlignmentMultipole(),
+        st, sb = signals_from_state(np.zeros(3), np.zeros(5),
                                     SignalMix(baseline_t=0, baseline_b=0))
         assert st == 0.0 and sb == 0.0
 
@@ -223,23 +214,31 @@ class TestSignals:
         p = EnsembleParams(relax_rate=30.0)
         mix = SignalMix(c_al=2.0, c_or=0.0)
         f = p.width_nt
-        b = NormalizedField(0.9, 0.2, -0.1)
-        m2 = alignment_steady_state(FieldVector(b.bx * f, b.by * f, b.bz * f), p)
-        _, sb = signals_from_state(OrientationMoment(), m2, mix)
-        expect = 2.0 * alignment_signal_closed_form(b) / ALIGNMENT_SIGNAL_CALIBRATION
+        b = (0.9, 0.2, -0.1)
+        m2 = alignment_steady_state(FieldVector(*(v * f for v in b)), p)
+        _, sb = signals_from_state(np.zeros(3), m2, mix)
+        expect = 2.0 * alignment_signal_shape(*b) / ALIGNMENT_SIGNAL_CALIBRATION
         assert sb == pytest.approx(expect, rel=1e-12)
 
     def test_experiment_scale_preset(self):
         mix = experiment_signal_mix(by_eff_norm=0.1)
         p = EnsembleParams()
         m2_eq = alignment_steady_state(FieldVector(0, 0, 0), p)
-        st, _ = signals_from_state(OrientationMoment(), m2_eq, mix)
+        st, _ = signals_from_state(np.zeros(3), m2_eq, mix)
         assert st == pytest.approx(6.0, rel=1e-6)
         # max alignment swing of S_B across a bx scan at by_eff_norm = 0.1
         bx = np.linspace(-5, 5, 2001) * p.width_nt
         m = alignment_steady_state_grid(bx, 0.1 * p.width_nt, 0.0, p)
         swing = np.max(np.abs(mix.c_al * m[:, 4]))
         assert swing == pytest.approx(0.3, rel=1e-3)
+
+    def test_rows_match_batch(self):
+        rng = np.random.default_rng(5)
+        m1, m2 = rng.normal(size=(40, 3)), rng.normal(size=(40, 5))
+        mix = SignalMix(c_al=1.3, c_or=0.4, c_t=0.8, baseline_t=6.5, baseline_b=0.1)
+        st, sb = signals_from_state(m1, m2, mix)
+        for i in range(40):
+            assert (st[i], sb[i]) == signals_from_state(m1[i], m2[i], mix)
 
 
 class TestValidation:
