@@ -136,16 +136,10 @@ class Trajectory:
     latch: np.ndarray          # (N,)
     direction: np.ndarray      # (N,) ramp slope sign
     flips: tuple = ()
-    mode: str = "latch"
 
     @property
     def bx(self) -> np.ndarray:
         return self.b_applied[:, 0]
-
-    @property
-    def coherence(self) -> np.ndarray:
-        """The polarimeter-visible alignment component (m2s)."""
-        return self.m2[:, 4]
 
 
 def predict_flip_field(p: EnsembleParams, c: CouplingParams) -> float:
@@ -297,7 +291,6 @@ class CoupledState:
 
     m1: np.ndarray
     m2: np.ndarray
-    t: float = 0.0
 
 
 def _rk4(state: CoupledState, b, p, c, dt) -> CoupledState:
@@ -308,17 +301,19 @@ def _rk4(state: CoupledState, b, p, c, dt) -> CoupledState:
     k4 = _coupled_rhs(m1 + dt * k3[0], m2 + dt * k3[1], b, p, c)
     return CoupledState(
         m1=m1 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        m2=m2 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        t=state.t + dt)
+        m2=m2 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
+
+
+def _stable_dt(bmag: float, p: EnsembleParams) -> float:
+    bound = 0.1 / max(p.relax_rate, p.alignment_relax_rate)
+    if bmag > 0:
+        bound = min(bound, 0.05 / (p.gamma_rad * bmag))
+    return bound
 
 
 def max_stable_dt(B: FieldVector, p: EnsembleParams) -> float:
     """Stability bound: dt <= 0.1/Gamma and dt <= 0.05/(gamma |B|)."""
-    bound = 0.1 / max(p.relax_rate, p.alignment_relax_rate)
-    bmag = B.magnitude if isinstance(B, FieldVector) else float(np.linalg.norm(B))
-    if bmag > 0:
-        bound = min(bound, 0.05 / (p.gamma_rad * bmag))
-    return bound
+    return _stable_dt(B.magnitude, p)
 
 
 def step_coupled(state: CoupledState, B_applied: FieldVector, p: EnsembleParams,
@@ -362,7 +357,7 @@ def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
         b_eff = np.stack([bx, by_eff, bz], axis=-1)
         flips = _flip_events(t, bx, m1[:, 1], flip_idx, c.my0, direction)
         return Trajectory(t=t, b_applied=b_applied, b_eff=b_eff, m1=m1, m2=m2,
-                          latch=ell, direction=direction, flips=flips, mode="latch")
+                          latch=ell, direction=direction, flips=flips)
 
     # ode mode
     m1 = np.empty((t.size, 3))
@@ -378,7 +373,10 @@ def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
         b_eff[i] = b_applied[i] + c.kappa * state.m1
         if i == t.size - 1:
             break
-        bound = max_stable_dt(FieldVector(*b_applied[i]), pe)
+        # the alignment precesses about b + kappa*m1, not about b alone
+        bmag = (FieldVector(*b_applied[i]).magnitude
+                + abs(c.kappa) * float(np.linalg.norm(state.m1)))
+        bound = _stable_dt(bmag, pe)
         nsub = max(1, int(math.ceil(dt_out / bound)))
         dt = dt_out / nsub
         for k in range(nsub):
@@ -387,5 +385,4 @@ def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
             b = b_applied[i] * (1 - frac) + b_applied[i + 1] * frac
             state = _rk4(state, b, pe, c, dt)
     return Trajectory(t=t, b_applied=b_applied, b_eff=b_eff, m1=m1, m2=m2,
-                      latch=np.full(t.size, math.nan), direction=direction,
-                      flips=(), mode="ode")
+                      latch=np.full(t.size, math.nan), direction=direction)

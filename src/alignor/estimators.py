@@ -27,16 +27,15 @@ class BroadeningBudget:
     """
 
     p_in: float = 2.0        # mW
-    chi_deg: float = 0.0
     k_lb: float = 30.0
     k_serf: float = 0.3
     k_ls: float = 90.0
 
     def __post_init__(self):
+        if self.p_in < 0:
+            raise ValueError("p_in must be >= 0")
         if min(self.k_lb, self.k_serf, self.k_ls) < 0:
             raise ValueError("broadening coefficients must be >= 0")
-        if abs(self.chi_deg) > 45.0:
-            raise ValueError("|chi_deg| must be <= 45")
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,7 @@ class DipoleConfig:
 
     n_atoms: float
     distance_mm: float
-    moment_per_atom: float = BOHR_MAGNETON  # J/T
-    geometry: str = "on_axis"               # or "equatorial"
+    geometry: str = "on_axis"   # or "equatorial"
 
     def __post_init__(self):
         if self.n_atoms <= 0 or self.distance_mm <= 0:
@@ -72,8 +70,11 @@ def broadening_rate(b: BroadeningBudget) -> float:
 
 
 def dipole_field(d: DipoleConfig) -> float:
-    """Magnetic field of the polarized sub-ensemble treated as a point dipole, nT."""
-    m = d.n_atoms * d.moment_per_atom
+    """Magnetic field of the polarized sub-ensemble treated as a point dipole, nT.
+
+    Each atom carries one Bohr magneton.
+    """
+    m = d.n_atoms * BOHR_MAGNETON
     l = d.distance_mm * 1e-3
     b = mu_0 / (4.0 * math.pi) * m / l**3
     if d.geometry == "on_axis":
@@ -83,6 +84,8 @@ def dipole_field(d: DipoleConfig) -> float:
 
 def ensemble_volume(n_atoms: float, density_cm3: float) -> tuple[float, float]:
     """Volume (mm^3) and cube side (mm) occupied by n_atoms at the given density."""
+    if n_atoms <= 0:
+        raise ValueError("n_atoms must be > 0")
     if density_cm3 <= 0:
         raise ValueError("density must be > 0")
     volume_mm3 = n_atoms / density_cm3 * 1e3

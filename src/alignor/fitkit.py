@@ -4,7 +4,7 @@ The central object is the composite scan-contour model: an antisymmetric
 (dispersion-like) part from the orientation moment plus a branch-dependent
 symmetric peak from the alignment coherence, offset by half the hysteresis
 width per sweep direction.  A small hand-rolled Levenberg-Marquardt driver
-with analytic Jacobians does all the fitting; trend models (linear,
+with analytic Jacobians does all the fitting; trend models (linear, cubic
 polynomial, hyperbola, arctangent, Lorentzian) cover the parameter-vs-knob
 analyses.
 """
@@ -28,8 +28,9 @@ class CompositeContourModel:
     """Antisymmetric + branch-signed symmetric contour with hysteresis.
 
     Evaluates a_anti*D(u) + s*a_sym*L(v) + offset with D(u) = u/(1+u^2)^2,
-    L(v) = 1/(1+v^2)^2, u = (bx-center)/w_anti and
-    v = (bx - center -/+ hysteresis_h/2)/w_sym (minus on the up branch).
+    L(v) = 1/(1+v^2)^2, u = (bx-center)/w_anti,
+    v = (bx - center -/+ hysteresis_h/2)/w_sym and s = +/-1, the upper sign
+    on the up branch.
     """
 
     a_anti: float
@@ -39,16 +40,12 @@ class CompositeContourModel:
     center: float = 0.0
     hysteresis_h: float = 0.0
     offset: float = 0.0
-    branch_sign_up: int = 1
-    branch_sign_down: int = -1
 
     def __post_init__(self):
         if self.w_anti <= 0 or self.w_sym <= 0:
             raise ValueError("contour widths must be > 0")
         if self.hysteresis_h < 0:
             raise ValueError("hysteresis_h must be >= 0")
-        if self.branch_sign_up not in (-1, 1) or self.branch_sign_down not in (-1, 1):
-            raise ValueError("branch signs must be +1 or -1")
 
     def free_params(self):
         return np.array([self.a_anti, self.w_anti, self.a_sym, self.w_sym,
@@ -73,35 +70,33 @@ def composite_eval(m: CompositeContourModel, bx, branch: str = "up"):
         raise ValueError("branch must be 'up' or 'down'")
     bx = np.asarray(bx, dtype=float)
     sigma = np.full(bx.shape, 1.0 if branch == "up" else -1.0)
-    return _composite_fn((bx, sigma), m.free_params(),
-                         (m.branch_sign_up, m.branch_sign_down))
+    return _composite_fn((bx, sigma), m.free_params())
 
 
-def _composite_fn(x, p, signs):
-    """Joint-branch model; x = (bx, sigma) with sigma = +1 up / -1 down."""
+def _composite_fn(x, p):
+    """Joint-branch model; x = (bx, sigma) with sigma = +1 up / -1 down,
+    which is also the branch sign of the symmetric part."""
     bx, sigma = x
     a_a, w_a, a_s, w_s, c, h, off = p
     u = (bx - c) / w_a
     v = (bx - c - sigma * h / 2.0) / w_s
-    s = np.where(sigma > 0, signs[0], signs[1])
-    return a_a * _disp_sq(u) + s * a_s * _lorentz_sq(v) + off
+    return a_a * _disp_sq(u) + sigma * a_s * _lorentz_sq(v) + off
 
 
-def _composite_jac(x, p, signs):
+def _composite_jac(x, p):
     bx, sigma = x
     a_a, w_a, a_s, w_s, c, h, off = p
     u = (bx - c) / w_a
     v = (bx - c - sigma * h / 2.0) / w_s
-    s = np.where(sigma > 0, signs[0], signs[1])
     du = (1.0 - 3.0 * u * u) / (1.0 + u * u) ** 3      # D'(u)
     lv = -4.0 * v / (1.0 + v * v) ** 3                 # L'(v)
     j = np.empty((bx.size, 7))
     j[:, 0] = _disp_sq(u)
     j[:, 1] = a_a * du * (-u / w_a)
-    j[:, 2] = s * _lorentz_sq(v)
-    j[:, 3] = s * a_s * lv * (-v / w_s)
-    j[:, 4] = -a_a * du / w_a - s * a_s * lv / w_s
-    j[:, 5] = s * a_s * lv * (-sigma / (2.0 * w_s))
+    j[:, 2] = sigma * _lorentz_sq(v)
+    j[:, 3] = sigma * a_s * lv * (-v / w_s)
+    j[:, 4] = -a_a * du / w_a - sigma * a_s * lv / w_s
+    j[:, 5] = sigma * a_s * lv * (-sigma / (2.0 * w_s))
     j[:, 6] = 1.0
     return j
 
@@ -124,20 +119,24 @@ class FitResult:
     model: object = None
 
 
-def _damped_solve(jtj, jtr, lam, scale):
-    return np.linalg.solve(jtj + lam * np.diag(scale), jtr)
+# Levenberg-Marquardt settings: iteration cap, starting and largest damping,
+# relative cost-drop and step tolerances, gradient infinity-norm tolerance
+LM_MAX_ITER = 200
+LM_LAMBDA0 = 1e-3
+LM_LAMBDA_MAX = 1e12
+LM_COST_TOL = 1e-10
+LM_STEP_TOL = 1e-9
+LM_GRAD_TOL = 1e-12
 
 
-def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None,
-                        max_iter=200, lambda0=1e-3, cost_tol=1e-10,
-                        grad_tol=1e-12, step_tol=1e-9, lambda_max=1e12):
+def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
     """Damped Gauss-Newton with multiplicative damping (x10 reject, /10 accept).
 
     fn(x, p) evaluates the model, jac(x, p) its (N, P) Jacobian; x is passed
     through opaquely.  Converges when an accepted step both drops the cost by
-    less than cost_tol (relative) and moves the parameters by less than
-    step_tol (relative), or when the gradient infinity-norm falls below
-    grad_tol, or when no damped step can lower the cost at all.
+    less than LM_COST_TOL (relative) and moves the parameters by less than
+    LM_STEP_TOL (relative), or when the gradient infinity-norm falls below
+    LM_GRAD_TOL, or when no damped step can lower the cost at all.
     Covariance is sigma^2 (J^T J)^+ at the optimum.
     """
     y = np.asarray(y, dtype=float)
@@ -150,24 +149,24 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None,
 
     r = y - fn(x, p)
     cost = float(r @ r)
-    lam = lambda0
+    lam = LM_LAMBDA0
     history = [cost]
     converged = False
     warnings = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, LM_MAX_ITER + 1):
         j = jac(x, p)
         jtj = j.T @ j
         jtr = j.T @ r
-        if np.max(np.abs(jtr)) < grad_tol:
+        if np.max(np.abs(jtr)) < LM_GRAD_TOL:
             converged = True
             break
         scale = np.diag(jtj).copy()
         scale[scale < 1e-12 * max(scale.max(), 1.0)] = 1e-12 * max(scale.max(), 1.0)
         accepted = False
         solvable = False
-        while lam <= lambda_max:
+        while lam <= LM_LAMBDA_MAX:
             try:
-                step = _damped_solve(jtj, jtr, lam, scale)
+                step = np.linalg.solve(jtj + lam * np.diag(scale), jtr)
                 solvable = True
             except np.linalg.LinAlgError:
                 lam *= 10.0
@@ -182,7 +181,7 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None,
                 history.append(cost)
                 lam = max(lam / 10.0, 1e-15)
                 accepted = True
-                if rel_drop < cost_tol and rel_step < step_tol:
+                if rel_drop < LM_COST_TOL and rel_step < LM_STEP_TOL:
                     converged = True
                 break
             lam *= 10.0
@@ -306,17 +305,13 @@ def fit_record(rec, init=None):
     bx = np.concatenate([bx_up, bx_down])
     sigma = np.concatenate([np.ones(bx_up.size), -np.ones(bx_down.size)])
     y = np.concatenate([s_up, s_down])
-    signs = (1.0, -1.0)
     p0 = np.array(init, dtype=float) if init is not None \
         else _initial_guess(bx_up, s_up, bx_down, s_down)
     if single:
         p0[5] = 0.0
 
-    def fn(x, p):
-        return _composite_fn(x, p, signs)
-
     def jc(x, p):
-        j = _composite_jac(x, p, signs)
+        j = _composite_jac(x, p)
         if single:
             # a zero column leaves hysteresis_h at its starting value of 0
             j[:, 5] = 0.0
@@ -338,7 +333,7 @@ def fit_record(rec, init=None):
         starts.append(alt)
     res = None
     for start in starts:
-        cand = levenberg_marquardt(fn, jc, (bx, sigma), y, start,
+        cand = levenberg_marquardt(_composite_fn, jc, (bx, sigma), y, start,
                                    param_names=COMPOSITE_PARAM_NAMES)
         if res is None or (sane(cand) and not sane(res)) \
                 or (sane(cand) == sane(res) and cand.residual_rms < res.residual_rms):
@@ -373,6 +368,11 @@ class TransitionResult:
         return self.bx_up - self.bx_down
 
 
+# a branch transition counts when its peak |ds/dbx| exceeds this many times
+# the robust (MAD) slope noise
+TRANSITION_SLOPE_FACTOR = 5.0
+
+
 def _side_level(t, s, lo, hi, t_eval, fallback):
     """Linear-trend level of s over samples [lo, hi) evaluated at t_eval."""
     lo, hi = max(lo, 0), min(hi, len(s))
@@ -382,7 +382,7 @@ def _side_level(t, s, lo, hi, t_eval, fallback):
     return float(np.polyval(coef, t_eval))
 
 
-def _branch_transition(t, bx, s, slope_factor):
+def _branch_transition(t, bx, s):
     _, slope = _transition_index(bx, s)
     # ignore the filter's edge transients when locating the jump
     edge = max(3, len(s) // 100)
@@ -392,7 +392,7 @@ def _branch_transition(t, bx, s, slope_factor):
     i = int(np.argmax(np.abs(slope[interior]))) + edge
     noise = 1.4826 * np.median(np.abs(slope - np.median(slope)))
     peak = abs(slope[i])
-    if peak < slope_factor * max(noise, 1e-300) or noise == 0.0 and peak == 0.0:
+    if peak < TRANSITION_SLOPE_FACTOR * max(noise, 1e-300) or noise == 0.0 and peak == 0.0:
         return None
     # local extent of the jump: samples where |slope| stays above half peak
     left = i
@@ -428,30 +428,27 @@ def _branch_transition(t, bx, s, slope_factor):
     return float(bx[i]), abs(float(t90 - t10)), float(peak)
 
 
-def extract_transition(rec, slope_factor: float = 5.0,
-                       response_time: float | None = None) -> TransitionResult:
+def extract_transition(rec) -> TransitionResult:
     """Locate the branch flips of a demodulated record and time their width.
 
     The transition on each branch sits at the maximum of |ds/dbx|; it counts
-    only if that slope exceeds ``slope_factor`` times the robust baseline
-    slope noise.  The duration is the 10-90% rise time of the level change
-    on the record's own time base, deconvolved (in quadrature) from the
-    instrument response: ``response_time`` defaults to the record's
-    ``meta["response_time"]`` when present.  A record without transitions
-    yields a monostable result rather than an error.
+    only if that slope exceeds TRANSITION_SLOPE_FACTOR times the robust
+    baseline slope noise.  The duration is the 10-90% rise time of the level
+    change on the record's own time base, deconvolved (in quadrature) from
+    the instrument response ``meta["response_time"]`` when the record has
+    one.  A record without transitions yields a monostable result rather
+    than an error.
     """
-    if response_time is None:
-        meta = getattr(rec, "meta", None)
-        if isinstance(meta, dict):
-            response_time = meta.get("response_time")
+    meta = getattr(rec, "meta", None)
+    response_time = meta.get("response_time") if isinstance(meta, dict) else None
     response_time = 0.0 if response_time is None else float(response_time)
     up = _branch_transition(np.asarray(rec.t_up, float), np.asarray(rec.bx_up, float),
-                            np.asarray(rec.s_up, float), slope_factor)
+                            np.asarray(rec.s_up, float))
     down = None
     if getattr(rec, "bx_down", None) is not None and len(rec.bx_down):
         down = _branch_transition(np.asarray(rec.t_down, float),
                                   np.asarray(rec.bx_down, float),
-                                  np.asarray(rec.s_down, float), slope_factor)
+                                  np.asarray(rec.s_down, float))
     if up is None and down is None:
         return TransitionResult(math.nan, math.nan, math.nan, math.nan, monostable=True)
     b_up, dt_up, sl_up = up if up else (math.nan, math.nan, 0.0)
@@ -470,6 +467,7 @@ TREND_KINDS = ("linear", "polynomial", "hyperbola", "arctan", "lorentzian")
 
 TREND_PARAM_NAMES = {
     "linear": ("slope", "intercept"),
+    "polynomial": ("c0", "c1", "c2", "c3"),
     "hyperbola": ("a", "b"),
     "arctan": ("a", "c", "d"),
     "lorentzian": ("amplitude", "width", "offset"),
@@ -527,11 +525,11 @@ TREND_EVAL = {
 }
 
 
-def fit_trend(x, y, kind: str, degree: int = 3, init=None) -> FitResult:
+def fit_trend(x, y, kind: str) -> FitResult:
     """Fit a named trend model to (x, y) points.
 
-    linear and polynomial are closed-form least squares; hyperbola a + b/x is
-    linear in its parameters; arctan a*atan(x/c)+d and lorentzian
+    linear and the cubic polynomial are closed-form least squares; hyperbola
+    a + b/x is linear in its parameters; arctan a*atan(x/c)+d and lorentzian
     A/(1+(x/w)^2)+d go through Levenberg-Marquardt with analytic Jacobians.
     """
     x = np.asarray(x, dtype=float)
@@ -544,12 +542,10 @@ def fit_trend(x, y, kind: str, degree: int = 3, init=None) -> FitResult:
         return _linear_lstsq(np.column_stack([x, np.ones_like(x)]), y,
                              TREND_PARAM_NAMES["linear"])
     if kind == "polynomial":
-        if not 0 <= degree <= 3:
-            raise ValueError("polynomial degree must be in 0..3")
-        if x.size < degree + 1:
+        if x.size < 4:
             raise ValueError("underdetermined polynomial fit")
-        design = np.column_stack([x ** k for k in range(degree + 1)])
-        return _linear_lstsq(design, y, tuple(f"c{k}" for k in range(degree + 1)))
+        design = np.column_stack([x ** k for k in range(4)])
+        return _linear_lstsq(design, y, TREND_PARAM_NAMES["polynomial"])
     if kind == "hyperbola":
         if np.any(x == 0.0):
             raise ValueError("hyperbola fit undefined at x = 0")
@@ -558,21 +554,18 @@ def fit_trend(x, y, kind: str, degree: int = 3, init=None) -> FitResult:
         return _linear_lstsq(np.column_stack([np.ones_like(x), 1.0 / x]), y,
                              TREND_PARAM_NAMES["hyperbola"])
     if kind == "arctan":
-        if init is None:
-            d0 = float(np.mean(y))
-            a0 = (y.max() - y.min()) / math.pi or 1.0
-            c0 = float(np.std(x)) or 1.0
-            init = (a0, c0, d0)
-        return levenberg_marquardt(_arctan_fn, _arctan_jac, x, y, init,
+        d0 = float(np.mean(y))
+        a0 = (y.max() - y.min()) / math.pi or 1.0
+        c0 = float(np.std(x)) or 1.0
+        return levenberg_marquardt(_arctan_fn, _arctan_jac, x, y, (a0, c0, d0),
                                    param_names=TREND_PARAM_NAMES["arctan"])
     if kind == "lorentzian":
-        if init is None:
-            d0 = float(np.median(np.concatenate([y[:2], y[-2:]])))
-            i = int(np.argmax(np.abs(y - d0)))
-            a0 = float(y[i] - d0) or 1.0
-            half = np.abs(y - d0) > abs(a0) / 2.0
-            w0 = 0.5 * (x[half].max() - x[half].min()) if half.sum() > 1 else float(np.std(x)) or 1.0
-            init = (a0, abs(w0) or 1.0, d0)
+        d0 = float(np.median(np.concatenate([y[:2], y[-2:]])))
+        i = int(np.argmax(np.abs(y - d0)))
+        a0 = float(y[i] - d0) or 1.0
+        half = np.abs(y - d0) > abs(a0) / 2.0
+        w0 = 0.5 * (x[half].max() - x[half].min()) if half.sum() > 1 else float(np.std(x)) or 1.0
+        init = (a0, abs(w0) or 1.0, d0)
         res = levenberg_marquardt(_lorentz_fn, _lorentz_jac, x, y, init,
                                   param_names=TREND_PARAM_NAMES["lorentzian"])
         p = res.params.copy()

@@ -79,22 +79,6 @@ class DemodRecord:
     t_down: np.ndarray
     meta: dict
 
-    @property
-    def bx(self) -> np.ndarray:
-        return np.concatenate([self.bx_up, self.bx_down])
-
-    @property
-    def sb_demod(self) -> np.ndarray:
-        return np.concatenate([self.s_up, self.s_down])
-
-    @property
-    def st(self) -> np.ndarray:
-        return np.concatenate([self.st_up, self.st_down])
-
-    @property
-    def branch(self) -> np.ndarray:
-        return np.array(["up"] * self.bx_up.size + ["down"] * self.bx_down.size)
-
 
 def record_meta(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
                 mix: SignalMix) -> dict:
@@ -216,8 +200,7 @@ def calibrate_phase(rec: ScanRecord, lpf_cutoff: float = 0.5) -> float:
 
 
 def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
-                      lpf_cutoff: float = 0.5, gain: float = 1.0,
-                      output_rate: float | None = None) -> DemodRecord:
+                      lpf_cutoff: float = 0.5, gain: float = 1.0) -> DemodRecord:
     """First-harmonic lock-in of S_B plus low-passed S_T, resampled per branch.
 
     Output = gain * LPF(sb * sin(2 pi f t + phase)); with the default gain the
@@ -225,9 +208,10 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
     recovers the in-phase amplitude of a pure tone.  The input is AC-coupled
     (baseband below lpf_cutoff/2 removed) before mixing, since the second-
     order output filter alone leaves ~-20 dB of carrier feedthrough from the
-    unmodulated signal level.  The result is decimated
-    onto the ramp grid and split into up/down branches by ramp slope; dwell
-    samples (zero slope) are dropped.
+    unmodulated signal level.  The result is decimated to about
+    8 * lpf_cutoff samples per second (the exact rate goes into
+    meta["output_rate"]) and split into up/down branches by ramp slope;
+    dwell samples (zero slope) are dropped.
     """
     f = rec.meta["mod_freq"]
     fs = rec.meta["sample_rate"]
@@ -237,9 +221,7 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
     sb_ac = rec.sb_raw - lowpass_filter(rec.sb_raw, lpf_cutoff / 2.0, fs)
     demod = gain * lowpass_filter(sb_ac * ref, lpf_cutoff, fs)
     st = lowpass_filter(rec.st_raw, lpf_cutoff, fs)
-    if output_rate is None:
-        output_rate = 8.0 * lpf_cutoff
-    dec = max(1, int(round(fs / output_rate)))
+    dec = max(1, int(round(fs / (8.0 * lpf_cutoff))))
     idx = np.arange(0, rec.t.size, dec)
     up = idx[rec.direction[idx] > 0]
     down = idx[rec.direction[idx] < 0]

@@ -15,7 +15,7 @@ trend fits, and SVG plots into an output directory.  ``report`` rebuilds
 tables and plots from a saved points table without re-simulation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +27,12 @@ from .fitkit import TREND_EVAL, extract_transition, fit_record, fit_trend
 from .instrument import ScanConfig, lockin_demodulate, synthesize_record
 from .plotsvg import Series, emit_plot
 from .recordio import config_section, write_record
-from .spincore import EnsembleParams, SignalMix, experiment_signal_mix
+from .spincore import (
+    STRONG_PUMP_GAMMA_HZ_PER_NT,
+    EnsembleParams,
+    SignalMix,
+    experiment_signal_mix,
+)
 
 STUDY_KINDS = ("chi_grid", "bz_grid", "by_grid", "single")
 
@@ -43,7 +48,7 @@ class StudyPreset:
     compensation of the static transverse and pump-axis fields.
     """
 
-    gamma_over_2pi: float = 3.5          # Hz/nT
+    gamma_over_2pi: float = STRONG_PUMP_GAMMA_HZ_PER_NT  # Hz/nT
     base_width_nt: float = 8.0           # zero-ellipticity resonance HWHM
     broadening_nt_per_deg: float = 4.0   # simulated width growth with chi
     relax_ratio_alignment: float = 2.2   # rank-2 vs rank-1 relaxation
@@ -118,13 +123,6 @@ def study_config_from_dict(flat: dict) -> StudyConfig:
 # ---------------------------------------------------------------------------
 # one study point
 
-POINT_COLUMNS = (
-    "x", "chi_deg", "static_by", "bz_pump", "a_anti", "w_anti", "a_sym",
-    "w_sym", "center", "hysteresis_h", "offset", "bx_up", "bx_down",
-    "loop_hysteresis", "dt", "max_slope", "b_yeff", "fit_converged",
-)
-
-
 @dataclass(frozen=True)
 class StudyPoint:
     """Measured quantities at one grid setting."""
@@ -150,6 +148,9 @@ class StudyPoint:
 
     def row(self):
         return tuple(float(getattr(self, c)) for c in POINT_COLUMNS)
+
+
+POINT_COLUMNS = tuple(f.name for f in fields(StudyPoint))
 
 
 def _scan_config(preset: StudyPreset, ramp: SweepProtocol, seed: int) -> ScanConfig:
@@ -272,12 +273,10 @@ def _fit_trends(kind: str, points) -> tuple:
                 res = fit_trend(x, y, tk)
             except ValueError:  # too few points, or a degenerate fit
                 continue
-            names = tuple(res.param_names) if res.param_names else \
-                tuple(f"p{i}" for i in range(len(res.params)))
             trends.append(TrendFit(
                 quantity=quantity, kind=tk,
                 params=tuple(float(v) for v in res.params),
-                param_names=names, residual_rms=float(res.residual_rms),
+                param_names=res.param_names, residual_rms=float(res.residual_rms),
                 converged=bool(res.converged), n_points=x.size))
     return tuple(trends)
 

@@ -214,8 +214,7 @@ def test_criterion_08_fit_recovery_and_jacobians():
                        rng.uniform(-2, 2), rng.uniform(0.5, 4),
                        rng.uniform(-2, 2), rng.uniform(0.1, 3),
                        rng.uniform(-1, 1)])
-        jworst = max(jworst, jac_err(_composite_fn, _composite_jac, xj, p7,
-                                     (1.0, -1.0)))
+        jworst = max(jworst, jac_err(_composite_fn, _composite_jac, xj, p7))
         p3 = np.array([rng.uniform(-3, 3), rng.uniform(0.3, 4),
                        rng.uniform(-2, 2)])
         jworst = max(jworst, jac_err(_arctan_fn, _arctan_jac, xr, p3))

@@ -56,6 +56,21 @@ class TestEstimate:
         assert "error" in err
 
 
+    def test_nonpositive_atom_count_is_data_error(self, capsys):
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, "estimate", "volume", "--n", "-1",
+                                 "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert "n_atoms" in err
+
+    def test_negative_pump_power_is_data_error(self, capsys):
+        code, out, err = run(capsys, "estimate", "broadening", "--p-in", "-3")
+        assert code == 2
+        assert out == ""
+        assert "p_in" in err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

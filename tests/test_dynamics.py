@@ -290,6 +290,19 @@ class TestRunSweepOde:
         assert np.max(np.abs(traj.m1 - ref.m1)) < 3e-3
         assert np.max(np.abs(traj.m2 - ref.m2)) < 3e-3
 
+    def test_strong_coupling_stays_bounded(self):
+        # the alignment precesses about b + kappa*m1, about 100 nT here
+        # against an applied field of 0.45 nT
+        c = CouplingParams(kappa=100.0, my0=0.01)
+        proto = SweepProtocol(bx_start=-0.2, bx_end=0.2, rate=5.0,
+                              direction_pattern="up", sample_rate=50.0,
+                              static_by=0.4)
+        traj = run_sweep(proto, P, c, mode="ode")
+        for a in (traj.m1, traj.m2, traj.b_eff):
+            assert np.all(np.isfinite(a))
+        assert np.max(np.linalg.norm(traj.m2, axis=1)) <= P.a0
+        assert np.max(np.linalg.norm(traj.m1, axis=1)) <= P.m0
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             run_sweep(triangle(), P, CouplingParams(kappa=0.0, my0=0.0),

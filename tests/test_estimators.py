@@ -61,6 +61,10 @@ class TestBroadeningRate:
         with pytest.raises(ValueError):
             BroadeningBudget(k_lb=-1.0)
 
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="p_in"):
+            BroadeningBudget(p_in=-3.0)
+
 
 class TestDipoleField:
     def test_reference_scale_field(self):
@@ -110,6 +114,11 @@ class TestEnsembleVolume:
     def test_bad_density(self):
         with pytest.raises(ValueError):
             ensemble_volume(1e11, 0.0)
+
+    @pytest.mark.parametrize("n_atoms", [0.0, -1.0])
+    def test_nonpositive_atom_count_rejected(self, n_atoms):
+        with pytest.raises(ValueError, match="n_atoms"):
+            ensemble_volume(n_atoms, 2e14)
 
 
 class TestVaporDensity:

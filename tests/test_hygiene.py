@@ -1,6 +1,7 @@
-"""Static checks on the package source: no unused imports, the shared
-constants and spin-2 generators each defined in exactly one place, and the
-B.G contraction and the signal mix each written once."""
+"""Static checks on the package source: no unused imports, no module
+constant that nothing reads, the shared constants and spin-2 generators each
+defined in exactly one place, and the B.G contraction and the signal mix
+each written once."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,28 @@ def test_no_unused_imports(path):
     used |= _exported_names(tree)
     unused = sorted(set(_imported_names(tree)) - used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def _module_constants(tree):
+    """UPPER_CASE names assigned at module level."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for t in targets:
+            if isinstance(t, ast.Name) and t.id.isupper():
+                yield t.id
+
+
+def test_module_constants_are_read():
+    assigned = {name for path in MODULES for name in _module_constants(_tree(path))}
+    read = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(assigned - read) == []
 
 
 def _count(predicate):

@@ -217,5 +217,6 @@ class TestDemodRecord:
         dem = lockin_demodulate(rec)
         assert np.all(np.diff(dem.bx_up) > 0)
         assert np.all(np.diff(dem.bx_down) < 0)
-        assert set(np.unique(dem.branch)) == {"up", "down"}
-        assert dem.bx.size == dem.sb_demod.size == dem.st.size
+        assert dem.bx_up.size > 0 and dem.bx_down.size > 0
+        assert dem.bx_up.size == dem.s_up.size == dem.st_up.size == dem.t_up.size
+        assert dem.bx_down.size == dem.s_down.size == dem.st_down.size == dem.t_down.size

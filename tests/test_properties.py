@@ -1,4 +1,5 @@
-"""Property tests: record and config round trips, scalar oracles vs grids."""
+"""Property tests: record and config round trips, scalar oracles vs grids,
+latch invariants."""
 
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from alignor.dynamics import latch_scan
 from alignor.instrument import DemodRecord, ScanRecord
 from alignor.recordio import dump_config, load_config, read_record, write_record
 from alignor.spincore import (
@@ -140,3 +142,38 @@ def test_closed_form_matches_alignment_grid(p, fields):
     shape = alignment_signal_shape(b[:, 0], b[:, 1], b[:, 2])
     assert ALIGNMENT_SIGNAL_CALIBRATION * m2s / p.a0 == pytest.approx(
         shape, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def latch_inputs(draw):
+    n = draw(st.integers(2, 300))
+    my = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    direction = draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 0.0, 1.0])))
+    my0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    dt = draw(st.floats(1e-3, 0.1))
+    tau = draw(st.floats(1e-3, 1.0))
+    s0 = draw(st.sampled_from([None, -1, 1]))
+    return np.arange(n) * dt, my, direction, my0, tau, s0
+
+
+@settings(max_examples=300, deadline=None)
+@given(latch_inputs())
+def test_latch_invariants(args):
+    t, my, direction, my0, tau, s0 = args
+    ell, flips = latch_scan(t, my, direction, my0, tau, s0=s0)
+    assert np.all(np.abs(ell) <= 1.0)
+    # a flip starts from the held state, so its start value is +-1 and
+    # consecutive flips leave opposite states
+    starts = ell[flips]
+    assert np.all(np.abs(starts) == 1.0)
+    assert np.all(starts[1:] == -starts[:-1])
+    if my0 > 0.0:
+        assert np.all(direction[flips] != 0.0)
+        # and only on a threshold crossing in the sweep direction
+        assert np.all(np.where(starts < 0, my[flips] >= my0, my[flips] <= -my0))
+    # outside the raised-cosine ramps the latch holds a state exactly
+    in_ramp = np.zeros(t.size, bool)
+    for i in flips:
+        in_ramp[i + 1:] |= (t[i + 1:] - t[i]) / tau < math.pi
+    held = ell[~in_ramp]
+    assert np.all(np.abs(held) == 1.0)
