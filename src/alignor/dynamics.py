@@ -11,6 +11,7 @@ Two simulation modes:
   plus the kappa*M1 effective field, with no latch; it is exploratory.
 """
 
+import bisect
 from dataclasses import dataclass
 import math
 
@@ -207,44 +208,52 @@ def latch_scan(t, my, direction, my0: float, tau_flip: float, s0: int | None = N
     Returns the continuous latch variable (raised-cosine ramps between -1 and
     +1) and the list of flip start indices.  With my0 = 0 the latch simply
     tracks sign crossings of M_y in either sweep direction.
+
+    A flip starts at the first sample at or after the current one where the
+    held state s < 0 meets M_y >= my0 on an up sweep (s > 0: M_y <= -my0 on a
+    down sweep; with my0 = 0, M_y > 0 or M_y < 0 in any direction).  That
+    sample keeps the old state; the following samples ramp as
+    s_old + (s - s_old)(1 - cos phase)/2 with phase = (t - t0)/tau_flip, up to
+    the first sample with phase >= pi, which takes s; the trigger checks
+    resume after it.  The scan loops once per flip, so its Python work is
+    linear in the number of flips; the tests hold it bit for bit to a
+    per-sample reference loop.  Precondition: t is non-decreasing, so the
+    phase is too.
     """
     t = np.asarray(t, float)
     my = np.asarray(my, float)
+    direction = np.asarray(direction)
     n = t.size
+    if my0 == 0.0:
+        up, down = my > 0.0, my < 0.0
+    else:
+        up = (direction > 0) & (my >= my0)
+        down = (direction < 0) & (my <= -my0)
+    rising, falling, never = np.flatnonzero(up), np.flatnonzero(down), np.empty(0, int)
     ell = np.empty(n)
     flips = []
     if s0 is None:
         s0 = -1 if my[0] < 0 else 1
-    s, s_old = float(s0), float(s0)
-    flipping = False
-    t0 = 0.0
-    for i in range(n):
-        if flipping:
-            phase = (t[i] - t0) / tau_flip
-            if phase >= math.pi:
-                flipping = False
-                ell[i] = s
-            else:
-                ell[i] = s_old + (s - s_old) * 0.5 * (1.0 - math.cos(phase))
-            continue
-        trig = 0
-        if my0 == 0.0:
-            if s < 0 and my[i] > 0.0:
-                trig = 1
-            elif s > 0 and my[i] < 0.0:
-                trig = -1
-        elif direction[i] > 0 and s < 0 and my[i] >= my0:
-            trig = 1
-        elif direction[i] < 0 and s > 0 and my[i] <= -my0:
-            trig = -1
-        if trig:
-            flipping = True
-            t0 = t[i]
-            s_old, s = s, float(trig)
-            flips.append(i)
-            ell[i] = s_old
-        else:
-            ell[i] = s
+    s = float(s0)
+    i = 0
+    while i < n:
+        idx = rising if s < 0 else falling if s > 0 else never
+        k = np.searchsorted(idx, i)
+        if k == idx.size:
+            ell[i:] = s
+            break
+        j = int(idx[k])
+        ell[i:j + 1] = s          # the trigger sample still holds the old state
+        flips.append(j)
+        s_old, s = s, (1.0 if s < 0 else -1.0)
+        t0 = t[j]
+        end = j + 1 + bisect.bisect_left(
+            range(j + 1, n), True, key=lambda m: (t[m] - t0) / tau_flip >= math.pi)
+        phase = (t[j + 1:end] - t0) / tau_flip
+        ell[j + 1:end] = s_old + (s - s_old) * 0.5 * (1.0 - np.cos(phase))
+        if end < n:
+            ell[end] = s
+        i = end + 1
     return ell, flips
 
 
@@ -318,12 +327,17 @@ def max_stable_dt(B: FieldVector, p: EnsembleParams) -> float:
 
 def step_coupled(state: CoupledState, B_applied: FieldVector, p: EnsembleParams,
                  c: CouplingParams, dt: float) -> CoupledState:
-    """One RK4 step of the coupled moments under a constant applied field."""
-    bound = max_stable_dt(B_applied, p)
+    """One RK4 step of the coupled moments under a constant applied field.
+
+    The alignment precesses about B + kappa*m1, so dt is bounded by the
+    stability bound at |B| + |kappa|*|m1|, as in run_sweep(mode="ode").
+    """
+    bmag = B_applied.magnitude + abs(c.kappa) * float(np.linalg.norm(state.m1))
+    bound = _stable_dt(bmag, p)
     if dt > bound:
         raise StepSizeError(
             f"dt={dt:.3e} s exceeds the stability bound {bound:.3e} s "
-            f"(Gamma={p.relax_rate:.3g}/s, |B|={B_applied.magnitude:.3g} nT)")
+            f"(Gamma={p.relax_rate:.3g}/s, |B|+|kappa||m1|={bmag:.3g} nT)")
     return _rk4(state, B_applied.as_array(), p, c, dt)
 
 

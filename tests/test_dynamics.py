@@ -134,13 +134,24 @@ class TestStepCoupled:
         c = CouplingParams(kappa=8.0, my0=0.1)
         B = FieldVector(0.0, 0.0, 0.0)
         state = CoupledState(m1=np.array([0.3, -0.2, 0.1]), m2=np.zeros(5))
-        dt = 0.8 * max_stable_dt(B, P)
+        # the bound at the largest |m1| of the run, the pumped m0
+        dt = 0.8 * max_stable_dt(FieldVector(0.0, 0.0, c.kappa * P.m0), P)
         for _ in range(int(20.0 / P.relax_rate / dt)):
             state = step_coupled(state, B, P, c, dt)
         assert state.m1 == pytest.approx([0.0, 0.0, P.m0], abs=1e-6)
         b_eff = c.kappa * state.m1
         assert b_eff[0] == pytest.approx(0.0, abs=1e-5)
         assert b_eff[1] == pytest.approx(0.0, abs=1e-5)
+
+    def test_coupling_field_bounds_the_step(self):
+        # dt is stable for the applied field alone but not for B + kappa*m1
+        c = CouplingParams(kappa=100.0, my0=0.01)
+        B = FieldVector(0.0, 0.4, 0.0)
+        state = CoupledState(m1=np.array([0.0, 0.0, 1.0]), m2=np.zeros(5))
+        dt = 0.8 * max_stable_dt(B, P)
+        with pytest.raises(StepSizeError):
+            for _ in range(200):
+                state = step_coupled(state, B, P, c, dt)
 
     def test_step_size_violation(self):
         B = FieldVector(100.0, 0.0, 0.0)

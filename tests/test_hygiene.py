@@ -1,7 +1,9 @@
 """Static checks on the package source: no unused imports, no module
 constant that nothing reads, the shared constants and spin-2 generators each
-defined in exactly one place, and the B.G contraction and the signal mix
-each written once."""
+defined in exactly one place, the generators read only by the B.G
+contraction and their table of non-zero entries only by the B.G vector
+product, the signal mix written once, and LAPACK solves kept out of the grid
+solvers."""
 
 import ast
 from pathlib import Path
@@ -116,12 +118,38 @@ def _enclosing_functions(predicate):
     return found
 
 
-def test_spin2_generators_read_only_by_contraction():
-    def reads(node):
-        return (isinstance(node, ast.Name) and node.id == "SPIN2_GENERATORS"
+def _reads(name):
+    def pred(node):
+        return (isinstance(node, ast.Name) and node.id == name
                 and isinstance(node.ctx, ast.Load)) or \
-            (isinstance(node, ast.Attribute) and node.attr == "SPIN2_GENERATORS")
-    assert _enclosing_functions(reads) == [("spincore", "spin2_contract")]
+            (isinstance(node, ast.Attribute) and node.attr == name)
+    return pred
+
+
+def test_spin2_generators_read_only_by_contraction():
+    assert _enclosing_functions(_reads("SPIN2_GENERATORS")) == [("spincore", "spin2_contract")]
+
+
+def test_spin2_entries_read_only_by_vector_product():
+    assert _enclosing_functions(_reads("SPIN2_ENTRIES")) == [("spincore", "spin2_apply")]
+
+
+def _is_linalg_solve(node):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "solve"):
+        return False
+    owner = node.func.value
+    return (isinstance(owner, ast.Attribute) and owner.attr == "linalg") or \
+        (isinstance(owner, ast.Name) and owner.id == "linalg")
+
+
+def test_linalg_solve_only_in_scalar_oracles():
+    # the grid solvers are closed forms; LAPACK solves the scalar steady-state
+    # oracles and the Levenberg-Marquardt normal equations only
+    assert sorted(_enclosing_functions(_is_linalg_solve)) == [
+        ("fitkit", "levenberg_marquardt"),
+        ("spincore", "alignment_steady_state"),
+        ("spincore", "orientation_steady_state")]
 
 
 def test_signal_mix_written_once():

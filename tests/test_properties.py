@@ -1,5 +1,7 @@
 """Property tests: record and config round trips, scalar oracles vs grids,
-latch invariants."""
+latch invariants, and the closed-form grid solver and the per-flip latch
+against their slow oracles (the batched LAPACK solve and the per-sample
+loop)."""
 
 import math
 from pathlib import Path
@@ -14,6 +16,7 @@ from alignor.dynamics import latch_scan
 from alignor.instrument import DemodRecord, ScanRecord
 from alignor.recordio import dump_config, load_config, read_record, write_record
 from alignor.spincore import (
+    ALIGNMENT_PUMP_X,
     ALIGNMENT_SIGNAL_CALIBRATION,
     EnsembleParams,
     FieldVector,
@@ -22,6 +25,7 @@ from alignor.spincore import (
     alignment_steady_state_grid,
     orientation_steady_state,
     orientation_steady_state_grid,
+    spin2_contract,
 )
 
 SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
@@ -131,6 +135,26 @@ def test_scalar_oracles_match_grids(p, fields):
         assert np.max(np.abs(m2[i] - a)) <= 1e-12 * np.linalg.norm(a)
 
 
+def _alignment_grid_lapack(bx, by, bz, p):
+    """Batched LAPACK solve of (gamma B.G + Gamma I) m = Gamma a0 p_x."""
+    bx, by, bz = np.broadcast_arrays(np.asarray(bx, float), np.asarray(by, float),
+                                     np.asarray(bz, float))
+    gal = p.alignment_relax_rate
+    a = p.gamma_rad * spin2_contract(bx, by, bz) + gal * np.eye(5)
+    rhs = np.broadcast_to(gal * p.a0 * ALIGNMENT_PUMP_X, bx.shape + (5,))
+    return np.linalg.solve(a, rhs[..., None])[..., 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensembles(), FIELDS)
+def test_alignment_grid_matches_lapack_oracle(p, fields):
+    b = np.array(fields)
+    m2 = alignment_steady_state_grid(b[:, 0], b[:, 1], b[:, 2], p)
+    ref = _alignment_grid_lapack(b[:, 0], b[:, 1], b[:, 2], p)
+    scale = np.linalg.norm(ref, axis=-1, keepdims=True)
+    assert np.all(np.abs(m2 - ref) <= 1e-12 * scale)
+
+
 @settings(max_examples=100, deadline=None)
 @given(ensembles(), st.lists(st.tuples(*[st.floats(-20.0, 20.0)] * 3),
                              min_size=1, max_size=8))
@@ -177,3 +201,106 @@ def test_latch_invariants(args):
         in_ramp[i + 1:] |= (t[i + 1:] - t[i]) / tau < math.pi
     held = ell[~in_ramp]
     assert np.all(np.abs(held) == 1.0)
+
+
+def _latch_scan_loop(t, my, direction, my0, tau_flip, s0=None):
+    """Per-sample reference scan of the latch, one Python step per sample."""
+    t = np.asarray(t, float)
+    my = np.asarray(my, float)
+    n = t.size
+    ell = np.empty(n)
+    flips = []
+    if s0 is None:
+        s0 = -1 if my[0] < 0 else 1
+    s, s_old = float(s0), float(s0)
+    flipping = False
+    t0 = 0.0
+    for i in range(n):
+        if flipping:
+            phase = (t[i] - t0) / tau_flip
+            if phase >= math.pi:
+                flipping = False
+                ell[i] = s
+            else:
+                ell[i] = s_old + (s - s_old) * 0.5 * (1.0 - math.cos(phase))
+            continue
+        trig = 0
+        if my0 == 0.0:
+            if s < 0 and my[i] > 0.0:
+                trig = 1
+            elif s > 0 and my[i] < 0.0:
+                trig = -1
+        elif direction[i] > 0 and s < 0 and my[i] >= my0:
+            trig = 1
+        elif direction[i] < 0 and s > 0 and my[i] <= -my0:
+            trig = -1
+        if trig:
+            flipping = True
+            t0 = t[i]
+            s_old, s = s, float(trig)
+            flips.append(i)
+            ell[i] = s_old
+        else:
+            ell[i] = s
+    return ell, flips
+
+
+def _assert_latch_matches_loop(t, my, direction, my0, tau, s0):
+    ell, flips = latch_scan(t, my, direction, my0, tau, s0=s0)
+    ref_ell, ref_flips = _latch_scan_loop(t, my, direction, my0, tau, s0=s0)
+    assert ell.tobytes() == ref_ell.tobytes()
+    assert flips == ref_flips
+    return flips
+
+
+@settings(max_examples=300, deadline=None)
+@given(latch_inputs())
+def test_latch_matches_per_sample_loop(args):
+    _assert_latch_matches_loop(*args)
+
+
+DT, TAU = 0.01, 0.05   # ramps span ceil(pi*TAU/DT) = 16 samples
+
+
+@pytest.mark.parametrize("s0", [None, -1, 1])
+def test_latch_trigger_at_first_sample(s0):
+    my = np.full(40, 0.5 if s0 != 1 else -0.5)
+    direction = np.full(40, 1.0 if s0 != 1 else -1.0)
+    flips = _assert_latch_matches_loop(np.arange(40) * DT, my, direction, 0.2, TAU, s0)
+    assert flips == ([] if s0 is None else [0])
+
+
+@pytest.mark.parametrize("s0", [None, -1, 1])
+def test_latch_ramp_running_at_last_sample(s0):
+    # a held +1 flips on a down sweep: mirror the up-sweep crossing for it
+    sign = -1.0 if s0 == 1 else 1.0
+    my = sign * np.concatenate([np.full(30, -0.5), np.full(8, 0.5)])
+    flips = _assert_latch_matches_loop(np.arange(38) * DT, my, np.full(38, sign),
+                                       0.2, TAU, s0)
+    assert flips == [30]
+
+
+@pytest.mark.parametrize("s0", [None, -1, 1])
+def test_latch_dwell_samples_never_trigger(s0):
+    my = np.concatenate([np.full(10, -0.5), np.full(30, 0.5), np.full(30, -0.5)])
+    direction = np.concatenate([np.ones(10), np.zeros(20), np.ones(10),
+                                np.zeros(20), -np.ones(10)])
+    flips = _assert_latch_matches_loop(np.arange(70) * DT, my, direction, 0.2, TAU, s0)
+    assert all(direction[i] != 0.0 for i in flips)
+
+
+@pytest.mark.parametrize("s0", [None, -1, 1])
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_latch_zero_threshold_either_direction(s0, direction):
+    my = np.sin(np.arange(300) * 0.07) * 0.3
+    flips = _assert_latch_matches_loop(np.arange(300) * DT, my,
+                                       np.full(300, direction), 0.0, TAU, s0)
+    assert len(flips) >= 3
+
+
+def test_latch_ramp_ends_at_phase_exactly_pi():
+    # sample 4 has phase == pi: it ends the ramp, so sample 5 may trigger
+    t = np.array([0.0, 1.0, 2.0, 3.0, math.pi, 3.5, 4.0])
+    my = np.array([0.5, 0.5, 0.5, 0.5, 0.5, -0.5, -0.5])
+    direction = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+    assert _assert_latch_matches_loop(t, my, direction, 0.2, 1.0, -1) == [0, 5]

@@ -188,6 +188,31 @@ class TestAlignmentSteadyState:
         m_minus = alignment_steady_state(FieldVector(-1.3 * f, 0.5 * f, 0), self.P)
         assert m_plus[4] == pytest.approx(-m_minus[4], rel=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 1.9, 3.3, 5.1])
+    def test_grid_at_magic_angle_far_off_resonance(self, phi):
+        # ~10^3 widths at the magic angle to the pump axis x, where the
+        # kernel part P0 p vanishes and m2 is only O(width/|B|)
+        p = EnsembleParams(relax_rate=10.0, relax_ratio_alignment=0.5,
+                           gamma_over_2pi=5.0)
+        theta = math.acos(1.0 / math.sqrt(3.0))
+        n = np.array([math.cos(theta), math.sin(theta) * math.cos(phi),
+                      math.sin(theta) * math.sin(phi)])
+        B = 100.0 * math.sqrt(3.0) * n
+        grid = alignment_steady_state_grid(*B, p)
+        ref = alignment_steady_state(FieldVector(*B), p)
+        assert np.max(np.abs(grid - ref)) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_grid_shape_contract(self):
+        assert alignment_steady_state_grid(1.0, -2.0, 0.5, self.P).shape == (5,)
+        bx = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        m = alignment_steady_state_grid(bx, 0.3, -bx, self.P)
+        assert m.shape == (3, 4, 5)
+        assert np.array_equal(m[1, 2], alignment_steady_state_grid(bx[1, 2], 0.3,
+                                                                   -bx[1, 2], self.P))
+        for zero in (alignment_steady_state_grid(0.0, 0.0, 0.0, self.P),
+                     alignment_steady_state_grid(np.zeros((2, 3)), 0.0, 0.0, self.P)[1, 2]):
+            assert np.array_equal(zero, self.P.a0 * ALIGNMENT_PUMP_X)
+
     def test_linear_in_a0(self):
         from dataclasses import replace
         B = FieldVector(5.0, 2.0, -3.0)
