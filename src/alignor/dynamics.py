@@ -45,14 +45,12 @@ class CouplingParams:
     kappa maps the latched orientation moment onto an effective transverse
     field (nT per unit M1); my0 is the flip threshold on M1_y; tau_flip is
     the flip time constant (None picks the default that ties the 10-90%
-    transition duration to 1/((gamma/2pi)*B_latch)); back_action optionally
-    slows orientation precession in proportion to the alignment norm.
+    transition duration to 1/((gamma/2pi)*B_latch)).
     """
 
     kappa: float
     my0: float
     tau_flip: float | None = None
-    back_action: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.kappa):
@@ -61,8 +59,6 @@ class CouplingParams:
             raise ValueError("my0 must be >= 0")
         if self.tau_flip is not None and self.tau_flip <= 0:
             raise ValueError("tau_flip must be > 0")
-        if self.back_action < 0:
-            raise ValueError("back_action must be >= 0")
 
     @property
     def latched_field(self) -> float:
@@ -286,8 +282,7 @@ def _flip_events(t, bx, my, flips, my0, direction):
 
 def _coupled_rhs(m1, m2, b, p: EnsembleParams, c: CouplingParams):
     v = np.asarray(p.pump_axis, float)
-    scale = 1.0 / (1.0 + c.back_action * np.linalg.norm(m2))
-    dm1 = scale * p.gamma_rad * np.cross(m1, b) - p.relax_rate * (m1 - p.m0 * v)
+    dm1 = p.gamma_rad * np.cross(m1, b) - p.relax_rate * (m1 - p.m0 * v)
     b_eff = b + c.kappa * m1
     dm2 = (-p.gamma_rad * (spin2_contract(*b_eff) @ m2)
            - p.alignment_relax_rate * (m2 - p.a0 * ALIGNMENT_PUMP_X))

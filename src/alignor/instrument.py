@@ -97,7 +97,7 @@ def record_meta(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
         "m0": p.m0, "a0": p.a0,
         "relax_ratio_alignment": p.relax_ratio_alignment,
         "kappa": c.kappa, "my0": c.my0, "tau_flip": c.tau_flip,
-        "back_action": c.back_action, **asdict(mix), "mode": "latch",
+        **asdict(mix), "mode": "latch",
     }
 
 
@@ -116,8 +116,7 @@ def config_from_meta(meta: dict):
     p = EnsembleParams(gamma_over_2pi=meta["gamma_over_2pi"],
                        relax_rate=meta["relax_rate"], m0=meta["m0"], a0=meta["a0"],
                        relax_ratio_alignment=meta.get("relax_ratio_alignment", 1.0))
-    c = CouplingParams(kappa=meta["kappa"], my0=meta["my0"],
-                       tau_flip=meta["tau_flip"], back_action=meta["back_action"])
+    c = CouplingParams(kappa=meta["kappa"], my0=meta["my0"], tau_flip=meta["tau_flip"])
     mix = SignalMix(**{f.name: meta[f.name] for f in fields(SignalMix)})
     return cfg, p, c, mix
 

@@ -1,9 +1,9 @@
-"""Versioned text serialization for scan/demod records and flat configs.
+"""Versioned text serialization for tables, scan/demod records and configs.
 
-RecordFile layout: a commented header (format version, record kind, metadata
-as ``key = value`` lines) followed by whitespace-delimited numeric columns.
-Floats are written with repr so write -> read -> write round-trips are
-byte-identical.  Configs are flat ``section.key = value`` text files.
+Records and study points tables share one table format: ``#`` header lines,
+a ``# columns: <names>`` line, then rows of repr floats, so write -> read ->
+write is byte-identical; a malformed body raises ValueError naming the file
+and the line.  Configs are flat ``section.key = value`` text files.
 """
 
 import ast
@@ -17,9 +17,61 @@ from .instrument import DemodRecord, ScanRecord
 
 FORMAT_VERSION = 1
 _MAGIC = "# alignor-record"
+_COLUMNS = "# columns: "
+_BLOCK_ROWS = 4096
 
 SCAN_COLUMNS = ("t", "bx_ramp", "st_raw", "sb_raw", "direction")
 DEMOD_COLUMNS = ("bx", "st", "sb_demod", "t", "branch")
+# record kind -> (column names, converters of its non-numeric columns)
+_LAYOUTS = {"scan": (SCAN_COLUMNS, None),
+            "demod": (DEMOD_COLUMNS, {4: {"up": 1.0, "down": -1.0}.__getitem__})}
+
+
+def write_table(path, header, names, columns) -> Path:
+    """Write header lines, the column-names line and one row per index: str
+    columns verbatim, numeric ones with repr, in blocks of rows to bound memory."""
+    path = Path(path)
+    if len(columns) != len(names) or len({len(col) for col in columns}) != 1:
+        raise ValueError(f"{path}: expected {len(names)} columns of one length")
+    with path.open("w") as f:
+        f.write("\n".join([*header, _COLUMNS + " ".join(names), ""]))
+        for i in range(0, len(columns[0]), _BLOCK_ROWS):
+            cells = [b.tolist() if b.dtype.kind == "U" else map(repr, b.astype(float).tolist())
+                     for b in (np.asarray(col[i:i + _BLOCK_ROWS]) for col in columns)]
+            f.write("".join(" ".join(row) + "\n" for row in zip(*cells)))
+    return path
+
+
+def read_table(path, names, converters=None):
+    """Return the header lines and the ``(n, len(names))`` body of a table.
+
+    ``converters`` maps a non-numeric column's index to a function of its text.
+    ``names`` may be a header parser returning (parsed header, names, converters)."""
+    lines = Path(path).read_text().splitlines()
+    at = next((i for i, ln in enumerate(lines) if ln.startswith(_COLUMNS)), len(lines))
+    header, body = lines[:at], lines[at + 1:]
+    if callable(names):
+        header, names, converters = names(header)
+    expected = _COLUMNS + " ".join(names)
+    if lines[at:at + 1] != [expected]:
+        raise ValueError(f"{path}:{at + 1}: expected {expected!r}")
+    if not any(map(str.strip, body)):
+        return header, np.empty((0, len(names)))
+    try:
+        data = np.loadtxt(body, ndmin=2, comments=None, converters=converters)
+        if data.shape[1] == len(names):
+            return header, data
+    except ValueError:
+        pass
+    for n, line in enumerate(body, start=at + 2):  # slow path: name the bad line
+        try:
+            ok = not line.strip() or np.loadtxt(
+                [line], ndmin=2, comments=None, converters=converters).shape[1] == len(names)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{path}:{n}: bad row {line!r}, expected {' '.join(names)}")
+    raise ValueError(f"{path}: malformed table body")
 
 
 def _format_value(v):
@@ -28,11 +80,6 @@ def _format_value(v):
     if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
         return repr(int(v))
     return repr(v)
-
-
-def _meta_lines(meta: dict):
-    for k in sorted(meta):
-        yield f"# meta.{k} = {_format_value(meta[k])}"
 
 
 class _NonFinite(ast.NodeTransformer):
@@ -47,83 +94,55 @@ def _parse_literal(text: str):
     return ast.literal_eval(_NonFinite().visit(ast.parse(text, mode="eval")))
 
 
-def _parse_header(lines):
+def _parse_header(path, lines):
     sig = re.fullmatch(_MAGIC + " v([0-9]+)", lines[0]) if lines else None
     if sig is None:
-        raise ValueError("not a record file: missing signature line")
+        raise ValueError(f"{path}:1: not a record file: missing signature line")
     version = int(sig.group(1))
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported record format version {version} "
+        raise ValueError(f"{path}:1: unsupported record format version {version} "
                          f"(supported: {FORMAT_VERSION})")
-    kind = None
-    meta = {}
-    for ln in lines[1:]:
+    kind, meta = None, {}
+    for n, ln in enumerate(lines[1:], start=2):
         body = ln[1:].strip()
         if body.startswith("kind:"):
             kind = body.split(":", 1)[1].strip()
         elif body.startswith("meta."):
-            key, val = body[5:].split("=", 1)
-            meta[key.strip()] = _parse_literal(val.strip())
-    if kind not in ("scan", "demod"):
-        raise ValueError(f"unknown record kind {kind!r}")
-    return kind, meta
+            try:
+                key, val = body[5:].split("=", 1)
+                meta[key.strip()] = _parse_literal(val.strip())
+            except (ValueError, SyntaxError, TypeError):
+                raise ValueError(f"{path}:{n}: expected '# meta.<key> = <literal>', "
+                                 f"got {ln!r}") from None
+    if kind not in _LAYOUTS:
+        raise ValueError(f"{path}: unknown record kind {kind!r}")
+    return (kind, meta), *_LAYOUTS[kind]
 
 
 def write_record(rec, path) -> Path:
     """Serialize a ScanRecord or DemodRecord to a versioned text file."""
-    path = Path(path)
-    lines = [f"{_MAGIC} v{FORMAT_VERSION}"]
     if isinstance(rec, ScanRecord):
-        lines.append("# kind: scan")
-        lines.extend(_meta_lines(rec.meta))
-        lines.append("# columns: " + " ".join(SCAN_COLUMNS))
-        cols = (rec.t, rec.bx_ramp, rec.st_raw, rec.sb_raw, rec.direction)
-        for row in zip(*cols):
-            lines.append(" ".join(repr(float(v)) for v in row))
+        kind, columns = "scan", [getattr(rec, name) for name in SCAN_COLUMNS]
     elif isinstance(rec, DemodRecord):
-        lines.append("# kind: demod")
-        lines.extend(_meta_lines(rec.meta))
-        lines.append("# columns: " + " ".join(DEMOD_COLUMNS))
-        for bx, st, sb, t, br in [
-            (rec.bx_up, rec.st_up, rec.s_up, rec.t_up, "up"),
-            (rec.bx_down, rec.st_down, rec.s_down, rec.t_down, "down"),
-        ]:
-            for i in range(len(bx)):
-                lines.append(f"{float(bx[i])!r} {float(st[i])!r} "
-                             f"{float(sb[i])!r} {float(t[i])!r} {br}")
+        kind, columns = "demod", [np.concatenate(pair) for pair in (
+            (rec.bx_up, rec.bx_down), (rec.st_up, rec.st_down),
+            (rec.s_up, rec.s_down), (rec.t_up, rec.t_down))]
+        columns.append(["up"] * len(rec.bx_up) + ["down"] * len(rec.bx_down))
     else:
         raise TypeError(f"cannot serialize {type(rec).__name__}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    header = [f"{_MAGIC} v{FORMAT_VERSION}", f"# kind: {kind}",
+              *(f"# meta.{k} = {_format_value(rec.meta[k])}" for k in sorted(rec.meta))]
+    return write_table(path, header, _LAYOUTS[kind][0], columns)
 
 
 def read_record(path):
     """Read a record file back into a ScanRecord or DemodRecord."""
-    text = Path(path).read_text()
-    header = [ln for ln in text.splitlines() if ln.startswith("#")]
-    data_lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    kind, meta = _parse_header(header)
+    (kind, meta), body = read_table(path, lambda header: _parse_header(path, header))
     if kind == "scan":
-        body = np.array([[float(v) for v in ln.split()] for ln in data_lines])
-        if body.size == 0:
-            body = body.reshape(0, len(SCAN_COLUMNS))
-        if body.shape[1] != len(SCAN_COLUMNS):
-            raise ValueError("scan record body has wrong column count")
-        return ScanRecord(t=body[:, 0], bx_ramp=body[:, 1], st_raw=body[:, 2],
-                          sb_raw=body[:, 3], direction=body[:, 4], meta=meta)
-    rows = [ln.split() for ln in data_lines]
-    if any(len(r) != len(DEMOD_COLUMNS) for r in rows):
-        raise ValueError("demod record body has wrong column count")
-    up = [r for r in rows if r[4] == "up"]
-    down = [r for r in rows if r[4] == "down"]
-
-    def col(rows_, j):
-        return np.array([float(r[j]) for r in rows_])
-
-    return DemodRecord(
-        bx_up=col(up, 0), st_up=col(up, 1), s_up=col(up, 2), t_up=col(up, 3),
-        bx_down=col(down, 0), st_down=col(down, 1), s_down=col(down, 2),
-        t_down=col(down, 3), meta=meta)
+        return ScanRecord(**dict(zip(SCAN_COLUMNS, body.T)), meta=meta)
+    up, down = body[body[:, 4] > 0].T, body[body[:, 4] < 0].T
+    return DemodRecord(bx_up=up[0], st_up=up[1], s_up=up[2], t_up=up[3], bx_down=down[0],
+                       st_down=down[1], s_down=down[2], t_down=down[3], meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .dynamics import CouplingParams, SweepProtocol, effective_field_from_transi
 from .fitkit import TREND_EVAL, extract_transition, fit_record, fit_trend
 from .instrument import ScanConfig, lockin_demodulate, synthesize_record
 from .plotsvg import Series, emit_plot
-from .recordio import config_section, write_record
+from .recordio import config_section, read_table, write_record, write_table
 from .spincore import (
     STRONG_PUMP_GAMMA_HZ_PER_NT,
     EnsembleParams,
@@ -286,36 +286,23 @@ def _fit_trends(kind: str, points) -> tuple:
 
 _X_LABEL = {"chi_grid": "ellipticity (deg)", "bz_grid": "pump-axis field (nT)",
             "by_grid": "transverse offset (nT)", "single": "x"}
+_POINTS_SIGNATURE = "# alignor-study points"
 
 
 def _write_points_table(cfg: StudyConfig, points, path: Path):
-    lines = [f"# alignor-study points", f"# kind: {cfg.kind}",
-             f"# seed: {cfg.seed}", "# columns: " + " ".join(POINT_COLUMNS)]
-    for pt in points:
-        lines.append(" ".join(repr(v) for v in pt.row()))
-    path.write_text("\n".join(lines) + "\n")
+    rows = np.array([pt.row() for pt in points]).reshape(-1, len(POINT_COLUMNS))
+    write_table(path, [_POINTS_SIGNATURE, f"# kind: {cfg.kind}", f"# seed: {cfg.seed}"],
+                POINT_COLUMNS, rows.T)
 
 
 def read_points_table(path) -> tuple:
-    """Read a saved points table back into StudyPoint tuples."""
-    kind = None
-    seed = 0
-    points = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("# kind:"):
-            kind = line.split(":", 1)[1].strip()
-        elif line.startswith("# seed:"):
-            seed = int(line.split(":", 1)[1].strip())
-        elif line and not line.startswith("#"):
-            vals = [float(v) for v in line.split()]
-            if len(vals) != len(POINT_COLUMNS):
-                raise ValueError("points table has wrong column count")
-            kwargs = dict(zip(POINT_COLUMNS, vals))
-            kwargs["fit_converged"] = bool(kwargs["fit_converged"])
-            points.append(StudyPoint(**kwargs))
-    if kind is None:
-        raise ValueError("not a study points table: missing kind header")
-    return kind, seed, tuple(points)
+    """Read a saved points table back into (kind, seed, StudyPoint tuples)."""
+    header, rows = read_table(path, POINT_COLUMNS)
+    info = dict(ln[2:].split(": ", 1) for ln in header[1:] if ": " in ln)
+    if header[:1] != [_POINTS_SIGNATURE] or "kind" not in info:
+        raise ValueError(f"{path}: not a study points table: missing signature or kind line")
+    points = (StudyPoint(*row[:-1], fit_converged=bool(row[-1])) for row in rows.tolist())
+    return info["kind"], int(info.get("seed", 0)), tuple(points)
 
 
 def _write_trends_table(trends, path: Path):

@@ -133,6 +133,19 @@ class TestPipeline:
         code, _, err = run(capsys, "demod", str(pipeline / "demod.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["# meta.a0 = 1 2", "# meta.a0"])
+    def test_malformed_meta_line_is_data_error(self, pipeline, tmp_path,
+                                               capsys, bad):
+        lines = (pipeline / "scan.txt").read_text().splitlines()
+        n = next(i for i, ln in enumerate(lines, start=1)
+                 if ln.startswith("# meta.a0 ="))
+        lines[n - 1] = bad
+        f = tmp_path / "scan.txt"
+        f.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "demod", str(f), "--out", str(tmp_path))
+        assert code == 2
+        assert f"{f}:{n}:" in err
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", str(tmp_path / "nope.txt"))
         assert code == 2

@@ -2,8 +2,9 @@
 constant that nothing reads, the shared constants and spin-2 generators each
 defined in exactly one place, the generators read only by the B.G
 contraction and their table of non-zero entries only by the B.G vector
-product, the signal mix written once, and LAPACK solves kept out of the grid
-solvers."""
+product, the signal mix written once, LAPACK solves kept out of the grid
+solvers, and the text table format (its column-names line and its body
+parser) kept in recordio."""
 
 import ast
 from pathlib import Path
@@ -156,3 +157,15 @@ def test_signal_mix_written_once():
     uses = _enclosing_functions(
         lambda node: isinstance(node, ast.Attribute) and node.attr == "c_al")
     assert set(uses) == {("spincore", "signals_from_state")}
+
+
+def test_loadtxt_only_in_read_table():
+    # the whole-body parse and the per-line scan that locates a bad row
+    assert set(_enclosing_functions(_is_call_to("loadtxt"))) == {("recordio", "read_table")}
+
+
+def test_columns_line_literal_only_in_recordio():
+    uses = _enclosing_functions(
+        lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "# columns:" in node.value)
+    assert uses and {module for module, _ in uses} == {"recordio"}

@@ -1,7 +1,7 @@
-"""Property tests: record and config round trips, scalar oracles vs grids,
-latch invariants, and the closed-form grid solver and the per-flip latch
-against their slow oracles (the batched LAPACK solve and the per-sample
-loop)."""
+"""Property tests: record, points-table and config round trips, scalar
+oracles vs grids, latch invariants, and the closed-form grid solver and the
+per-flip latch against their slow oracles (the batched LAPACK solve and the
+per-sample loop)."""
 
 import math
 from pathlib import Path
@@ -26,6 +26,13 @@ from alignor.spincore import (
     orientation_steady_state,
     orientation_steady_state_grid,
     spin2_contract,
+)
+from alignor.study import (
+    STUDY_KINDS,
+    StudyConfig,
+    StudyPoint,
+    _write_points_table,
+    read_points_table,
 )
 
 SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
@@ -93,6 +100,28 @@ def test_demod_record_round_trip(rec):
     for name in ("bx_up", "s_up", "st_up", "t_up",
                  "bx_down", "s_down", "st_down", "t_down"):
         assert _float_reprs(getattr(back, name)) == _float_reprs(getattr(rec, name))
+
+
+@st.composite
+def study_points(draw):
+    return tuple(StudyPoint(*draw(st.lists(FLOATS, min_size=17, max_size=17)),
+                            fit_converged=draw(st.booleans()))
+                 for _ in range(draw(st.integers(0, 6))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(study_points(), st.sampled_from(STUDY_KINDS), st.integers(0, 2**31))
+def test_points_table_round_trip(points, kind, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        f1, f2 = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+        _write_points_table(StudyConfig(kind, (0.25,), seed=seed), points, f1)
+        back_kind, back_seed, back = read_points_table(f1)
+        _write_points_table(StudyConfig(back_kind, (0.25,), seed=back_seed), back, f2)
+        assert f1.read_bytes() == f2.read_bytes()
+    assert (back_kind, back_seed) == (kind, seed)
+    assert [_float_reprs(pt.row()) for pt in back] == \
+        [_float_reprs(pt.row()) for pt in points]
+    assert [pt.fit_converged for pt in back] == [pt.fit_converged for pt in points]
 
 
 @settings(max_examples=100, deadline=None)

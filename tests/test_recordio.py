@@ -1,15 +1,18 @@
 from dataclasses import replace
 import math
+import re
 
 import numpy as np
 import pytest
 
+from alignor.cli import main
 from alignor.dynamics import CouplingParams, SweepProtocol
 from alignor.instrument import (
     DemodRecord,
     ScanConfig,
     ScanRecord,
     lockin_demodulate,
+    synthesize_from_meta,
     synthesize_record,
 )
 from alignor.recordio import (
@@ -20,6 +23,7 @@ from alignor.recordio import (
     write_record,
 )
 from alignor.spincore import EnsembleParams
+from alignor.study import StudyConfig, StudyPoint, _write_points_table
 
 
 @pytest.fixture
@@ -92,6 +96,86 @@ class TestRecordFile:
     def test_unserializable_type(self, tmp_path):
         with pytest.raises(TypeError):
             write_record({"not": "a record"}, tmp_path / "x.txt")
+
+    def test_record_with_back_action_replays(self, scan_record, tmp_path):
+        # records from before CouplingParams.back_action was removed carry
+        # it in their meta; latch-mode synthesis never read it
+        f = write_record(replace(scan_record, meta={**scan_record.meta,
+                                                    "back_action": 0.0}),
+                         tmp_path / "rec.txt")
+        assert "# meta.back_action = 0.0\n" in f.read_text()
+        replay = synthesize_from_meta(read_record(f).meta)
+        for name in ("t", "bx_ramp", "st_raw", "sb_raw", "direction"):
+            assert getattr(replay, name).tobytes() == getattr(scan_record, name).tobytes()
+        assert replay.meta == scan_record.meta
+
+
+def _line_no(path, prefix):
+    """1-based number of the first line of ``path`` that starts with ``prefix``."""
+    lines = path.read_text().splitlines()
+    return next(n for n, ln in enumerate(lines, start=1) if ln.startswith(prefix))
+
+
+class TestStrictBody:
+    def test_truncated_scan_is_data_error_naming_the_line(self, scan_record,
+                                                          tmp_path, capsys):
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        f.write_bytes(f.read_bytes()[:2000])
+        lines = f.read_text().splitlines()
+        assert len(lines[-1].split()) != 5  # the cut leaves a ragged last row
+        assert main(["demod", str(f), "--out", str(tmp_path)]) == 2
+        assert f"{f}:{len(lines)}:" in capsys.readouterr().err
+        assert not (tmp_path / "demod.txt").exists()
+
+    def test_ragged_body_with_divisible_token_count(self, scan_record, tmp_path):
+        # a 3-field row then a 7-field row: 10 tokens, so a reshape to five
+        # columns alone would accept the body
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        lines = f.read_text().splitlines()
+        n = _line_no(f, "# columns:") + 3
+        tokens = (lines[n - 1] + " " + lines[n]).split()
+        lines[n - 1:n + 1] = [" ".join(tokens[:3]), " ".join(tokens[3:])]
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: bad row {lines[n - 1]!r}")):
+            read_record(f)
+
+    def test_body_one_column_short_rejected(self, scan_record, tmp_path):
+        # every row has the same four fields, so numpy parses the body
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        lines = f.read_text().splitlines()
+        n = _line_no(f, "# columns:") + 1
+        lines[n - 1:] = [ln.rsplit(" ", 1)[0] for ln in lines[n - 1:]]
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: bad row {lines[n - 1]!r}")):
+            read_record(f)
+
+    def test_unknown_branch_rejected(self, scan_record, tmp_path):
+        f = write_record(lockin_demodulate(scan_record), tmp_path / "dem.txt")
+        lines = f.read_text().splitlines()
+        n = _line_no(f, "# columns:") + 2
+        lines[n - 1] = lines[n - 1].replace(" up", " sideways")
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: bad row {lines[n - 1]!r}")):
+            read_record(f)
+
+    def test_swapped_columns_line_rejected(self, scan_record, tmp_path):
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        n = _line_no(f, "# columns:")
+        f.write_text(f.read_text().replace("# columns: t bx_ramp",
+                                           "# columns: bx_ramp t"))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{f}:{n}: expected '# columns: t bx_ramp")):
+            read_record(f)
+
+    def test_points_table_without_signature_is_data_error(self, tmp_path, capsys):
+        point = StudyPoint(*[0.25] * 17, fit_converged=True)
+        f = tmp_path / "points.txt"
+        _write_points_table(StudyConfig("single", (0.25,)), (point,), f)
+        assert main(["report", str(tmp_path)]) == 0
+        f.write_text(f.read_text().split("\n", 1)[1])
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 2
+        assert f"{f}: not a study points table" in capsys.readouterr().err
 
 
 class TestConfig:
