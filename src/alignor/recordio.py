@@ -18,7 +18,6 @@ from .instrument import DemodRecord, ScanRecord
 FORMAT_VERSION = 1
 _MAGIC = "# alignor-record"
 _COLUMNS = "# columns: "
-_BLOCK_ROWS = 4096
 
 SCAN_COLUMNS = ("t", "bx_ramp", "st_raw", "sb_raw", "direction")
 DEMOD_COLUMNS = ("bx", "st", "sb_demod", "t", "branch")
@@ -28,30 +27,26 @@ _LAYOUTS = {"scan": (SCAN_COLUMNS, None),
 
 
 def write_table(path, header, names, columns) -> Path:
-    """Write header lines, the column-names line and one row per index: str
-    columns verbatim, numeric ones with repr, in blocks of rows to bound memory."""
+    """Write header lines, the column-names line and one row per index:
+    str columns verbatim, numeric ones formatted once per column with repr."""
     path = Path(path)
     if len(columns) != len(names) or len({len(col) for col in columns}) != 1:
         raise ValueError(f"{path}: expected {len(names)} columns of one length")
-    with path.open("w") as f:
-        f.write("\n".join([*header, _COLUMNS + " ".join(names), ""]))
-        for i in range(0, len(columns[0]), _BLOCK_ROWS):
-            cells = [b.tolist() if b.dtype.kind == "U" else map(repr, b.astype(float).tolist())
-                     for b in (np.asarray(col[i:i + _BLOCK_ROWS]) for col in columns)]
-            f.write("".join(" ".join(row) + "\n" for row in zip(*cells)))
+    cells = [col.tolist() if col.dtype.kind == "U" else map(repr, col.astype(float).tolist())
+             for col in map(np.asarray, columns)]
+    path.write_text("\n".join([*header, _COLUMNS + " ".join(names), *map(" ".join, zip(*cells))])
+                    + "\n")
     return path
 
 
-def read_table(path, names, converters=None):
-    """Return the header lines and the ``(n, len(names))`` body of a table.
-
-    ``converters`` maps a non-numeric column's index to a function of its text.
-    ``names`` may be a header parser returning (parsed header, names, converters)."""
+def read_table(path, parse_header):
+    """Return the parsed header and the ``(n, len(names))`` body of a table;
+    ``parse_header(path, header_lines)`` checks the lines before ``# columns:``
+    and returns (parsed header, names, loadtxt converters of text columns)."""
     lines = Path(path).read_text().splitlines()
     at = next((i for i, ln in enumerate(lines) if ln.startswith(_COLUMNS)), len(lines))
-    header, body = lines[:at], lines[at + 1:]
-    if callable(names):
-        header, names, converters = names(header)
+    header, names, converters = parse_header(path, lines[:at])
+    body = lines[at + 1:]
     expected = _COLUMNS + " ".join(names)
     if lines[at:at + 1] != [expected]:
         raise ValueError(f"{path}:{at + 1}: expected {expected!r}")
@@ -137,7 +132,7 @@ def write_record(rec, path) -> Path:
 
 def read_record(path):
     """Read a record file back into a ScanRecord or DemodRecord."""
-    (kind, meta), body = read_table(path, lambda header: _parse_header(path, header))
+    (kind, meta), body = read_table(path, _parse_header)
     if kind == "scan":
         return ScanRecord(**dict(zip(SCAN_COLUMNS, body.T)), meta=meta)
     up, down = body[body[:, 4] > 0].T, body[body[:, 4] < 0].T

@@ -18,6 +18,7 @@ tables and plots from a saved points table without re-simulation.
 from dataclasses import dataclass, field, fields
 import math
 from pathlib import Path
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -295,14 +296,23 @@ def _write_points_table(cfg: StudyConfig, points, path: Path):
                 POINT_COLUMNS, rows.T)
 
 
+def _parse_points_header(path, lines):
+    info = {m[1]: (n, m[2]) for n, ln in enumerate(lines, start=1)
+            if (m := re.fullmatch(r"# (kind|seed): (.*)", ln))}
+    if lines[:1] != [_POINTS_SIGNATURE] or "kind" not in info:
+        raise ValueError(f"{path}:1: not a study points table: missing signature or kind line")
+    n, seed = info.get("seed", (0, "0"))
+    if not re.fullmatch(r"-?[0-9]+", seed):
+        raise ValueError(f"{path}:{n}: expected '# seed: <int>', got {lines[n - 1]!r}")
+    return (info["kind"][1], int(seed)), POINT_COLUMNS, None
+
+
 def read_points_table(path) -> tuple:
     """Read a saved points table back into (kind, seed, StudyPoint tuples)."""
-    header, rows = read_table(path, POINT_COLUMNS)
-    info = dict(ln[2:].split(": ", 1) for ln in header[1:] if ": " in ln)
-    if header[:1] != [_POINTS_SIGNATURE] or "kind" not in info:
-        raise ValueError(f"{path}: not a study points table: missing signature or kind line")
-    points = (StudyPoint(*row[:-1], fit_converged=bool(row[-1])) for row in rows.tolist())
-    return info["kind"], int(info.get("seed", 0)), tuple(points)
+    (kind, seed), rows = read_table(path, _parse_points_header)
+    rows = [dict(zip(POINT_COLUMNS, row)) for row in rows.tolist()]
+    return kind, seed, tuple(StudyPoint(**{**r, "fit_converged": bool(r["fit_converged"])})
+                             for r in rows)
 
 
 def _write_trends_table(trends, path: Path):

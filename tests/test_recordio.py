@@ -23,7 +23,7 @@ from alignor.recordio import (
     write_record,
 )
 from alignor.spincore import EnsembleParams
-from alignor.study import StudyConfig, StudyPoint, _write_points_table
+from alignor.study import StudyConfig, StudyPoint, _write_points_table, read_points_table
 
 
 @pytest.fixture
@@ -175,7 +175,22 @@ class TestStrictBody:
         f.write_text(f.read_text().split("\n", 1)[1])
         capsys.readouterr()
         assert main(["report", str(tmp_path)]) == 2
-        assert f"{f}: not a study points table" in capsys.readouterr().err
+        assert f"{f}:1: not a study points table" in capsys.readouterr().err
+
+    def test_record_read_as_points_table_names_the_signature(self, scan_record, tmp_path):
+        # the header is checked before the columns line and the body
+        f = write_record(scan_record, tmp_path / "points.txt")
+        with pytest.raises(ValueError, match=re.escape(f"{f}:1: not a study points table")):
+            read_points_table(f)
+
+    def test_points_table_bad_seed_names_the_line(self, tmp_path):
+        point = StudyPoint(*[0.25] * 17, fit_converged=True)
+        f = tmp_path / "points.txt"
+        _write_points_table(StudyConfig("single", (0.25,)), (point,), f)
+        n = _line_no(f, "# seed:")
+        f.write_text(f.read_text().replace("# seed: 0", "# seed: zero"))
+        with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: expected '# seed: <int>'")):
+            read_points_table(f)
 
 
 class TestConfig:
