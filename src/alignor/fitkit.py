@@ -222,6 +222,12 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
 # record-level fitting
 
 
+def _check_branch(name, bx):
+    """Reject a branch too short for a slope (np.gradient needs 2 rows)."""
+    if len(bx) < 2:
+        raise ValueError(f"{name} branch has {len(bx)} row(s); need at least 2")
+
+
 def _transition_index(bx, s):
     """Index of maximum |ds/dbx| and the slope array (NaN-safe gradient)."""
     slope = np.gradient(s, bx)
@@ -289,16 +295,18 @@ def fit_record(rec, init=None):
     ``rec`` must expose bx_up, s_up and (optionally) bx_down, s_down arrays.
     All parameters are shared between branches except the fixed branch signs.
     A single-branch record is fitted with hysteresis pinned at zero and a
-    warning flag.
+    warning flag.  A branch with fewer than 2 rows raises ValueError.
     """
     bx_up = np.asarray(rec.bx_up, dtype=float)
     s_up = np.asarray(rec.s_up, dtype=float)
+    _check_branch("up", bx_up)
     bx_down = getattr(rec, "bx_down", None)
     single = bx_down is None or len(bx_down) == 0
     if single:
         bx_down = bx_up
         s_down = s_up
     else:
+        _check_branch("down", bx_down)
         bx_down = np.asarray(bx_down, dtype=float)
         s_down = np.asarray(rec.s_down, dtype=float)
 
@@ -437,15 +445,17 @@ def extract_transition(rec) -> TransitionResult:
     change on the record's own time base, deconvolved (in quadrature) from
     the instrument response ``meta["response_time"]`` when the record has
     one.  A record without transitions yields a monostable result rather
-    than an error.
+    than an error; a branch with fewer than 2 rows raises ValueError.
     """
     meta = getattr(rec, "meta", None)
     response_time = meta.get("response_time") if isinstance(meta, dict) else None
     response_time = 0.0 if response_time is None else float(response_time)
+    _check_branch("up", rec.bx_up)
     up = _branch_transition(np.asarray(rec.t_up, float), np.asarray(rec.bx_up, float),
                             np.asarray(rec.s_up, float))
     down = None
     if getattr(rec, "bx_down", None) is not None and len(rec.bx_down):
+        _check_branch("down", rec.bx_down)
         down = _branch_transition(np.asarray(rec.t_down, float),
                                   np.asarray(rec.bx_down, float),
                                   np.asarray(rec.s_down, float))

@@ -175,15 +175,23 @@ def lowpass_rise_time(cutoff: float) -> float:
 def lowpass_filter(series, cutoff: float, sample_rate: float):
     """Zero-phase critically damped second-order low-pass.
 
-    The analog prototype has a double pole at -w0 with w0 = 2.2989*wc, so the
-    forward-backward squared magnitude is -3 dB at the cutoff.
+    The analog prototype w^2 / (s + w)^2 has a double pole at -w0 with
+    w0 = 2.2989*wc, so the forward-backward squared magnitude is -3 dB at the
+    cutoff.  Its bilinear transform (s = K (z - 1)/(z + 1), K = 2 fs, with w
+    the pole prewarped to 2 fs tan(w0 / 2 fs)) is written out in closed form:
+    b = w^2 (1, 2, 1) / (K + w)^2, a = (1, 2 (w^2 - K^2), (K - w)^2) / (K + w)^2.
+    The prewarped pole is finite only for w0 < pi fs, so the cutoff must lie
+    below fs / (2 * 2.2989); past that the digital filter would be unstable.
     """
-    if not 0.0 < cutoff < sample_rate / 2.0:
-        raise ValueError("cutoff must lie in (0, sample_rate/2)")
     w0 = 2.2989 * TWO_PI * cutoff
+    k = 2.0 * sample_rate
+    if not 0.0 < w0 < 0.5 * math.pi * k:
+        raise ValueError("cutoff must lie in (0, sample_rate / 4.5978)")
     # prewarp so the bilinear transform lands the pole where intended
-    warped = 2.0 * sample_rate * math.tan(w0 / (2.0 * sample_rate))
-    b, a = sig.bilinear([warped**2], [1.0, 2.0 * warped, warped**2], sample_rate)
+    w = k * math.tan(w0 / k)
+    norm = (k + w) ** 2
+    b = np.array([1.0, 2.0, 1.0]) * (w * w / norm)
+    a = np.array([1.0, 2.0 * (w * w - k * k) / norm, (k - w) ** 2 / norm])
     return sig.filtfilt(b, a, np.asarray(series, dtype=float))
 
 
@@ -216,6 +224,8 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
     fs = rec.meta["sample_rate"]
     if lpf_cutoff >= f / 2.0:
         raise ValueError("lpf_cutoff must be below mod_freq/2")
+    if not (math.isfinite(phase_deg) and math.isfinite(gain)):
+        raise ValueError("phase_deg and gain must be finite")
     ref = np.sin(TWO_PI * f * rec.t + math.radians(phase_deg))
     sb_ac = rec.sb_raw - lowpass_filter(rec.sb_raw, lpf_cutoff / 2.0, fs)
     demod = gain * lowpass_filter(sb_ac * ref, lpf_cutoff, fs)

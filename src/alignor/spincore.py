@@ -8,10 +8,11 @@ the orientation as (..., 3) = (mx, my, mz), the alignment as (..., 5) in the
 real z-quantized basis (m0c, m1c, m1s, m2c, m2s), with m0c = rho_0,
 m_qc = sqrt(2)*Re rho_q and m_qs = -sqrt(2)*Im rho_q for q > 0.  This module holds the validated input
 types (FieldVector, EnsembleParams), the real spin-2 rotation generators
-with their one field contraction and the table of non-zero entries that the
-B.G vector product runs on, the closed-form alignment lineshape, the scalar
-(LAPACK) and closed-form grid steady-state solvers, and the one signal mix
-that turns moments into photodetector signals.
+with their one field contraction (read by the scalar oracle and the ODE),
+the closed-form alignment lineshape, the scalar (LAPACK) steady-state
+solvers, the closed-form grid solvers (the orientation inverse and the
+adjugate of the 5x5 alignment system), and the one signal mix that turns
+moments into photodetector signals.
 """
 
 from dataclasses import dataclass, replace
@@ -147,28 +148,6 @@ def spin2_contract(bx, by, bz) -> np.ndarray:
             + np.asarray(bz, float)[..., None, None] * g[2])
 
 
-# (row, column, field axis, value) of the 16 non-zero entries of B.G, read
-# off the contraction at the three unit fields
-SPIN2_ENTRIES = tuple((i, j, a, float(g))
-                      for a, unit in enumerate(np.eye(3))
-                      for (i, j), g in np.ndenumerate(spin2_contract(*unit)) if g != 0.0)
-
-
-def spin2_apply(bx, by, bz, v) -> list:
-    """Components of (B.G) v for v given as its five component arrays.
-
-    Works on contiguous per-component arrays (or scalars) and returns the
-    five components of the result as a list, touching only the 16 non-zero
-    generator entries; no (..., 5, 5) tensor is built.
-    """
-    b = (bx, by, bz)
-    out = [None] * 5
-    for i, j, a, g in SPIN2_ENTRIES:
-        term = g * b[a] * v[j]
-        out[i] = term if out[i] is None else out[i] + term
-    return out
-
-
 # Rank-2 pump tensor for linear polarization along x: the q=0 tensor rotated
 # from z to x (Wigner d: d200 = -1/2, d2(+-2)0 = sqrt(3/8), times the sqrt(2)
 # basis normalization on the cosine components).  Unit Euclidean norm.
@@ -248,54 +227,43 @@ def alignment_steady_state(B: FieldVector, p: EnsembleParams) -> np.ndarray:
 def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     """Vectorized alignment steady state; returns shape (..., 5).
 
-    Spectral-projector resolvent on the field direction n = B/|B|: K = n.G
-    has eigenvalues {0, +-i, +-2i}, so with x = gamma |B| / Gamma and the
-    projectors P1 = -K^2 (K^2 + 4)/3, P2 = K^2 (K^2 + 1)/12 onto K^2 = -1, -4,
+    Adjugate (Cramer) solution of (1 + b.G) m = a0 p_x with the dimensionless
+    field b = (x, y, z) = gamma B / Gamma2, Gamma2 the alignment relaxation
+    rate.  The determinant is
+    D = (1 + r^2)(1 + 4 r^2), r^2 = x^2 + y^2 + z^2, and
 
-        m / a0 = P0 p + (1 - x K) P1 p / (1 + x^2) + (1 - x K) P2 p / (1 + 4 x^2).
+        m0c D / a0        = -2x^4 - x^2y^2 + 5x^2z^2 - 5x^2/2 + 9xyz + y^4
+                            - y^2z^2 + y^2/2 - 2z^4 - 5z^2/2 - 1/2
+        m1c D / (sqrt3 a0) = xz(2y^2 + 2z^2 - 4x^2 - 1) - y(4x^2 + y^2 + z^2 + 1)
+        m1s D / (sqrt3 a0) = yz(2y^2 + 2z^2 - 4x^2 + 2) - 3x(y^2 - z^2)
+        m2c D / (sqrt3 a0) = 2x^4 - 3x^2y^2 - x^2z^2 + 5x^2/2 + 3xyz + y^4
+                            + y^2z^2 + 3y^2/2 + z^2/2 + 1/2
+        m2s D / (sqrt3 a0) = xy(4x^2 - 2y^2 - 2z^2 + 1) - z(4x^2 + y^2 + z^2 + 1)
 
-    The kernel part is taken directly as P0 p = (T.p) T with the unit
-    K-null vector T(n) = ((3nz^2-1)/2, -sqrt3 nx nz, -sqrt3 ny nz,
-    sqrt3/2 (nx^2-ny^2), sqrt3 nx ny).  P1 p + P2 p = p - P0 p and
-    K^2 p = -P1 p - 4 P2 p, K p = K P1 p + K P2 p, K^3 p = -K P1 p - 4 K P2 p
-    fix the other parts from K p, K^2 p and K^3 p, which collapses the sum to
-
-        m / a0 = [4x^4 P0 p + (1 + 5x^2)(p - x K p) + x^2 K^2 p - x^3 K^3 p]
-                 / ((1 + x^2)(1 + 4x^2)).
-
-    At B = 0 the result is a0 p.  Matches the scalar LAPACK solve to 1e-12
-    relative for field components within +-100 nT, gamma/2pi in [1, 5] Hz/nT
-    and Gamma in [5, 1500] s^-1 (up to ~10^3 resonance widths), also at the
-    magic angle to the pump axis, where P0 p vanishes and m is only O(1/x).
+    (the m2s numerator is that of alignment_signal_shape).  It is regular
+    everywhere and equals a0 p_x at B = 0.  Matches the scalar LAPACK solve
+    to 1e-12 relative for field components within +-100 nT, gamma/2pi in
+    [1, 5] Hz/nT and Gamma in [5, 1500] s^-1 (up to ~10^3 resonance widths),
+    also at the magic angle to the pump axis, where m is only O(1/r).
     """
-    bx, by, bz = np.broadcast_arrays(np.asarray(bx, float), np.asarray(by, float),
-                                     np.asarray(bz, float))
-    bmag = np.sqrt(bx * bx + by * by + bz * bz)
-    zero = bmag == 0.0
-    unit = np.where(zero, 1.0, bmag)
-    nx, ny, nz = bx / unit, by / unit, bz / unit
-    x = (p.gamma_rad / p.alignment_relax_rate) * bmag
-    pump = [float(c) for c in ALIGNMENT_PUMP_X]
-    k1 = spin2_apply(nx, ny, nz, pump)
-    k2 = spin2_apply(nx, ny, nz, k1)
-    k3 = spin2_apply(nx, ny, nz, k2)
-    r3 = math.sqrt(3.0)
-    t = ((3.0 * nz * nz - 1.0) / 2.0, -r3 * nx * nz, -r3 * ny * nz,
-         (r3 / 2.0) * (nx * nx - ny * ny), r3 * nx * ny)
-    tp = sum(tk * pk for tk, pk in zip(t, pump))
-    x2 = x * x
-    d = p.a0 / ((1.0 + x2) * (1.0 + 4.0 * x2))
-    c0 = 4.0 * x2 * x2 * d
-    c1 = (1.0 + 5.0 * x2) * d
-    c2 = x2 * d
-    c3 = -x * c1
-    c4 = -x * c2
-    out = np.empty(bx.shape + (5,))
-    for k in range(5):
-        out[..., k] = (c0 * (tp * t[k]) + c1 * pump[k] + c2 * k2[k]
-                       + c3 * k1[k] + c4 * k3[k])
-    if zero.any():
-        out[zero] = p.a0 * ALIGNMENT_PUMP_X
+    s = p.gamma_rad / p.alignment_relax_rate
+    x, y, z = np.broadcast_arrays(s * np.asarray(bx, float), s * np.asarray(by, float),
+                                  s * np.asarray(bz, float))
+    x2, y2, z2 = x * x, y * y, z * z
+    xyz = x * y * z
+    r2 = x2 + y2 + z2
+    q = 4.0 * x2 + y2 + z2 + 1.0
+    w = 2.0 * (y2 + z2) - 4.0 * x2
+    c = p.a0 / ((1.0 + r2) * (1.0 + 4.0 * r2))
+    r3c = math.sqrt(3.0) * c
+    out = np.empty(x.shape + (5,))
+    out[..., 0] = c * (x2 * (5.0 * z2 - 2.0 * x2 - y2 - 2.5) + 9.0 * xyz
+                       + y2 * (y2 - z2 + 0.5) - z2 * (2.0 * z2 + 2.5) - 0.5)
+    out[..., 1] = r3c * (x * z * (w - 1.0) - y * q)
+    out[..., 2] = r3c * (y * z * (w + 2.0) - 3.0 * x * (y2 - z2))
+    out[..., 3] = r3c * (x2 * (2.0 * x2 - 3.0 * y2 - z2 + 2.5) + 3.0 * xyz
+                         + y2 * (y2 + z2 + 1.5) + 0.5 * z2 + 0.5)
+    out[..., 4] = r3c * (x * y * (1.0 - w) - z * q)
     return out
 
 

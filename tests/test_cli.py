@@ -1,8 +1,10 @@
+from dataclasses import replace
 import json
 
 import pytest
 
 from alignor.cli import main
+from alignor.recordio import read_record, write_record
 
 SMALL_CONFIG = """\
 ramp.bx_start = -12.0
@@ -145,6 +147,44 @@ class TestPipeline:
         code, _, err = run(capsys, "demod", str(f), "--out", str(tmp_path))
         assert code == 2
         assert f"{f}:{n}:" in err
+
+    @pytest.mark.parametrize("flag, value", [("--phase-deg", "nan"),
+                                             ("--phase-deg", "inf"),
+                                             ("--gain", "inf"), ("--gain", "nan")])
+    def test_demod_rejects_nonfinite_phase_or_gain(self, pipeline, tmp_path,
+                                                   capsys, flag, value):
+        code, _, err = run(capsys, "demod", str(pipeline / "scan.txt"),
+                           flag, value, "--out", str(tmp_path))
+        assert code == 2
+        assert "finite" in err
+        assert not (tmp_path / "demod.txt").exists()
+
+    @pytest.mark.parametrize("transition", [False, True])
+    def test_fit_one_row_down_branch_is_data_error(self, pipeline, tmp_path,
+                                                   capsys, transition):
+        rec = read_record(pipeline / "demod.txt")
+        short = replace(rec, bx_up=rec.bx_up[:20], s_up=rec.s_up[:20],
+                        st_up=rec.st_up[:20], t_up=rec.t_up[:20],
+                        bx_down=rec.bx_down[:1], s_down=rec.s_down[:1],
+                        st_down=rec.st_down[:1], t_down=rec.t_down[:1])
+        path = write_record(short, tmp_path / "demod.txt")
+        argv = ["fit", str(path)] + (["--transition"] if transition else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "down branch has 1 row" in err
+
+    def test_fit_one_row_scan_is_data_error(self, tmp_path, capsys):
+        # a ramp narrower than one decimated sample leaves a 1-row up branch
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("ramp.bx_start = -0.01\nramp.bx_end = 0.01\n")
+        assert run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))[0] == 0
+        assert run(capsys, "demod", str(tmp_path / "scan.txt"), "--out", str(tmp_path))[0] == 0
+        for extra in ([], ["--transition"]):
+            code, out, err = run(capsys, "fit", str(tmp_path / "demod.txt"), *extra)
+            assert code == 2
+            assert out == ""
+            assert "up branch has 1 row" in err
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", str(tmp_path / "nope.txt"))

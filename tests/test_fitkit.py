@@ -243,6 +243,18 @@ class TestFitRecord:
         assert res.model.hysteresis_h == 0.0
         assert any("single branch" in w for w in res.warnings)
 
+    @pytest.mark.parametrize("n_up, n_down, message", [(1, 0, "up branch has 1 row"),
+                                                       (0, 0, "up branch has 0 row"),
+                                                       (20, 1, "down branch has 1 row")])
+    def test_short_branch_is_value_error(self, n_up, n_down, message):
+        rec = make_record(self.TRUE)
+        short = SimpleNamespace(bx_up=rec.bx_up[:n_up], s_up=rec.s_up[:n_up],
+                                t_up=rec.t_up[:n_up], bx_down=rec.bx_down[:n_down],
+                                s_down=rec.s_down[:n_down], t_down=rec.t_down[:n_down])
+        for fn in (fit_record, extract_transition):
+            with pytest.raises(ValueError, match=message):
+                fn(short)
+
     def test_single_branch_leaves_init_untouched(self):
         rec = make_record(self.TRUE, noise=0.0005, seed=4)
         one = SimpleNamespace(bx_up=rec.bx_up, s_up=rec.s_up, bx_down=None)

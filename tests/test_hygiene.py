@@ -1,17 +1,18 @@
 """Static checks on the package source: no unused imports, no module
-constant that nothing reads, the shared constants and spin-2 generators each
-defined in exactly one place, the generators read only by the B.G
-contraction and their table of non-zero entries only by the B.G vector
-product, the signal mix written once, LAPACK solves kept out of the grid
-solvers, and the text table format (its column-names line and its body
-parser) kept in recordio."""
+constant that nothing reads, no top-level function or class that nothing
+references, the shared constants and spin-2 generators each defined in
+exactly one place, the generators read only by the B.G contraction, the
+signal mix written once, LAPACK solves kept out of the grid solvers, no
+run-time filter design by scipy's bilinear transform, and the text table
+format (its column-names line and its body parser) kept in recordio."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "alignor"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "alignor"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -131,8 +132,10 @@ def test_spin2_generators_read_only_by_contraction():
     assert _enclosing_functions(_reads("SPIN2_GENERATORS")) == [("spincore", "spin2_contract")]
 
 
-def test_spin2_entries_read_only_by_vector_product():
-    assert _enclosing_functions(_reads("SPIN2_ENTRIES")) == [("spincore", "spin2_apply")]
+def test_bilinear_not_called_in_package():
+    # lowpass_filter writes its bilinear-transformed biquad in closed form;
+    # scipy.signal.bilinear is only the test oracle
+    assert _enclosing_functions(_is_call_to("bilinear")) == []
 
 
 def _is_linalg_solve(node):
@@ -169,3 +172,35 @@ def test_columns_line_literal_only_in_recordio():
         lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
         and "# columns:" in node.value)
     assert uses and {module for module, _ in uses} == {"recordio"}
+
+
+def _references(tree):
+    """Names a file refers to: loads, attribute names and exact-name strings
+    (``__all__`` entries, getattr-style lookups); a def's mentions of its
+    own name (recursion) do not count."""
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        name = node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+            else node.attr if isinstance(node, ast.Attribute) \
+            else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            else None
+        if name is not None and name not in owners:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_top_level_definition_is_referenced():
+    defined = {(path.stem, node.name) for path in MODULES for node in _tree(path).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    referenced = set()
+    for folder in ("src", "tests", "bench", "demos"):
+        for path in (ROOT / folder).rglob("*.py"):
+            referenced |= _references(_tree(path))
+    assert sorted(d for d in defined if d[1] not in referenced) == []

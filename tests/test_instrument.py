@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal as sig
 
 from alignor.dynamics import CouplingParams, SweepProtocol
 from alignor.instrument import (
@@ -121,6 +122,13 @@ class TestLockin:
         d12 = lockin_demodulate(both).s_up
         assert np.max(np.abs(d12 - (d1 + d2))) < 1e-10
 
+    @pytest.mark.parametrize("kwargs", [{"phase_deg": math.nan}, {"phase_deg": math.inf},
+                                        {"gain": math.inf}, {"gain": -math.inf},
+                                        {"gain": math.nan}])
+    def test_nonfinite_phase_or_gain_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            lockin_demodulate(tone_record(), **kwargs)
+
     def test_cutoff_too_high(self):
         with pytest.raises(ValueError):
             lockin_demodulate(tone_record(), lpf_cutoff=3.0)
@@ -202,11 +210,50 @@ class TestLowpass:
         att = 20 * math.log10(np.max(np.abs(y[mid])))
         assert att <= -30.0
 
+    # the prewarped pole 2 fs tan(w0 / 2 fs), w0 = 2.2989 * 2 pi fc, is
+    # finite below fc = fs / 4.5978; past it the biquad has a pole outside
+    # the unit circle
+    POLE_LIMIT = 1.0 / (2.0 * 2.2989)
+
     def test_cutoff_validation(self):
-        with pytest.raises(ValueError):
-            lowpass_filter(np.zeros(100), 0.0, self.FS)
-        with pytest.raises(ValueError):
-            lowpass_filter(np.zeros(100), 600.0, self.FS)
+        for cutoff in (0.0, 600.0, self.POLE_LIMIT * 1.0001 * self.FS, 300.0, 490.0):
+            with pytest.raises(ValueError):
+                lowpass_filter(np.zeros(100), cutoff, self.FS)
+
+    @staticmethod
+    def biquad(monkeypatch, cutoff, fs):
+        seen = {}
+
+        def capture(b, a, x):
+            seen.update(b=np.asarray(b), a=np.asarray(a))
+            return x
+
+        monkeypatch.setattr(sig, "filtfilt", capture)
+        lowpass_filter(np.zeros(16), cutoff, fs)
+        return seen["b"], seen["a"]
+
+    @staticmethod
+    def bilinear_oracle(cutoff, fs):
+        w0 = 2.2989 * 2.0 * math.pi * cutoff
+        warped = 2.0 * fs * math.tan(w0 / (2.0 * fs))
+        return sig.bilinear([warped**2], [1.0, 2.0 * warped, warped**2], fs)
+
+    @pytest.mark.parametrize("cutoff, fs", [(1.0, 500.0), (2.0, 500.0),
+                                            (0.5, 500.0), (0.25, 500.0)])
+    def test_biquad_matches_bilinear_at_study_cutoffs(self, monkeypatch, cutoff, fs):
+        for got, want in zip(self.biquad(monkeypatch, cutoff, fs),
+                             self.bilinear_oracle(cutoff, fs)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("fs", [1.0, 500.0, 1000.0, 44100.0])
+    def test_biquad_matches_bilinear_up_to_pole_limit(self, monkeypatch, fs):
+        # from 0.1 Hz (at 500 Hz) to just below the pole limit, relative to
+        # the largest coefficient: a1 = 2 (w^2 - K^2) / (K + w)^2 passes
+        # through 0 near fc = 0.11 fs, where no formula keeps it relative
+        for cutoff in np.geomspace(fs / 5000.0, 0.9999 * self.POLE_LIMIT * fs, 300):
+            for got, want in zip(self.biquad(monkeypatch, cutoff, fs),
+                                 self.bilinear_oracle(cutoff, fs)):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestDemodRecord:

@@ -1,7 +1,7 @@
 """Property tests: record, points-table and config round trips, scalar
-oracles vs grids, latch invariants, and the closed-form grid solver and the
+oracles vs grids, latch invariants, the closed-form grid solver and the
 per-flip latch against their slow oracles (the batched LAPACK solve and the
-per-sample loop)."""
+per-sample loop), and composite-contour recovery by fit_record."""
 
 import math
 from pathlib import Path
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from alignor.dynamics import latch_scan
+from alignor.fitkit import CompositeContourModel, composite_eval, fit_record
 from alignor.instrument import DemodRecord, ScanRecord
 from alignor.recordio import dump_config, load_config, read_record, write_record
 from alignor.spincore import (
@@ -195,6 +196,43 @@ def test_closed_form_matches_alignment_grid(p, fields):
     shape = alignment_signal_shape(b[:, 0], b[:, 1], b[:, 2])
     assert ALIGNMENT_SIGNAL_CALIBRATION * m2s / p.a0 == pytest.approx(
         shape, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def identifiable_contours(draw):
+    """Composite contours that fit_record recovers from its own starts: the
+    symmetric amplitude at least the antisymmetric one, widths of 2-3.5 nT
+    within a factor 1.25 of each other, hysteresis 0.2-0.6 of w_sym, center
+    and offset within +-0.5, on a +-12 nT window.  Outside this region (an
+    antisymmetric part stronger than the symmetric one, width ratios past
+    ~1.5, hysteresis near w_sym or 0) the multistart can settle in a wrong
+    basin even on noiseless data."""
+    w_sym = draw(st.floats(2.0, 3.5))
+    return CompositeContourModel(
+        a_anti=draw(st.floats(0.05, 0.15)),
+        w_anti=w_sym * draw(st.floats(0.8, 1.25)),
+        a_sym=draw(st.floats(0.15, 0.3)),
+        w_sym=w_sym,
+        center=draw(st.floats(-0.5, 0.5)),
+        hysteresis_h=w_sym * draw(st.floats(0.2, 0.6)),
+        offset=draw(st.floats(-0.5, 0.5)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(identifiable_contours())
+def test_fit_record_recovers_noiseless_contour(model):
+    bx = np.linspace(-12.0, 12.0, 241)
+    rec = DemodRecord(bx_up=bx, s_up=composite_eval(model, bx, "up"),
+                      st_up=np.zeros(bx.size), t_up=np.zeros(bx.size),
+                      bx_down=bx[::-1], s_down=composite_eval(model, bx[::-1], "down"),
+                      st_down=np.zeros(bx.size), t_down=np.zeros(bx.size), meta={})
+    res = fit_record(rec)
+    assert res.converged
+    true = model.free_params()
+    # amplitudes and widths to 1e-6 relative; center, hysteresis and
+    # offset (nT and signal units of order 1) to 1e-6 absolute
+    scale = np.array([true[0], true[1], true[2], true[3], 1.0, 1.0, 1.0])
+    assert np.all(np.abs(res.params - true) <= 1e-6 * scale)
 
 
 @st.composite
