@@ -78,25 +78,36 @@ def _composite_fn(x, p):
     which is also the branch sign of the symmetric part."""
     bx, sigma = x
     a_a, w_a, a_s, w_s, c, h, off = p
-    u = (bx - c) / w_a
-    v = (bx - c - sigma * h / 2.0) / w_s
+    d = bx - c
+    u = d / w_a
+    v = (d - sigma * h / 2.0) / w_s
     return a_a * _disp_sq(u) + sigma * a_s * _lorentz_sq(v) + off
 
 
 def _composite_jac(x, p):
+    """Jacobian of _composite_fn, shape (N, 7) in C order.
+
+    Each shared subexpression is formed once, in the operation order of the
+    column-by-column formulas, so every column is bit-identical to them.  The
+    layout matters: building (7, N) and returning .T changes the bits of
+    J^T J in the LM normal equations, and with them the fits.
+    """
     bx, sigma = x
     a_a, w_a, a_s, w_s, c, h, off = p
-    u = (bx - c) / w_a
-    v = (bx - c - sigma * h / 2.0) / w_s
-    du = (1.0 - 3.0 * u * u) / (1.0 + u * u) ** 3      # D'(u)
-    lv = -4.0 * v / (1.0 + v * v) ** 3                 # L'(v)
+    d = bx - c
+    u = d / w_a
+    v = (d - sigma * h / 2.0) / w_s
+    u1 = 1.0 + u * u
+    v1 = 1.0 + v * v
+    ad = a_a * ((1.0 - 3.0 * u * u) / u1 ** 3)          # a_anti D'(u)
+    sl = sigma * a_s * (-4.0 * v / v1 ** 3)             # sigma a_sym L'(v)
     j = np.empty((bx.size, 7))
-    j[:, 0] = _disp_sq(u)
-    j[:, 1] = a_a * du * (-u / w_a)
-    j[:, 2] = sigma * _lorentz_sq(v)
-    j[:, 3] = sigma * a_s * lv * (-v / w_s)
-    j[:, 4] = -a_a * du / w_a - sigma * a_s * lv / w_s
-    j[:, 5] = sigma * a_s * lv * (-sigma / (2.0 * w_s))
+    j[:, 0] = u / u1 ** 2
+    j[:, 1] = ad * (-u / w_a)
+    j[:, 2] = sigma * (1.0 / v1 ** 2)
+    j[:, 3] = sl * (-v / w_s)
+    j[:, 4] = -ad / w_a - sl / w_s
+    j[:, 5] = sl * (-sigma / (2.0 * w_s))
     j[:, 6] = 1.0
     return j
 

@@ -114,28 +114,23 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
         color = s.color or _COLORS[i % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         ok = np.isfinite(s.x) & np.isfinite(s.y)
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(s.x[ok], s.y[ok]))
+        xy = list(zip(px(s.x[ok]).tolist(), py(s.y[ok]).tolist()))
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in xy)
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
         if s.markers:
-            for a, b in zip(s.x[ok], s.y[ok]):
-                out.append(f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" r="2.5" '
-                           f'fill="{color}"/>')
+            out.extend(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="{color}"/>'
+                       for a, b in xy)
         out.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 14 * i}" '
                    f'text-anchor="end" font-size="11" fill="{color}">{s.name}</text>')
     out.append("</svg>")
     path.write_text("\n".join(out) + "\n")
 
     sidecar = path.with_suffix(".dat")
-    lines = ["# " + "\t".join(f"{s.name}.x\t{s.name}.y" for s in series)]
     nmax = max(s.x.size for s in series)
-    for i in range(nmax):
-        cells = []
-        for s in series:
-            if i < s.x.size:
-                cells.extend([repr(float(s.x[i])), repr(float(s.y[i]))])
-            else:
-                cells.extend(["nan", "nan"])
-        lines.append("\t".join(cells))
+    columns = [[*map(repr, v.tolist()), *["nan"] * (nmax - v.size)]
+               for s in series for v in (s.x, s.y)]
+    lines = ["# " + "\t".join(f"{s.name}.x\t{s.name}.y" for s in series)]
+    lines.extend(map("\t".join, zip(*columns)))
     sidecar.write_text("\n".join(lines) + "\n")
     return path

@@ -99,6 +99,43 @@ class TestJacobians:
                           RNG.uniform(-1, 1)])
             self.check(_composite_fn, _composite_jac, (bx, sigma), p)
 
+    @staticmethod
+    def composite_plain(x, p):
+        """_composite_fn and _composite_jac written column by column with no
+        shared subexpressions: the oracle for the shared forms."""
+        bx, sigma = x
+        a_a, w_a, a_s, w_s, c, h, off = p
+        u = (bx - c) / w_a
+        v = (bx - c - sigma * h / 2.0) / w_s
+        f = (a_a * (u / (1.0 + u * u) ** 2)
+             + sigma * a_s * (1.0 / (1.0 + v * v) ** 2) + off)
+        du = (1.0 - 3.0 * u * u) / (1.0 + u * u) ** 3
+        lv = -4.0 * v / (1.0 + v * v) ** 3
+        j = np.empty((bx.size, 7))
+        j[:, 0] = u / (1.0 + u * u) ** 2
+        j[:, 1] = a_a * du * (-u / w_a)
+        j[:, 2] = sigma * (1.0 / (1.0 + v * v) ** 2)
+        j[:, 3] = sigma * a_s * lv * (-v / w_s)
+        j[:, 4] = -a_a * du / w_a - sigma * a_s * lv / w_s
+        j[:, 5] = sigma * a_s * lv * (-sigma / (2.0 * w_s))
+        j[:, 6] = 1.0
+        return f, j
+
+    def test_composite_shared_forms_bit_identical(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            bx = rng.uniform(-15, 15, n)
+            sigma = rng.choice([1.0, -1.0], n)
+            p = np.array([rng.uniform(-2, 2), rng.uniform(0.2, 5), rng.uniform(-2, 2),
+                          rng.uniform(0.2, 5), rng.uniform(-3, 3), rng.uniform(0, 4),
+                          rng.uniform(-1, 1)])
+            f, j = self.composite_plain((bx, sigma), p)
+            got = _composite_jac((bx, sigma), p)
+            assert np.array_equal(_composite_fn((bx, sigma), p), f)
+            assert np.array_equal(got, j)
+            assert got.shape == (n, 7) and got.flags.c_contiguous
+
     def test_arctan_jacobian_matches_fd(self):
         x = np.linspace(-5, 5, 23)
         for _ in range(100):

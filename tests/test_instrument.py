@@ -1,11 +1,22 @@
+from dataclasses import replace
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy import signal as sig
 
-from alignor.dynamics import CouplingParams, SweepProtocol
+import alignor.instrument
+from alignor.dynamics import (
+    CouplingParams,
+    SweepProtocol,
+    default_tau_flip,
+    effective_params,
+    latch_scan,
+    sweep_profile,
+)
 from alignor.instrument import (
+    SYNTH_BLOCK,
     DemodRecord,
     ScanConfig,
     ScanRecord,
@@ -18,9 +29,13 @@ from alignor.instrument import (
 )
 from alignor.spincore import (
     ALIGNMENT_SIGNAL_CALIBRATION,
+    TWO_PI,
     EnsembleParams,
     SignalMix,
     alignment_signal_shape,
+    alignment_steady_state_grid,
+    orientation_steady_state_grid,
+    signals_from_state,
 )
 
 P = EnsembleParams(gamma_over_2pi=3.5, relax_rate=60.0)
@@ -98,6 +113,137 @@ class TestSynthesizeRecord:
         res = extract_transition(dem)
         assert not res.monostable
         assert res.bx_up > 0 > res.bx_down
+
+
+def straight_line_synthesis(cfg, p, c, mix):
+    """synthesize_record's chain as one full-length pass: the oracle for its
+    block-wise evaluation.  Returns (t, bx_ramp, st_raw, sb_raw, direction, flips)."""
+    proto = replace(cfg.ramp, sample_rate=cfg.sample_rate)
+    t, bx_ramp, dirs = sweep_profile(proto)
+    pe = effective_params(p, proto)
+    drift = cfg.drift_rate * t
+    bx_slow = bx_ramp + drift
+    bx_mod = bx_slow + cfg.mod_amplitude * np.sin(TWO_PI * cfg.mod_freq * t)
+    by = np.full_like(bx_mod, proto.static_by)
+    bz = np.full_like(bx_mod, proto.static_bz)
+
+    my_slow = orientation_steady_state_grid(bx_slow, by, bz, pe)[:, 1]
+    tau = c.tau_flip if c.tau_flip is not None else default_tau_flip(pe, c)
+    ell, flips = latch_scan(t, my_slow, dirs, c.my0, tau)
+    by_eff = by + c.kappa * c.my0 * ell
+
+    m1 = orientation_steady_state_grid(bx_mod, by, bz, pe)
+    m2 = alignment_steady_state_grid(bx_mod, by_eff, bz, pe)
+    st_raw, sb_raw = signals_from_state(m1, m2, mix)
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.noise_rms > 0:
+        st_raw = st_raw + cfg.noise_rms * rng.standard_normal(t.size)
+        sb_raw = sb_raw + cfg.noise_rms * rng.standard_normal(t.size)
+    return t, bx_ramp, st_raw, sb_raw, dirs, flips
+
+
+# 128 Hz makes the sample spacing exact, so an up or down ramp over
+# +-(n - 1)/256 nT at 1 nT/s has exactly n samples
+FS_EXACT = 128.0
+MIX = SignalMix(c_al=1.0, c_or=0.3, c_t=1.0, baseline_t=6.5, baseline_b=0.1)
+
+
+def exact_scan(n, pattern="up", **cfg_kw):
+    half = (n - 1) / 256.0
+    ramp = SweepProtocol(bx_start=-half, bx_end=half, rate=1.0,
+                         direction_pattern=pattern, static_by=0.3, static_bz=-0.2,
+                         ellipticity_deg=0.25)
+    return ScanConfig(ramp=ramp, sample_rate=FS_EXACT, **cfg_kw)
+
+
+def assert_matches_oracle(cfg, p, c, mix=MIX):
+    rec = synthesize_record(cfg, p, c, mix)
+    want = straight_line_synthesis(cfg, p, c, mix)
+    for got, w in zip((rec.t, rec.bx_ramp, rec.st_raw, rec.sb_raw, rec.direction), want):
+        assert got.tobytes() == w.tobytes()
+    return rec, want[-1]
+
+
+class TestBlockedSynthesis:
+    """synthesize_record evaluates its grids in SYNTH_BLOCK-sample blocks;
+    every step is elementwise, so it must equal one full-length pass bit for
+    bit."""
+
+    @pytest.mark.parametrize("n", [2, 1001, SYNTH_BLOCK - 1, SYNTH_BLOCK,
+                                   SYNTH_BLOCK + 1, 2 * SYNTH_BLOCK,
+                                   3 * SYNTH_BLOCK + 99])
+    def test_block_boundaries(self, n):
+        cfg = exact_scan(n)
+        rec, _ = assert_matches_oracle(cfg, P, C)
+        assert rec.t.size == n
+
+    @pytest.mark.parametrize("cfg_kw", [
+        {"noise_rms": 0.05, "seed": 11},
+        {"drift_rate": 0.03},
+        {"noise_rms": 0.02, "drift_rate": -0.01, "mod_amplitude": 0.7, "seed": 5},
+    ], ids=["noise", "drift", "noise-drift"])
+    def test_noise_and_drift(self, cfg_kw):
+        assert_matches_oracle(exact_scan(2 * SYNTH_BLOCK + 57, "triangle", **cfg_kw), P, C)
+
+    def test_live_latch(self):
+        c = CouplingParams(kappa=150.0, my0=0.004)
+        _, flips = assert_matches_oracle(exact_scan(3 * SYNTH_BLOCK + 5, "triangle"), P, c)
+        assert len(flips) >= 2
+
+    def test_hold_on_zero(self):
+        cfg = exact_scan(SYNTH_BLOCK + 300, "triangle", noise_rms=0.01)
+        cfg = replace(cfg, ramp=replace(cfg.ramp, hold_on_zero=True, hold_time=7.5))
+        rec, _ = assert_matches_oracle(cfg, P, CouplingParams(kappa=60.0, my0=0.01))
+        assert np.count_nonzero(rec.direction == 0) > SYNTH_BLOCK // 8
+
+    def test_grid_calls_are_block_sized(self, monkeypatch):
+        sizes = {"orientation": [], "alignment": []}
+
+        def recording(name, fn):
+            def grid(bx, by, bz, p):
+                out = fn(bx, by, bz, p)
+                sizes[name].append(out.shape[0])
+                return out
+            return grid
+
+        for name in sizes:
+            attr = f"{name}_steady_state_grid"
+            monkeypatch.setattr(alignor.instrument, attr,
+                                recording(name, getattr(alignor.instrument, attr)))
+        rec = synthesize_record(exact_scan(3 * SYNTH_BLOCK + 99, "triangle"), P, C)
+        n = rec.t.size
+        assert max(sizes["orientation"] + sizes["alignment"]) <= SYNTH_BLOCK
+        assert sum(sizes["orientation"]) == 2 * n
+        assert sum(sizes["alignment"]) == n
+
+
+@st.composite
+def scan_setups(draw):
+    pattern = draw(st.sampled_from(["up", "down", "triangle"]))
+    half = draw(st.floats(0.5, 12.0))
+    hold = draw(st.booleans())
+    ramp = SweepProtocol(bx_start=-half + draw(st.floats(-0.4, 0.4)), bx_end=half,
+                         rate=draw(st.floats(0.5, 4.0)), direction_pattern=pattern,
+                         hold_on_zero=hold, hold_time=draw(st.floats(0.0, 5.0)),
+                         static_by=draw(st.floats(-1.0, 1.0)),
+                         static_bz=draw(st.floats(-1.0, 1.0)),
+                         ellipticity_deg=draw(st.one_of(st.none(), st.floats(-45.0, 45.0))))
+    mod_freq = draw(st.floats(1.0, 10.0))
+    cfg = ScanConfig(ramp=ramp, mod_amplitude=draw(st.floats(0.0, 3.0)), mod_freq=mod_freq,
+                     sample_rate=draw(st.floats(20.0 * mod_freq, 1000.0)),
+                     noise_rms=draw(st.sampled_from([0.0, 0.01, 0.3])),
+                     drift_rate=draw(st.floats(-0.1, 0.1)), seed=draw(st.integers(0, 2**32)))
+    p = EnsembleParams(gamma_over_2pi=draw(st.floats(1.0, 5.0)),
+                       relax_rate=draw(st.floats(10.0, 200.0)))
+    c = CouplingParams(kappa=draw(st.floats(0.0, 200.0)), my0=draw(st.floats(0.0, 0.2)),
+                       tau_flip=draw(st.one_of(st.none(), st.floats(0.01, 1.0))))
+    return cfg, p, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_setups())
+def test_blocked_synthesis_equals_straight_line_chain(setup):
+    assert_matches_oracle(*setup)
 
 
 class TestLockin:

@@ -1,9 +1,128 @@
+import math
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from alignor.plotsvg import Series, emit_plot
+from alignor.plotsvg import _COLORS, Series, _fmt, _ticks, emit_plot
+
+
+def emit_plot_per_sample(series, path, title: str = "", xlabel: str = "",
+                         ylabel: str = "", width: int = 640, height: int = 420) -> Path:
+    """emit_plot with a per-sample loop for the points, markers and
+    sidecar rows: the oracle for its array-wise form."""
+    if not series:
+        raise ValueError("no series to plot")
+    path = Path(path)
+    xs = np.concatenate([s.x for s in series])
+    ys = np.concatenate([s.y for s in series])
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not np.any(finite):
+        raise ValueError("all series values are non-finite")
+    xlo, xhi = float(xs[finite].min()), float(xs[finite].max())
+    ylo, yhi = float(ys[finite].min()), float(ys[finite].max())
+    if xlo == xhi:
+        xlo, xhi = xlo - 1.0, xhi + 1.0
+    if ylo == yhi:
+        ylo, yhi = ylo - 1.0, yhi + 1.0
+    pad_y = 0.06 * (yhi - ylo)
+    ylo, yhi = ylo - pad_y, yhi + pad_y
+    ml, mr, mt, mb = 64, 16, 28, 46
+    pw, ph = width - ml - mr, height - mt - mb
+
+    def px(x):
+        return ml + (x - xlo) / (xhi - xlo) * pw
+
+    def py(y):
+        return mt + (yhi - y) / (yhi - ylo) * ph
+
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+           f'height="{height}" viewBox="0 0 {width} {height}">',
+           f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+           f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
+           'stroke="black" stroke-width="1"/>']
+    if title:
+        out.append(f'<text x="{width / 2}" y="{mt - 10}" text-anchor="middle" '
+                   f'font-size="14">{title}</text>')
+    for tx in _ticks(xlo, xhi):
+        out.append(f'<line x1="{px(tx):.1f}" y1="{mt + ph}" x2="{px(tx):.1f}" '
+                   f'y2="{mt + ph + 5}" stroke="black"/>')
+        out.append(f'<text x="{px(tx):.1f}" y="{mt + ph + 18}" '
+                   f'text-anchor="middle" font-size="11">{_fmt(tx)}</text>')
+    for ty in _ticks(ylo, yhi):
+        out.append(f'<line x1="{ml - 5}" y1="{py(ty):.1f}" x2="{ml}" '
+                   f'y2="{py(ty):.1f}" stroke="black"/>')
+        out.append(f'<text x="{ml - 8}" y="{py(ty) + 4:.1f}" text-anchor="end" '
+                   f'font-size="11">{_fmt(ty)}</text>')
+    if xlabel:
+        out.append(f'<text x="{ml + pw / 2}" y="{height - 8}" '
+                   f'text-anchor="middle" font-size="12">{xlabel}</text>')
+    if ylabel:
+        out.append(f'<text x="14" y="{mt + ph / 2}" text-anchor="middle" '
+                   f'font-size="12" transform="rotate(-90 14 {mt + ph / 2})">'
+                   f'{ylabel}</text>')
+    for i, s in enumerate(series):
+        color = s.color or _COLORS[i % len(_COLORS)]
+        dash = ' stroke-dasharray="6 4"' if s.dashed else ""
+        ok = np.isfinite(s.x) & np.isfinite(s.y)
+        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(s.x[ok], s.y[ok]))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                   f'stroke-width="1.5"{dash}/>')
+        if s.markers:
+            for a, b in zip(s.x[ok], s.y[ok]):
+                out.append(f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" r="2.5" '
+                           f'fill="{color}"/>')
+        out.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 14 * i}" '
+                   f'text-anchor="end" font-size="11" fill="{color}">{s.name}</text>')
+    out.append("</svg>")
+    path.write_text("\n".join(out) + "\n")
+
+    sidecar = path.with_suffix(".dat")
+    lines = ["# " + "\t".join(f"{s.name}.x\t{s.name}.y" for s in series)]
+    nmax = max(s.x.size for s in series)
+    for i in range(nmax):
+        cells = []
+        for s in series:
+            if i < s.x.size:
+                cells.extend([repr(float(s.x[i])), repr(float(s.y[i]))])
+            else:
+                cells.extend(["nan", "nan"])
+        lines.append("\t".join(cells))
+    sidecar.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def nonfinite_series():
+    x = np.linspace(-3.0, 3.0, 41)
+    y = np.sin(x) / 3.0
+    y[[4, 17]] = np.nan
+    y[9] = np.inf
+    x2 = np.linspace(-2.5, 1.0, 13)
+    y2 = -np.cos(x2) * 1e-7
+    x2[5] = -np.inf
+    return [Series("up", x, y, markers=True), Series("dn", x2, y2, dashed=True),
+            Series("pt", np.array([0.25]), np.array([math.nan]), markers=True)]
+
+
+def random_series(rng):
+    out = []
+    for i in range(int(rng.integers(1, 5))):
+        n = int(rng.integers(1, 60))
+        x = np.sort(rng.uniform(-20, 20, n)) * 10.0 ** rng.integers(-3, 4)
+        y = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-9, 3)
+        bad = rng.random(n) < 0.1
+        y[bad] = rng.choice([np.nan, np.inf, -np.inf], int(bad.sum()))
+        out.append(Series(f"s{i}", x, y, dashed=bool(rng.integers(2)),
+                          markers=bool(rng.integers(2))))
+    return out
+
+
+def assert_same_files(series, tmp_path, **kw):
+    got = emit_plot(series, tmp_path / "new.svg", **kw)
+    want = emit_plot_per_sample(series, tmp_path / "old.svg", **kw)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.with_suffix(".dat").read_bytes() == want.with_suffix(".dat").read_bytes()
 
 
 class TestEmitPlot:
@@ -42,3 +161,15 @@ class TestEmitPlot:
         s = Series("flat", np.array([1.0, 2.0]), np.array([3.0, 3.0]))
         out = emit_plot([s], tmp_path / "f.svg")
         assert out.exists()
+
+    def test_matches_per_sample_oracle_with_nonfinite_values(self, tmp_path):
+        assert_same_files(nonfinite_series(), tmp_path, title="t", xlabel="x",
+                          ylabel="y")
+
+    def test_matches_per_sample_oracle_on_random_series(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            series = random_series(rng)
+            if not any(np.any(np.isfinite(s.x) & np.isfinite(s.y)) for s in series):
+                continue
+            assert_same_files(series, tmp_path)
