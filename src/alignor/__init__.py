@@ -1,6 +1,6 @@
 """alignor: simulation and analysis of bistable hysteresis scan records.
 
-A numpy/scipy toolkit modeling coexisting rank-1 (orientation) and rank-2
+A numpy-only toolkit modeling coexisting rank-1 (orientation) and rank-2
 (alignment) spin moments in an optically pumped vapor, the measurement
 chain that observes them (field sweeps, lock-in demodulation, filtering),
 the nonlinear fits that reduce the demodulated contours, and the physical

@@ -187,11 +187,13 @@ def sweep_profile(proto: SweepProtocol):
     dt = 1.0 / proto.sample_rate
     n = int(math.floor(edges[-1] / dt)) + 1
     t = np.arange(n) * dt
-    k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(segs) - 1)
-    b0 = np.array([s[1] for s in segs])[k]
-    slope = np.array([s[2] for s in segs])[k]
-    bx = b0 + slope * (t - edges[k])
-    return t, bx, np.sign(slope)
+    # segment k covers edges[k] <= t < edges[k + 1]; the last one runs to the end
+    starts = np.searchsorted(t, edges[:-1]).tolist() + [n]
+    bx, direction = np.empty(n), np.empty(n)
+    for (_, b0, slope), edge, lo, hi in zip(segs, edges.tolist(), starts, starts[1:]):
+        bx[lo:hi] = b0 + slope * (t[lo:hi] - edge)
+        direction[lo:hi] = np.sign(slope)
+    return t, bx, direction
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ density.
 from dataclasses import dataclass
 import math
 
-from scipy.constants import Boltzmann, atmosphere, mu_0, physical_constants
-
-BOHR_MAGNETON = physical_constants["Bohr magneton"][0]  # J/T
+# CODATA 2022 values in SI units (the tests hold them to scipy.constants)
+BOLTZMANN = 1.380649e-23          # J/K, exact
+ATMOSPHERE = 101325.0             # Pa, exact
+MU_0 = 1.25663706127e-06          # N/A^2, vacuum magnetic permeability
+BOHR_MAGNETON = 9.2740100657e-24  # J/T
 
 DEG = math.pi / 180.0
 
@@ -76,7 +78,7 @@ def dipole_field(d: DipoleConfig) -> float:
     """
     m = d.n_atoms * BOHR_MAGNETON
     l = d.distance_mm * 1e-3
-    b = mu_0 / (4.0 * math.pi) * m / l**3
+    b = MU_0 / (4.0 * math.pi) * m / l**3
     if d.geometry == "on_axis":
         b *= 2.0
     return b * 1e9
@@ -113,10 +115,10 @@ def cs_vapor_pressure_pa(t_celsius: float) -> float:
     if not 0.0 <= t_celsius <= 250.0:
         raise ValueError("temperature outside the 0-250 C liquid-phase window")
     t = t_celsius + 273.15
-    return atmosphere * 10.0 ** (8.232 - 4062.0 / t - 1.3359 * math.log10(t))
+    return ATMOSPHERE * 10.0 ** (8.232 - 4062.0 / t - 1.3359 * math.log10(t))
 
 
 def cs_number_density(t_celsius: float) -> float:
     """Saturated Cs vapor number density in cm^-3 (ideal gas)."""
     t = t_celsius + 273.15
-    return cs_vapor_pressure_pa(t_celsius) / (Boltzmann * t) * 1e-6
+    return cs_vapor_pressure_pa(t_celsius) / (BOLTZMANN * t) * 1e-6

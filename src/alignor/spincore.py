@@ -197,15 +197,13 @@ def orientation_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     pump axis.
     """
     g = p.gamma_rad
-    wx, wy, wz = np.broadcast_arrays(g * np.asarray(bx, float),
-                                     g * np.asarray(by, float),
-                                     g * np.asarray(bz, float))
+    wx, wy, wz = (g * np.asarray(b, float) for b in (bx, by, bz))
     vx, vy, vz = (float(c) for c in p.pump_axis)
     gam = p.relax_rate
     wv = wx * vx + wy * vy + wz * vz
     den = gam**2 + (wx * wx + wy * wy + wz * wz)
     cross = (wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx)
-    out = np.empty(wx.shape + (3,))
+    out = np.empty(np.broadcast_shapes(wx.shape, wy.shape, wz.shape) + (3,))
     for k, (vk, ck, wk) in enumerate(zip((vx, vy, vz), cross, (wx, wy, wz))):
         out[..., k] = p.m0 * (gam**2 * vk - gam * ck + wv * wk) / den
     return out
@@ -247,8 +245,7 @@ def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     also at the magic angle to the pump axis, where m is only O(1/r).
     """
     s = p.gamma_rad / p.alignment_relax_rate
-    x, y, z = np.broadcast_arrays(s * np.asarray(bx, float), s * np.asarray(by, float),
-                                  s * np.asarray(bz, float))
+    x, y, z = (s * np.asarray(b, float) for b in (bx, by, bz))
     x2, y2, z2 = x * x, y * y, z * z
     xyz = x * y * z
     r2 = x2 + y2 + z2
@@ -256,7 +253,7 @@ def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     w = 2.0 * (y2 + z2) - 4.0 * x2
     c = p.a0 / ((1.0 + r2) * (1.0 + 4.0 * r2))
     r3c = math.sqrt(3.0) * c
-    out = np.empty(x.shape + (5,))
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape, z.shape) + (5,))
     out[..., 0] = c * (x2 * (5.0 * z2 - 2.0 * x2 - y2 - 2.5) + 9.0 * xyz
                        + y2 * (y2 - z2 + 0.5) - z2 * (2.0 * z2 + 2.5) - 0.5)
     out[..., 1] = r3c * (x * z * (w - 1.0) - y * q)

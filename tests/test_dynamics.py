@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from alignor.dynamics import (
     SweepProtocol,
     Trajectory,
     UnreachableThresholdError,
+    _segments,
     default_tau_flip,
     effective_field_from_transient,
     latch_scan,
@@ -84,7 +86,49 @@ class TestEffectiveFieldFromTransient:
             effective_field_from_transient(0.0, P)
 
 
+def per_sample_profile(proto):
+    """sweep_profile's per-sample form: the oracle for its fill by segment."""
+    segs = _segments(proto)
+    durations = np.array([s[0] for s in segs])
+    edges = np.concatenate([[0.0], np.cumsum(durations)])
+    dt = 1.0 / proto.sample_rate
+    n = int(math.floor(edges[-1] / dt)) + 1
+    t = np.arange(n) * dt
+    k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(segs) - 1)
+    b0 = np.array([s[1] for s in segs])[k]
+    slope = np.array([s[2] for s in segs])[k]
+    bx = b0 + slope * (t - edges[k])
+    return t, bx, np.sign(slope)
+
+
+def assert_profile_matches_oracle(proto):
+    for got, want in zip(sweep_profile(proto), per_sample_profile(proto)):
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSweepProfile:
+    @pytest.mark.parametrize("pattern", ["up", "down", "triangle"])
+    @pytest.mark.parametrize("hold_time", [None, 0.0, 2.3, 7.5])
+    @pytest.mark.parametrize("sample_rate", [128.0, 333.0])
+    def test_fill_by_segment_matches_per_sample_oracle(self, pattern, hold_time,
+                                                       sample_rate):
+        hold = {} if hold_time is None else {"hold_on_zero": True, "hold_time": hold_time}
+        assert_profile_matches_oracle(SweepProtocol(
+            bx_start=-6.3, bx_end=4.1, rate=1.7, direction_pattern=pattern,
+            sample_rate=sample_rate, **hold))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pattern=st.sampled_from(["up", "down", "triangle"]),
+           start=st.floats(-12.0, 3.0), end=st.floats(-3.0, 12.0),
+           rate=st.floats(0.2, 5.0), hold=st.booleans(), hold_time=st.floats(0.0, 5.0),
+           sample_rate=st.floats(5.0, 1000.0))
+    def test_fill_by_segment_matches_oracle_anywhere(self, pattern, start, end, rate,
+                                                     hold, hold_time, sample_rate):
+        assume(start != end)
+        assert_profile_matches_oracle(SweepProtocol(
+            bx_start=start, bx_end=end, rate=rate, direction_pattern=pattern,
+            hold_on_zero=hold, hold_time=hold_time, sample_rate=sample_rate))
+
     def test_triangle_shape(self):
         t, bx, d = sweep_profile(triangle(b=10.0, rate=2.0))
         assert t[0] == 0.0

@@ -1,9 +1,13 @@
 import math
 
 import pytest
+import scipy.constants
 
 from alignor.estimators import (
+    ATMOSPHERE,
     BOHR_MAGNETON,
+    BOLTZMANN,
+    MU_0,
     BroadeningBudget,
     DipoleConfig,
     broadening_rate,
@@ -143,3 +147,11 @@ class TestVaporDensity:
             cs_number_density(-10.0)
         with pytest.raises(ValueError):
             cs_number_density(300.0)
+
+
+def test_codata_literals_equal_scipy_constants():
+    # bit for bit: the literals replace scipy.constants at run time
+    assert BOLTZMANN == scipy.constants.Boltzmann
+    assert ATMOSPHERE == scipy.constants.atmosphere
+    assert MU_0 == scipy.constants.mu_0
+    assert BOHR_MAGNETON == scipy.constants.physical_constants["Bohr magneton"][0]

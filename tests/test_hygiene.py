@@ -3,11 +3,15 @@ constant that nothing reads, no top-level function or class that nothing
 references, the shared constants and spin-2 generators each defined in
 exactly one place, the generators read only by the B.G contraction, the
 signal mix written once, LAPACK solves kept out of the grid solvers, no
-run-time filter design by scipy's bilinear transform, and the text table
-format (its column-names line and its body parser) kept in recordio."""
+run-time filter design by scipy's bilinear transform, the text table
+format (its column-names line and its body parser) kept in recordio, and
+no scipy at run time (numpy is the only dependency; scipy is a test oracle)."""
 
 import ast
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -204,3 +208,23 @@ def test_every_top_level_definition_is_referenced():
         for path in (ROOT / folder).rglob("*.py"):
             referenced |= _references(_tree(path))
     assert sorted(d for d in defined if d[1] not in referenced) == []
+
+
+def _imports_scipy(node):
+    modules = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+        [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+    return any(m.split(".")[0] == "scipy" for m in modules)
+
+
+def test_no_scipy_import_in_package():
+    assert _enclosing_functions(_imports_scipy) == []
+
+
+def test_package_and_cli_load_without_scipy():
+    code = ("import sys, alignor, alignor.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -16,6 +16,7 @@ from alignor.dynamics import (
     sweep_profile,
 )
 from alignor.instrument import (
+    LOWPASS_PAD,
     SYNTH_BLOCK,
     DemodRecord,
     ScanConfig,
@@ -23,6 +24,7 @@ from alignor.instrument import (
     calibrate_phase,
     config_from_meta,
     lockin_demodulate,
+    lowpass_design,
     lowpass_filter,
     synthesize_from_meta,
     synthesize_record,
@@ -367,16 +369,9 @@ class TestLowpass:
                 lowpass_filter(np.zeros(100), cutoff, self.FS)
 
     @staticmethod
-    def biquad(monkeypatch, cutoff, fs):
-        seen = {}
-
-        def capture(b, a, x):
-            seen.update(b=np.asarray(b), a=np.asarray(a))
-            return x
-
-        monkeypatch.setattr(sig, "filtfilt", capture)
-        lowpass_filter(np.zeros(16), cutoff, fs)
-        return seen["b"], seen["a"]
+    def biquad(cutoff, fs):
+        c, p = lowpass_design(cutoff, fs)
+        return c * c * np.array([1.0, 2.0, 1.0]), np.array([1.0, -2.0 * p, p * p])
 
     @staticmethod
     def bilinear_oracle(cutoff, fs):
@@ -386,20 +381,87 @@ class TestLowpass:
 
     @pytest.mark.parametrize("cutoff, fs", [(1.0, 500.0), (2.0, 500.0),
                                             (0.5, 500.0), (0.25, 500.0)])
-    def test_biquad_matches_bilinear_at_study_cutoffs(self, monkeypatch, cutoff, fs):
-        for got, want in zip(self.biquad(monkeypatch, cutoff, fs),
+    def test_biquad_matches_bilinear_at_study_cutoffs(self, cutoff, fs):
+        for got, want in zip(self.biquad(cutoff, fs),
                              self.bilinear_oracle(cutoff, fs)):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("fs", [1.0, 500.0, 1000.0, 44100.0])
-    def test_biquad_matches_bilinear_up_to_pole_limit(self, monkeypatch, fs):
+    def test_biquad_matches_bilinear_up_to_pole_limit(self, fs):
         # from 0.1 Hz (at 500 Hz) to just below the pole limit, relative to
         # the largest coefficient: a1 = 2 (w^2 - K^2) / (K + w)^2 passes
         # through 0 near fc = 0.11 fs, where no formula keeps it relative
         for cutoff in np.geomspace(fs / 5000.0, 0.9999 * self.POLE_LIMIT * fs, 300):
-            for got, want in zip(self.biquad(monkeypatch, cutoff, fs),
+            for got, want in zip(self.biquad(cutoff, fs),
                                  self.bilinear_oracle(cutoff, fs)):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @staticmethod
+    def scan_like(fs, seconds, seed=0):
+        """A DC level of 6 under a slow tone and white noise."""
+        t = np.arange(0.0, seconds, 1.0 / fs)
+        rng = np.random.default_rng(seed)
+        return 6.0 + np.sin(2.0 * math.pi * 1.3 * t) + 0.3 * rng.standard_normal(t.size)
+
+    @staticmethod
+    def longdouble_reference(x, cutoff, fs):
+        """filtfilt's odd extension by 9 samples and steady-state starts, with
+        the biquad's direct form run in long double on the prewarped pole."""
+        ld = np.longdouble
+        k = ld(2.0 * fs)
+        w = ld(2.0 * fs * math.tan(2.2989 * 2.0 * math.pi * cutoff / (2.0 * fs)))
+        g, p = (w / (k + w)) ** 2, (k - w) / (k + w)
+        x = np.asarray(x, ld)
+        ext = np.concatenate((2 * x[0] - x[9:0:-1], x, 2 * x[-1] - x[-2:-11:-1]))
+
+        def causal(s):
+            y = np.empty_like(s)
+            x1 = x2 = y1 = y2 = s[0]
+            for i, xi in enumerate(s):
+                y[i] = g * (xi + 2 * x1 + x2) + 2 * p * y1 - p * p * y2
+                x2, x1, y2, y1 = x1, xi, y1, y[i]
+            return y
+
+        return causal(causal(ext)[::-1])[::-1][9:-9]
+
+    @pytest.mark.parametrize("cutoff", [2.0, 1.0, 0.5, 0.25])
+    def test_matches_scipy_filtfilt_at_study_cutoffs(self, cutoff):
+        x = self.scan_like(500.0, 40.0)
+        want = sig.filtfilt(*self.bilinear_oracle(cutoff, 500.0), x)
+        assert np.max(np.abs(lowpass_filter(x, cutoff, 500.0) - want)) <= 1e-9
+
+    @pytest.mark.parametrize("cutoff, fs, seconds", [
+        (2.0, 500.0, 20.0), (1.0, 500.0, 20.0), (0.5, 500.0, 20.0),
+        (0.25, 500.0, 20.0), (0.5, 44100.0, 1.0),
+        (0.9999 * POLE_LIMIT * 500.0, 500.0, 20.0),   # pole near -1
+        (75.0, 500.0, 20.0),                          # pole near -0.31
+    ])
+    def test_no_less_accurate_than_scipy(self, cutoff, fs, seconds):
+        x = self.scan_like(fs, seconds)
+        want = self.longdouble_reference(x, cutoff, fs)
+        scipy_err = np.max(np.abs(sig.filtfilt(*self.bilinear_oracle(cutoff, fs), x) - want))
+        assert np.max(np.abs(lowpass_filter(x, cutoff, fs) - want)) <= scipy_err
+
+    def test_input_no_longer_than_pad_rejected(self):
+        with pytest.raises(ValueError):
+            lowpass_filter(np.ones(LOWPASS_PAD), 1.0, self.FS)
+        x = self.scan_like(self.FS, (LOWPASS_PAD + 1) / self.FS)
+        np.testing.assert_allclose(lowpass_filter(x, 1.0, self.FS),
+                                   sig.filtfilt(*self.bilinear_oracle(1.0, self.FS), x),
+                                   rtol=1e-10)
+
+    @pytest.mark.parametrize("cutoff", [0.25, 2.0, 54.0, 0.9999 * POLE_LIMIT * 500.0])
+    def test_large_inputs_stay_finite(self, cutoff):
+        # the blocked prefix sums weight by |pole|^-j; linearity must hold
+        # up to inputs of 1e280 without overflow
+        x = self.scan_like(500.0, 10.0)
+        np.testing.assert_allclose(lowpass_filter(1e280 * x, cutoff, 500.0) / 1e280,
+                                   lowpass_filter(x, cutoff, 500.0), rtol=1e-12)
+
+    def test_nan_propagates(self):
+        x = self.scan_like(self.FS, 4.0)
+        x[1500] = np.nan
+        assert np.isnan(lowpass_filter(x, 1.0, self.FS)).all()
 
 
 class TestDemodRecord:
