@@ -1,13 +1,21 @@
-"""Versioned text serialization for tables, scan/demod records and configs.
+"""Versioned serialization for tables, scan/demod records and configs.
 
-Records and study points tables share one table format: ``#`` header lines,
-a ``# columns: <names>`` line, then rows of repr floats, so write -> read ->
-write is byte-identical; a malformed body raises ValueError naming the file
-and the line.  Configs are flat ``section.key = value`` text files.
+Records and study points tables share one table layout: ``#`` header
+lines, a ``# columns: <names>`` line, then the body.  Demod records and
+points tables have a text body, one row of repr floats per line.  Scan
+records (format v2) have a binary body: a ``# body: f8-le <rows>`` line,
+then exactly ``rows x columns x 8`` bytes of little-endian float64, one
+column after another, so ``head scan.txt`` shows the header and nothing
+below it is text.  v1 scan records, which have a text body, still read
+(and are rewritten as v2).  write -> read -> write is byte-identical, and
+a malformed header or body raises ValueError naming the file and the line
+(or, from the ``# body:`` line on, the byte offset).  Configs are flat
+``section.key = value`` text files.
 """
 
 import ast
 from dataclasses import fields
+import os
 from pathlib import Path
 import re
 
@@ -15,23 +23,33 @@ import numpy as np
 
 from .instrument import DemodRecord, ScanRecord
 
-FORMAT_VERSION = 1
 _MAGIC = "# alignor-record"
 _COLUMNS = "# columns: "
+_BODY = "# body: "
+_BODY_LINE = re.compile(_BODY.encode() + rb"f8-le (0|[1-9][0-9]*)\n")
+_KIND_LINE = re.compile(r"# kind: (.*)")
+_META_LINE = re.compile(r"# meta\.([^\s=]+) = (.*)")
 
 SCAN_COLUMNS = ("t", "bx_ramp", "st_raw", "sb_raw", "direction")
 DEMOD_COLUMNS = ("bx", "st", "sb_demod", "t", "branch")
-# record kind -> (column names, converters of its non-numeric columns)
-_LAYOUTS = {"scan": (SCAN_COLUMNS, None),
-            "demod": (DEMOD_COLUMNS, {4: {"up": 1.0, "down": -1.0}.__getitem__})}
+# record kind -> (column names, converters of its non-numeric columns,
+# format version written; version 2 has a binary body, version 1 a text one)
+_LAYOUTS = {"scan": (SCAN_COLUMNS, None, 2),
+            "demod": (DEMOD_COLUMNS, {4: {"up": 1.0, "down": -1.0}.__getitem__}, 1)}
+
+
+def _column_length(path, names, columns) -> int:
+    lengths = {len(col) for col in columns}
+    if len(columns) != len(names) or len(lengths) != 1:
+        raise ValueError(f"{path}: expected {len(names)} columns of one length")
+    return lengths.pop()
 
 
 def write_table(path, header, names, columns) -> Path:
     """Write header lines, the column-names line and one row per index:
     str columns verbatim, numeric ones formatted once per column with repr."""
     path = Path(path)
-    if len(columns) != len(names) or len({len(col) for col in columns}) != 1:
-        raise ValueError(f"{path}: expected {len(names)} columns of one length")
+    _column_length(path, names, columns)
     cells = [col.tolist() if col.dtype.kind == "U" else map(repr, col.astype(float).tolist())
              for col in map(np.asarray, columns)]
     path.write_text("\n".join([*header, _COLUMNS + " ".join(names), *map(" ".join, zip(*cells))])
@@ -39,23 +57,71 @@ def write_table(path, header, names, columns) -> Path:
     return path
 
 
+def _write_binary_table(path, header, names, columns) -> Path:
+    """Write header lines, the column-names line, a ``# body: f8-le <rows>``
+    line, then the columns as little-endian float64, one after another."""
+    path = Path(path)
+    rows = _column_length(path, names, columns)
+    head = [*header, _COLUMNS + " ".join(names), f"{_BODY}f8-le {rows}"]
+    with path.open("wb") as f:
+        f.write(("\n".join(head) + "\n").encode())
+        for col in columns:
+            f.write(np.ascontiguousarray(col, "<f8"))
+    return path
+
+
+def _text(path, raw, line) -> str:
+    """``raw`` decoded as UTF-8, where ``line`` is the file line it starts
+    on; a bad byte raises naming its line."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as e:
+        line += raw.count(b"\n", 0, e.start)
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def read_table(path, parse_header):
-    """Return the parsed header and the ``(n, len(names))`` body of a table;
+    """Return the parsed header and the ``(n, len(names))`` body of a table.
+
     ``parse_header(path, header_lines)`` checks the lines before ``# columns:``
-    and returns (parsed header, names, loadtxt converters of text columns)."""
-    lines = Path(path).read_text().splitlines()
-    at = next((i for i, ln in enumerate(lines) if ln.startswith(_COLUMNS)), len(lines))
-    header, names, converters = parse_header(path, lines[:at])
-    body = lines[at + 1:]
-    expected = _COLUMNS + " ".join(names)
-    if lines[at:at + 1] != [expected]:
-        raise ValueError(f"{path}:{at + 1}: expected {expected!r}")
+    and returns (parsed header, names, loadtxt converters of text columns,
+    whether the body is binary).  The file is read once; a binary body is
+    read straight into the returned array, whose columns are contiguous."""
+    with open(path, "rb") as f:
+        lines, stop = [], None
+        while stop is None and (raw := f.readline()):
+            line = _text(path, raw, len(lines) + 1).removesuffix("\n").removesuffix("\r")
+            if line.startswith((_COLUMNS, _BODY)):
+                stop = line
+            else:
+                lines.append(line)
+        at = len(lines)
+        header, names, converters, binary = parse_header(path, lines)
+        expected = _COLUMNS + " ".join(names)
+        if stop != expected:
+            raise ValueError(f"{path}:{at + 1}: expected {expected!r}")
+        if not binary:
+            body = _text(path, f.read(), at + 2).splitlines()
+        else:
+            pos, raw = f.tell(), f.readline(80)  # bounded: never read into the body
+            if (m := _BODY_LINE.fullmatch(raw)) is None:
+                raise ValueError(f"{path}: byte {pos}: expected '# body: f8-le <rows>', "
+                                 f"got {raw.rstrip()!r}")
+            start, rows, ncols = f.tell(), int(m[1]), len(names)
+            need, got = rows * ncols * 8, os.fstat(f.fileno()).st_size - start
+            if got == need:
+                buf = bytearray(need)
+                got = f.readinto(buf)
+            if got != need:
+                raise ValueError(f"{path}: byte {start + min(got, need)}: a {rows}-row body of "
+                                 f"{ncols} float64 columns is {need} bytes, found {got}")
+            return header, np.frombuffer(buf, "<f8").reshape(ncols, rows).T
     if not any(map(str.strip, body)):
         return header, np.empty((0, len(names)))
     try:
-        data = np.loadtxt(body, ndmin=2, comments=None, converters=converters)
-        if data.shape[1] == len(names):
-            return header, data
+        table = np.loadtxt(body, ndmin=2, comments=None, converters=converters)
+        if table.shape[1] == len(names):
+            return header, table
     except ValueError:
         pass
     for n, line in enumerate(body, start=at + 2):  # slow path: name the bad line
@@ -90,32 +156,46 @@ def _parse_literal(text: str):
 
 
 def _parse_header(path, lines):
+    """Check a record header: the signature, exactly one ``# kind:`` line and
+    ``# meta.<key> = <literal>`` lines with distinct keys, nothing else."""
     sig = re.fullmatch(_MAGIC + " v([0-9]+)", lines[0]) if lines else None
     if sig is None:
         raise ValueError(f"{path}:1: not a record file: missing signature line")
     version = int(sig.group(1))
-    if version != FORMAT_VERSION:
+    if version not in (1, 2):
         raise ValueError(f"{path}:1: unsupported record format version {version} "
-                         f"(supported: {FORMAT_VERSION})")
+                         "(supported: 1, 2)")
     kind, meta = None, {}
     for n, ln in enumerate(lines[1:], start=2):
-        body = ln[1:].strip()
-        if body.startswith("kind:"):
-            kind = body.split(":", 1)[1].strip()
-        elif body.startswith("meta."):
-            try:
-                key, val = body[5:].split("=", 1)
-                meta[key.strip()] = _parse_literal(val.strip())
-            except (ValueError, SyntaxError, TypeError):
-                raise ValueError(f"{path}:{n}: expected '# meta.<key> = <literal>', "
-                                 f"got {ln!r}") from None
-    if kind not in _LAYOUTS:
-        raise ValueError(f"{path}: unknown record kind {kind!r}")
-    return (kind, meta), *_LAYOUTS[kind]
+        if m := _KIND_LINE.fullmatch(ln):
+            if kind is not None:
+                raise ValueError(f"{path}:{n}: a second '# kind:' line")
+            if m[1] not in _LAYOUTS:
+                raise ValueError(f"{path}:{n}: unknown record kind {m[1]!r}")
+            kind = m[1]
+            continue
+        m = _META_LINE.fullmatch(ln)
+        try:
+            if m is None:
+                raise ValueError
+            value = _parse_literal(m[2])
+        except (ValueError, SyntaxError, TypeError):
+            raise ValueError(f"{path}:{n}: expected '# kind: <kind>' or "
+                             f"'# meta.<key> = <literal>', got {ln!r}") from None
+        if m[1] in meta:
+            raise ValueError(f"{path}:{n}: duplicate meta key {m[1]!r}")
+        meta[m[1]] = value
+    if kind is None:
+        raise ValueError(f"{path}:2: missing '# kind:' line")
+    names, converters, latest = _LAYOUTS[kind]
+    if version > latest:
+        raise ValueError(f"{path}:1: unsupported {kind} record format version {version} "
+                         f"(latest: {latest})")
+    return (kind, meta), names, converters, version == 2
 
 
 def write_record(rec, path) -> Path:
-    """Serialize a ScanRecord or DemodRecord to a versioned text file."""
+    """Serialize a ScanRecord (binary body) or a DemodRecord (text body)."""
     if isinstance(rec, ScanRecord):
         kind, columns = "scan", [getattr(rec, name) for name in SCAN_COLUMNS]
     elif isinstance(rec, DemodRecord):
@@ -125,9 +205,11 @@ def write_record(rec, path) -> Path:
         columns.append(["up"] * len(rec.bx_up) + ["down"] * len(rec.bx_down))
     else:
         raise TypeError(f"cannot serialize {type(rec).__name__}")
-    header = [f"{_MAGIC} v{FORMAT_VERSION}", f"# kind: {kind}",
+    names, _, version = _LAYOUTS[kind]
+    header = [f"{_MAGIC} v{version}", f"# kind: {kind}",
               *(f"# meta.{k} = {_format_value(rec.meta[k])}" for k in sorted(rec.meta))]
-    return write_table(path, header, _LAYOUTS[kind][0], columns)
+    write = _write_binary_table if version == 2 else write_table
+    return write(path, header, names, columns)
 
 
 def read_record(path):

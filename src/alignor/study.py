@@ -304,7 +304,7 @@ def _parse_points_header(path, lines):
     n, seed = info.get("seed", (0, "0"))
     if not re.fullmatch(r"-?[0-9]+", seed):
         raise ValueError(f"{path}:{n}: expected '# seed: <int>', got {lines[n - 1]!r}")
-    return (info["kind"][1], int(seed)), POINT_COLUMNS, None
+    return (info["kind"][1], int(seed)), POINT_COLUMNS, None, False
 
 
 def read_points_table(path) -> tuple:

@@ -138,12 +138,14 @@ class TestPipeline:
     @pytest.mark.parametrize("bad", ["# meta.a0 = 1 2", "# meta.a0"])
     def test_malformed_meta_line_is_data_error(self, pipeline, tmp_path,
                                                capsys, bad):
-        lines = (pipeline / "scan.txt").read_text().splitlines()
+        # edit the text header of the scan record; its body is binary
+        head, body = (pipeline / "scan.txt").read_bytes().split(b"\n# body: ", 1)
+        lines = head.decode().splitlines()
         n = next(i for i, ln in enumerate(lines, start=1)
                  if ln.startswith("# meta.a0 ="))
         lines[n - 1] = bad
         f = tmp_path / "scan.txt"
-        f.write_text("\n".join(lines) + "\n")
+        f.write_bytes(("\n".join(lines) + "\n# body: ").encode() + body)
         code, _, err = run(capsys, "demod", str(f), "--out", str(tmp_path))
         assert code == 2
         assert f"{f}:{n}:" in err

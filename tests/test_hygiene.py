@@ -3,9 +3,10 @@ constant that nothing reads, no top-level function or class that nothing
 references, the shared constants and spin-2 generators each defined in
 exactly one place, the generators read only by the B.G contraction, the
 signal mix written once, LAPACK solves kept out of the grid solvers, no
-run-time filter design by scipy's bilinear transform, the text table
-format (its column-names line and its body parser) kept in recordio, and
-no scipy at run time (numpy is the only dependency; scipy is a test oracle)."""
+run-time filter design by scipy's bilinear transform, the table format
+(its column-names line, its text body parser and its binary body decoder)
+kept in recordio, and no scipy at run time (numpy is the only dependency;
+scipy is a test oracle)."""
 
 import ast
 import os
@@ -169,6 +170,11 @@ def test_signal_mix_written_once():
 def test_loadtxt_only_in_read_table():
     # the whole-body parse and the per-line scan that locates a bad row
     assert set(_enclosing_functions(_is_call_to("loadtxt"))) == {("recordio", "read_table")}
+
+
+def test_frombuffer_only_in_read_table():
+    # the one decoder of a binary record body
+    assert set(_enclosing_functions(_is_call_to("frombuffer"))) == {("recordio", "read_table")}
 
 
 def test_columns_line_literal_only_in_recordio():

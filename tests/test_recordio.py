@@ -16,11 +16,14 @@ from alignor.instrument import (
     synthesize_record,
 )
 from alignor.recordio import (
+    SCAN_COLUMNS,
+    _format_value,
     dump_config,
     load_config,
     parse_config,
     read_record,
     write_record,
+    write_table,
 )
 from alignor.spincore import EnsembleParams
 from alignor.study import StudyConfig, StudyPoint, _write_points_table, read_points_table
@@ -60,8 +63,7 @@ class TestRecordFile:
     def test_unknown_version_rejected(self, scan_record, tmp_path):
         f = tmp_path / "rec.txt"
         write_record(scan_record, f)
-        text = f.read_text().replace("v1", "v9", 1)
-        f.write_text(text)
+        f.write_bytes(f.read_bytes().replace(b"v2", b"v9", 1))
         with pytest.raises(ValueError, match="version"):
             read_record(f)
 
@@ -83,7 +85,7 @@ class TestRecordFile:
     def test_malformed_signature_rejected(self, scan_record, tmp_path, signature):
         f = tmp_path / "rec.txt"
         write_record(scan_record, f)
-        f.write_text(f.read_text().replace("# alignor-record v1", signature, 1))
+        f.write_bytes(f.read_bytes().replace(b"# alignor-record v2", signature.encode(), 1))
         with pytest.raises(ValueError, match="signature"):
             read_record(f)
 
@@ -103,7 +105,7 @@ class TestRecordFile:
         f = write_record(replace(scan_record, meta={**scan_record.meta,
                                                     "back_action": 0.0}),
                          tmp_path / "rec.txt")
-        assert "# meta.back_action = 0.0\n" in f.read_text()
+        assert b"# meta.back_action = 0.0\n" in f.read_bytes()
         replay = synthesize_from_meta(read_record(f).meta)
         for name in ("t", "bx_ramp", "st_raw", "sb_raw", "direction"):
             assert getattr(replay, name).tobytes() == getattr(scan_record, name).tobytes()
@@ -112,14 +114,22 @@ class TestRecordFile:
 
 def _line_no(path, prefix):
     """1-based number of the first line of ``path`` that starts with ``prefix``."""
-    lines = path.read_text().splitlines()
-    return next(n for n, ln in enumerate(lines, start=1) if ln.startswith(prefix))
+    lines = path.read_bytes().split(b"\n")
+    return next(n for n, ln in enumerate(lines, start=1) if ln.startswith(prefix.encode()))
+
+
+def _write_v1_scan(rec, path):
+    """Write ``rec`` as format v1 did: the same header under a v1 signature,
+    then a text body of repr floats."""
+    header = ["# alignor-record v1", "# kind: scan",
+              *(f"# meta.{k} = {_format_value(rec.meta[k])}" for k in sorted(rec.meta))]
+    return write_table(path, header, SCAN_COLUMNS, [getattr(rec, c) for c in SCAN_COLUMNS])
 
 
 class TestStrictBody:
     def test_truncated_scan_is_data_error_naming_the_line(self, scan_record,
                                                           tmp_path, capsys):
-        f = write_record(scan_record, tmp_path / "scan.txt")
+        f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
         f.write_bytes(f.read_bytes()[:2000])
         lines = f.read_text().splitlines()
         assert len(lines[-1].split()) != 5  # the cut leaves a ragged last row
@@ -130,7 +140,7 @@ class TestStrictBody:
     def test_ragged_body_with_divisible_token_count(self, scan_record, tmp_path):
         # a 3-field row then a 7-field row: 10 tokens, so a reshape to five
         # columns alone would accept the body
-        f = write_record(scan_record, tmp_path / "scan.txt")
+        f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
         lines = f.read_text().splitlines()
         n = _line_no(f, "# columns:") + 3
         tokens = (lines[n - 1] + " " + lines[n]).split()
@@ -141,7 +151,7 @@ class TestStrictBody:
 
     def test_body_one_column_short_rejected(self, scan_record, tmp_path):
         # every row has the same four fields, so numpy parses the body
-        f = write_record(scan_record, tmp_path / "scan.txt")
+        f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
         lines = f.read_text().splitlines()
         n = _line_no(f, "# columns:") + 1
         lines[n - 1:] = [ln.rsplit(" ", 1)[0] for ln in lines[n - 1:]]
@@ -161,8 +171,8 @@ class TestStrictBody:
     def test_swapped_columns_line_rejected(self, scan_record, tmp_path):
         f = write_record(scan_record, tmp_path / "scan.txt")
         n = _line_no(f, "# columns:")
-        f.write_text(f.read_text().replace("# columns: t bx_ramp",
-                                           "# columns: bx_ramp t"))
+        f.write_bytes(f.read_bytes().replace(b"# columns: t bx_ramp",
+                                             b"# columns: bx_ramp t", 1))
         with pytest.raises(ValueError,
                            match=re.escape(f"{f}:{n}: expected '# columns: t bx_ramp")):
             read_record(f)
@@ -191,6 +201,119 @@ class TestStrictBody:
         f.write_text(f.read_text().replace("# seed: 0", "# seed: zero"))
         with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: expected '# seed: <int>'")):
             read_points_table(f)
+
+
+class TestStrictHeader:
+    @pytest.mark.parametrize("extra", [
+        "garbage line", "# metaX = 1", "#meta.x = 1", "# meta.x =1", "# meta.a0 = 2.0",
+        "# kind: scan", "# kind: demod"])
+    def test_stray_header_line_is_data_error(self, scan_record, tmp_path, capsys, extra):
+        # a line that is not the one kind line or a new meta key would be
+        # dropped on rewrite, so it is rejected instead
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        n = _line_no(f, "# columns:")
+        f.write_bytes(f.read_bytes().replace(b"# columns:", extra.encode() + b"\n# columns:", 1))
+        assert main(["demod", str(f), "--out", str(tmp_path / "out")]) == 2
+        assert f"{f}:{n}:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "demod.txt").exists()
+
+    def test_missing_kind_line_rejected(self, scan_record, tmp_path):
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        f.write_bytes(f.read_bytes().replace(b"# kind: scan\n", b"", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{f}:2: missing '# kind:' line")):
+            read_record(f)
+
+    def test_non_utf8_header_names_the_line(self, scan_record, tmp_path):
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        n = _line_no(f, "# meta.a0 =")
+        f.write_bytes(f.read_bytes().replace(b"# meta.a0 =", b"# meta.\xff =", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: not UTF-8")) as err:
+            read_record(f)
+        assert err.type is ValueError
+
+    def test_demod_record_has_no_v2(self, scan_record, tmp_path):
+        f = write_record(lockin_demodulate(scan_record), tmp_path / "dem.txt")
+        assert f.read_bytes().startswith(b"# alignor-record v1\n# kind: demod\n")
+        f.write_bytes(f.read_bytes().replace(b"v1", b"v2", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{f}:1: unsupported demod record")):
+            read_record(f)
+
+
+class TestBinaryBody:
+    def test_layout(self, scan_record, tmp_path):
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        body = np.concatenate([getattr(scan_record, c) for c in SCAN_COLUMNS])
+        tail = (f"# columns: {' '.join(SCAN_COLUMNS)}\n"
+                f"# body: f8-le {len(scan_record.t)}\n").encode() + body.astype("<f8").tobytes()
+        data = f.read_bytes()
+        assert data.startswith(b"# alignor-record v2\n# kind: scan\n# meta.")
+        assert data.endswith(tail)
+        assert data.count(b"\n# body: ") == 1
+
+    def test_columns_writable_and_contiguous(self, scan_record, tmp_path):
+        back = read_record(write_record(scan_record, tmp_path / "scan.txt"))
+        for name in SCAN_COLUMNS:
+            col = getattr(back, name)
+            assert col.flags.writeable and col.flags.c_contiguous
+            col[0] += 1.0
+
+    @pytest.mark.parametrize("cut", [1, 8, 4000])
+    def test_truncated_body_is_data_error_naming_the_offset(self, scan_record, tmp_path,
+                                                             capsys, cut):
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        f.write_bytes(f.read_bytes()[:-cut])
+        assert main(["demod", str(f), "--out", str(tmp_path / "out")]) == 2
+        assert f"{f}: byte {f.stat().st_size}:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "demod.txt").exists()
+
+    @pytest.mark.parametrize("extra", [b"\n", b"\0" * 40])
+    def test_over_long_body_is_data_error_naming_the_offset(self, scan_record, tmp_path,
+                                                             capsys, extra):
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        end = f.stat().st_size
+        f.write_bytes(f.read_bytes() + extra)
+        assert main(["demod", str(f), "--out", str(tmp_path / "out")]) == 2
+        assert f"{f}: byte {end}:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "demod.txt").exists()
+
+    @pytest.mark.parametrize("rows", ["-1601", "1601.0", "1e3", "0x641", "01601", "", "many"])
+    def test_bad_row_count_is_data_error_naming_the_offset(self, scan_record, tmp_path,
+                                                           capsys, rows):
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        data = f.read_bytes()
+        at = data.index(b"\n# body: ") + 1
+        bad = data.replace(f"# body: f8-le {len(scan_record.t)}\n".encode(),
+                           f"# body: f8-le {rows}\n".encode(), 1)
+        assert bad != data
+        f.write_bytes(bad)
+        assert main(["demod", str(f), "--out", str(tmp_path / "out")]) == 2
+        assert f"{f}: byte {at}:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "demod.txt").exists()
+
+    def test_v1_signature_on_binary_body_rejected(self, scan_record, tmp_path):
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        f.write_bytes(f.read_bytes().replace(b"v2", b"v1", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{f}:")):
+            read_record(f)
+
+    def test_v2_signature_on_text_body_rejected(self, scan_record, tmp_path):
+        f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
+        f.write_bytes(f.read_bytes().replace(b"v1", b"v2", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{f}: byte ")):
+            read_record(f)
+
+    def test_v1_scan_reads_and_replays(self, scan_record, tmp_path):
+        f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
+        assert f.read_text().startswith("# alignor-record v1\n# kind: scan\n")
+        back = read_record(f)
+        assert back.meta == scan_record.meta
+        replay = synthesize_from_meta(back.meta)
+        for name in SCAN_COLUMNS:
+            assert getattr(back, name).tobytes() == getattr(scan_record, name).tobytes()
+            assert getattr(replay, name).tobytes() == getattr(scan_record, name).tobytes()
+        # rewriting a v1 scan gives the v2 file of the same record
+        assert write_record(back, tmp_path / "v2.txt").read_bytes() == \
+            write_record(scan_record, tmp_path / "ref.txt").read_bytes()
 
 
 class TestConfig:
