@@ -8,20 +8,16 @@ back-of-the-envelope estimators that accompany them.
 """
 
 from .dynamics import (
-    CoupledState,
     CouplingParams,
     FlipEvent,
-    StepSizeError,
     SweepProtocol,
     Trajectory,
     UnreachableThresholdError,
     default_tau_flip,
     effective_field_from_transient,
     effective_params,
-    max_stable_dt,
     predict_flip_field,
     run_sweep,
-    step_coupled,
     sweep_profile,
 )
 from .estimators import (
@@ -90,23 +86,23 @@ from .study import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BroadeningBudget", "CompositeContourModel", "CoupledState",
-    "CouplingParams", "DegenerateFitError", "DemodRecord", "DipoleConfig",
-    "EnsembleParams", "FieldVector", "FitResult", "FlipEvent", "ScanConfig",
-    "ScanRecord", "Series", "SignalMix", "StepSizeError", "StudyConfig",
-    "StudyPreset", "StudyResult", "SweepProtocol", "Trajectory",
-    "TransitionResult", "UnreachableThresholdError", "alignment_signal_shape",
-    "alignment_steady_state", "alignment_steady_state_grid", "broadening_rate",
-    "build_spin2_generators", "calibrate_phase", "circular_power",
-    "composite_eval", "cs_number_density",
-    "cs_vapor_pressure_pa", "default_tau_flip", "dipole_field",
-    "dump_config", "effective_field_from_transient", "effective_params",
-    "emit_plot", "ensemble_volume", "extract_transition", "fit_record",
-    "fit_trend", "levenberg_marquardt", "load_config", "lockin_demodulate",
-    "lowpass_filter", "lowpass_rise_time", "max_stable_dt", "measure_point",
+    "BroadeningBudget", "CompositeContourModel", "CouplingParams",
+    "DegenerateFitError", "DemodRecord", "DipoleConfig", "EnsembleParams",
+    "FieldVector", "FitResult", "FlipEvent", "ScanConfig", "ScanRecord",
+    "Series", "SignalMix", "StudyConfig", "StudyPreset", "StudyResult",
+    "SweepProtocol", "Trajectory", "TransitionResult",
+    "UnreachableThresholdError", "alignment_signal_shape",
+    "alignment_steady_state", "alignment_steady_state_grid",
+    "broadening_rate", "build_spin2_generators", "calibrate_phase",
+    "circular_power", "composite_eval", "cs_number_density",
+    "cs_vapor_pressure_pa", "default_tau_flip", "dipole_field", "dump_config",
+    "effective_field_from_transient", "effective_params", "emit_plot",
+    "ensemble_volume", "extract_transition", "fit_record", "fit_trend",
+    "levenberg_marquardt", "load_config", "lockin_demodulate",
+    "lowpass_filter", "lowpass_rise_time", "measure_point",
     "orientation_steady_state", "orientation_steady_state_grid",
     "experiment_signal_mix", "parse_config", "point_dipole_validity",
     "predict_flip_field", "read_record", "report", "run_study", "run_sweep",
-    "signals_from_state", "step_coupled", "study_config_from_dict",
-    "sweep_profile", "synthesize_record", "write_record",
+    "signals_from_state", "study_config_from_dict", "sweep_profile",
+    "synthesize_record", "write_record",
 ]

@@ -1,14 +1,10 @@
-"""Coupled time-domain evolution, sweep protocols and the hysteresis latch.
+"""Sweep protocols and the hysteresis latch.
 
-Two simulation modes:
-
-* latch mode (default) implements the threshold hypothesis directly: the
-  orientation moment follows its quasi-static steady state, and the sign of
-  the alignment-driving effective transverse field is a latched variable that
-  flips only when M_y crosses +/-my0, ramping through zero as a raised cosine
-  of duration pi*tau_flip.
-* ode mode integrates both moments with classical RK4 under the applied field
-  plus the kappa*M1 effective field, with no latch; it is exploratory.
+One simulation model, the latch, implements the threshold hypothesis
+directly: the orientation moment follows its quasi-static steady state, and
+the sign of the alignment-driving effective transverse field is a latched
+variable that flips only when M_y crosses +/-my0, ramping through zero as a
+raised cosine of duration pi*tau_flip.
 """
 
 import bisect
@@ -19,11 +15,8 @@ import numpy as np
 
 from .spincore import (
     EnsembleParams,
-    FieldVector,
-    ALIGNMENT_PUMP_X,
     alignment_steady_state_grid,
     orientation_steady_state_grid,
-    spin2_contract,
 )
 
 # 10-90% fraction of the half-period of a raised-cosine step
@@ -32,10 +25,6 @@ RAISED_COS_10_90 = (math.acos(-0.8) - math.acos(0.8)) / math.pi
 
 class UnreachableThresholdError(ValueError):
     """Flip threshold exceeds the available orientation moment."""
-
-
-class StepSizeError(ValueError):
-    """Integrator step violates the stability bound."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +110,7 @@ class FlipEvent:
 class Trajectory:
     """Uniformly sampled sweep output.
 
-    latch holds the continuous latch variable in [-1, 1] (NaN in ode mode);
+    latch holds the continuous latch variable in [-1, 1];
     b_eff is the field the alignment moment actually evolved under.
     """
 
@@ -279,121 +268,27 @@ def _flip_events(t, bx, my, flips, my0, direction):
 
 
 # ---------------------------------------------------------------------------
-# coupled ODE stepping
-
-
-def _coupled_rhs(m1, m2, b, p: EnsembleParams, c: CouplingParams):
-    v = np.asarray(p.pump_axis, float)
-    dm1 = p.gamma_rad * np.cross(m1, b) - p.relax_rate * (m1 - p.m0 * v)
-    b_eff = b + c.kappa * m1
-    dm2 = (-p.gamma_rad * (spin2_contract(*b_eff) @ m2)
-           - p.alignment_relax_rate * (m2 - p.a0 * ALIGNMENT_PUMP_X))
-    return dm1, dm2
-
-
-@dataclass(frozen=True)
-class CoupledState:
-    """Instantaneous state of the coupled integrator."""
-
-    m1: np.ndarray
-    m2: np.ndarray
-
-
-def _rk4(state: CoupledState, b, p, c, dt) -> CoupledState:
-    m1, m2 = state.m1, state.m2
-    k1 = _coupled_rhs(m1, m2, b, p, c)
-    k2 = _coupled_rhs(m1 + 0.5 * dt * k1[0], m2 + 0.5 * dt * k1[1], b, p, c)
-    k3 = _coupled_rhs(m1 + 0.5 * dt * k2[0], m2 + 0.5 * dt * k2[1], b, p, c)
-    k4 = _coupled_rhs(m1 + dt * k3[0], m2 + dt * k3[1], b, p, c)
-    return CoupledState(
-        m1=m1 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        m2=m2 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
-
-
-def _stable_dt(bmag: float, p: EnsembleParams) -> float:
-    bound = 0.1 / max(p.relax_rate, p.alignment_relax_rate)
-    if bmag > 0:
-        bound = min(bound, 0.05 / (p.gamma_rad * bmag))
-    return bound
-
-
-def max_stable_dt(B: FieldVector, p: EnsembleParams) -> float:
-    """Stability bound: dt <= 0.1/Gamma and dt <= 0.05/(gamma |B|)."""
-    return _stable_dt(B.magnitude, p)
-
-
-def step_coupled(state: CoupledState, B_applied: FieldVector, p: EnsembleParams,
-                 c: CouplingParams, dt: float) -> CoupledState:
-    """One RK4 step of the coupled moments under a constant applied field.
-
-    The alignment precesses about B + kappa*m1, so dt is bounded by the
-    stability bound at |B| + |kappa|*|m1|, as in run_sweep(mode="ode").
-    """
-    bmag = B_applied.magnitude + abs(c.kappa) * float(np.linalg.norm(state.m1))
-    bound = _stable_dt(bmag, p)
-    if dt > bound:
-        raise StepSizeError(
-            f"dt={dt:.3e} s exceeds the stability bound {bound:.3e} s "
-            f"(Gamma={p.relax_rate:.3g}/s, |B|+|kappa||m1|={bmag:.3g} nT)")
-    return _rk4(state, B_applied.as_array(), p, c, dt)
-
-
-# ---------------------------------------------------------------------------
 # sweeps
 
 
 def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
-              mode: str = "latch", initial_sign: int | None = None) -> Trajectory:
+              initial_sign: int | None = None) -> Trajectory:
     """Run a field scan and return the sampled trajectory.
 
-    latch mode: both moments follow their quasi-static steady states; the
-    alignment sees static_by plus the latched effective field
-    kappa*my0*latch(t).  ode mode: RK4 time integration with the kappa*M1
-    effective field and no latch.
+    Both moments follow their quasi-static steady states; the alignment sees
+    static_by plus the latched effective field kappa*my0*latch(t).
     """
-    if mode not in ("latch", "ode"):
-        raise ValueError("mode must be 'latch' or 'ode'")
     t, bx, direction = sweep_profile(proto)
     pe = effective_params(p, proto)
     by = np.full_like(bx, proto.static_by)
     bz = np.full_like(bx, proto.static_bz)
     b_applied = np.stack([bx, by, bz], axis=-1)
-
-    if mode == "latch":
-        m1 = orientation_steady_state_grid(bx, by, bz, pe)
-        tau = c.tau_flip if c.tau_flip is not None else default_tau_flip(pe, c)
-        ell, flip_idx = latch_scan(t, m1[:, 1], direction, c.my0, tau, s0=initial_sign)
-        by_eff = by + c.kappa * c.my0 * ell
-        m2 = alignment_steady_state_grid(bx, by_eff, bz, pe)
-        b_eff = np.stack([bx, by_eff, bz], axis=-1)
-        flips = _flip_events(t, bx, m1[:, 1], flip_idx, c.my0, direction)
-        return Trajectory(t=t, b_applied=b_applied, b_eff=b_eff, m1=m1, m2=m2,
-                          latch=ell, direction=direction, flips=flips)
-
-    # ode mode
-    m1 = np.empty((t.size, 3))
-    m2 = np.empty((t.size, 5))
-    b_eff = np.empty((t.size, 3))
-    state = CoupledState(
-        m1=orientation_steady_state_grid(bx[0], by[0], bz[0], pe),
-        m2=alignment_steady_state_grid(bx[0], by[0], bz[0], pe))
-    dt_out = t[1] - t[0] if t.size > 1 else 0.0
-    for i in range(t.size):
-        m1[i] = state.m1
-        m2[i] = state.m2
-        b_eff[i] = b_applied[i] + c.kappa * state.m1
-        if i == t.size - 1:
-            break
-        # the alignment precesses about b + kappa*m1, not about b alone
-        bmag = (FieldVector(*b_applied[i]).magnitude
-                + abs(c.kappa) * float(np.linalg.norm(state.m1)))
-        bound = _stable_dt(bmag, pe)
-        nsub = max(1, int(math.ceil(dt_out / bound)))
-        dt = dt_out / nsub
-        for k in range(nsub):
-            # field interpolated linearly across the output interval
-            frac = (k + 0.5) / nsub
-            b = b_applied[i] * (1 - frac) + b_applied[i + 1] * frac
-            state = _rk4(state, b, pe, c, dt)
+    m1 = orientation_steady_state_grid(bx, by, bz, pe)
+    tau = c.tau_flip if c.tau_flip is not None else default_tau_flip(pe, c)
+    ell, flip_idx = latch_scan(t, m1[:, 1], direction, c.my0, tau, s0=initial_sign)
+    by_eff = by + c.kappa * c.my0 * ell
+    m2 = alignment_steady_state_grid(bx, by_eff, bz, pe)
+    b_eff = np.stack([bx, by_eff, bz], axis=-1)
+    flips = _flip_events(t, bx, m1[:, 1], flip_idx, c.my0, direction)
     return Trajectory(t=t, b_applied=b_applied, b_eff=b_eff, m1=m1, m2=m2,
-                      latch=np.full(t.size, math.nan), direction=direction)
+                      latch=ell, direction=direction, flips=flips)

@@ -135,12 +135,24 @@ def read_table(path, parse_header):
     raise ValueError(f"{path}: malformed table body")
 
 
-def _format_value(v):
+def _plain(v):
+    """v with numpy scalars, also inside lists, tuples and dicts, turned
+    into the Python scalars whose repr is a literal."""
     if isinstance(v, (np.floating, float)):
-        return repr(float(v))
+        return float(v)
     if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
-        return repr(int(v))
-    return repr(v)
+        return int(v)
+    if isinstance(v, np.generic):
+        return v.item()
+    if isinstance(v, (list, tuple)):
+        return (list if isinstance(v, list) else tuple)(map(_plain, v))
+    if isinstance(v, dict):
+        return {_plain(k): _plain(x) for k, x in v.items()}
+    return v
+
+
+def _format_value(v):
+    return repr(_plain(v))
 
 
 class _NonFinite(ast.NodeTransformer):

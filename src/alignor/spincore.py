@@ -8,11 +8,10 @@ the orientation as (..., 3) = (mx, my, mz), the alignment as (..., 5) in the
 real z-quantized basis (m0c, m1c, m1s, m2c, m2s), with m0c = rho_0,
 m_qc = sqrt(2)*Re rho_q and m_qs = -sqrt(2)*Im rho_q for q > 0.  This module holds the validated input
 types (FieldVector, EnsembleParams), the real spin-2 rotation generators
-with their one field contraction (read by the scalar oracle and the ODE),
-the closed-form alignment lineshape, the scalar (LAPACK) steady-state
-solvers, the closed-form grid solvers (the orientation inverse and the
-adjugate of the 5x5 alignment system), and the one signal mix that turns
-moments into photodetector signals.
+with their one field contraction, the closed-form alignment lineshape, the
+scalar (LAPACK) steady-state solvers, the closed-form grid solvers (the
+orientation inverse and the adjugate of the 5x5 alignment system), and the
+one signal mix that turns moments into photodetector signals.
 """
 
 from dataclasses import dataclass, replace
@@ -39,10 +38,6 @@ class FieldVector:
         for v in (self.bx, self.by, self.bz):
             if not math.isfinite(v):
                 raise ValueError("field components must be finite")
-
-    @property
-    def magnitude(self) -> float:
-        return math.sqrt(self.bx**2 + self.by**2 + self.bz**2)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.bx, self.by, self.bz])

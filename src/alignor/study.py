@@ -297,14 +297,26 @@ def _write_points_table(cfg: StudyConfig, points, path: Path):
 
 
 def _parse_points_header(path, lines):
-    info = {m[1]: (n, m[2]) for n, ln in enumerate(lines, start=1)
-            if (m := re.fullmatch(r"# (kind|seed): (.*)", ln))}
-    if lines[:1] != [_POINTS_SIGNATURE] or "kind" not in info:
-        raise ValueError(f"{path}:1: not a study points table: missing signature or kind line")
-    n, seed = info.get("seed", (0, "0"))
-    if not re.fullmatch(r"-?[0-9]+", seed):
-        raise ValueError(f"{path}:{n}: expected '# seed: <int>', got {lines[n - 1]!r}")
-    return (info["kind"][1], int(seed)), POINT_COLUMNS, None, False
+    """Check a points-table header: the signature, exactly one ``# kind:``
+    line, at most one ``# seed: <int>`` line, nothing else."""
+    if lines[:1] != [_POINTS_SIGNATURE]:
+        raise ValueError(f"{path}:1: not a study points table: missing signature line")
+    info = {}
+    for n, ln in enumerate(lines[1:], start=2):
+        m = re.fullmatch(r"# (kind|seed): (.*)", ln)
+        if m is None:
+            raise ValueError(f"{path}:{n}: expected '# kind: <kind>' or '# seed: <int>', "
+                             f"got {ln!r}")
+        if m[1] in info:
+            raise ValueError(f"{path}:{n}: a second '# {m[1]}:' line")
+        if m[1] == "kind" and m[2] not in STUDY_KINDS:
+            raise ValueError(f"{path}:{n}: unknown study kind {m[2]!r}")
+        if m[1] == "seed" and not re.fullmatch(r"0|-?[1-9][0-9]*", m[2]):
+            raise ValueError(f"{path}:{n}: expected '# seed: <int>', got {ln!r}")
+        info[m[1]] = m[2]
+    if "kind" not in info:
+        raise ValueError(f"{path}:2: missing '# kind:' line")
+    return (info["kind"], int(info.get("seed", 0))), POINT_COLUMNS, None, False
 
 
 def read_points_table(path) -> tuple:

@@ -6,10 +6,8 @@ import pytest
 
 from alignor.dynamics import (
     RAISED_COS_10_90,
-    CoupledState,
     CouplingParams,
     FlipEvent,
-    StepSizeError,
     SweepProtocol,
     Trajectory,
     UnreachableThresholdError,
@@ -17,18 +15,11 @@ from alignor.dynamics import (
     default_tau_flip,
     effective_field_from_transient,
     latch_scan,
-    max_stable_dt,
     predict_flip_field,
     run_sweep,
-    step_coupled,
     sweep_profile,
 )
-from alignor.spincore import (
-    EnsembleParams,
-    FieldVector,
-    alignment_steady_state,
-    orientation_steady_state,
-)
+from alignor.spincore import EnsembleParams
 
 P = EnsembleParams(gamma_over_2pi=3.5, relax_rate=60.0, m0=1.0, a0=1.0)
 
@@ -160,50 +151,6 @@ class TestSweepProfile:
                           direction_pattern="sideways")
 
 
-class TestStepCoupled:
-    def test_converges_to_uncoupled_steady_states(self):
-        c = CouplingParams(kappa=0.0, my0=0.1)
-        B = FieldVector(3.0, 0.5, -1.0)
-        state = CoupledState(m1=np.zeros(3), m2=np.zeros(5))
-        dt = 0.8 * max_stable_dt(B, P)
-        n = int(20.0 / P.relax_rate / dt)
-        for _ in range(n):
-            state = step_coupled(state, B, P, c, dt)
-        m1_ref = orientation_steady_state(B, P)
-        m2_ref = alignment_steady_state(B, P)
-        assert np.max(np.abs(state.m1 - m1_ref)) < 1e-6
-        assert np.max(np.abs(state.m2 - m2_ref)) < 1e-6
-
-    def test_zero_field_pumps_along_z(self):
-        c = CouplingParams(kappa=8.0, my0=0.1)
-        B = FieldVector(0.0, 0.0, 0.0)
-        state = CoupledState(m1=np.array([0.3, -0.2, 0.1]), m2=np.zeros(5))
-        # the bound at the largest |m1| of the run, the pumped m0
-        dt = 0.8 * max_stable_dt(FieldVector(0.0, 0.0, c.kappa * P.m0), P)
-        for _ in range(int(20.0 / P.relax_rate / dt)):
-            state = step_coupled(state, B, P, c, dt)
-        assert state.m1 == pytest.approx([0.0, 0.0, P.m0], abs=1e-6)
-        b_eff = c.kappa * state.m1
-        assert b_eff[0] == pytest.approx(0.0, abs=1e-5)
-        assert b_eff[1] == pytest.approx(0.0, abs=1e-5)
-
-    def test_coupling_field_bounds_the_step(self):
-        # dt is stable for the applied field alone but not for B + kappa*m1
-        c = CouplingParams(kappa=100.0, my0=0.01)
-        B = FieldVector(0.0, 0.4, 0.0)
-        state = CoupledState(m1=np.array([0.0, 0.0, 1.0]), m2=np.zeros(5))
-        dt = 0.8 * max_stable_dt(B, P)
-        with pytest.raises(StepSizeError):
-            for _ in range(200):
-                state = step_coupled(state, B, P, c, dt)
-
-    def test_step_size_violation(self):
-        B = FieldVector(100.0, 0.0, 0.0)
-        state = CoupledState(m1=np.zeros(3), m2=np.zeros(5))
-        with pytest.raises(StepSizeError):
-            step_coupled(state, B, P, CouplingParams(kappa=0.0, my0=0.0), 1.0)
-
-
 class TestLatchScan:
     def test_basic_flip_and_raised_cosine(self):
         t = np.linspace(0.0, 10.0, 2001)
@@ -324,44 +271,6 @@ class TestRunSweepLatch:
         # and that duration inverts back to the latched field
         assert effective_field_from_transient(dt, P) == pytest.approx(
             self.C.latched_field, rel=0.05)
-
-
-class TestRunSweepOde:
-    def test_effective_field_identity(self):
-        c = CouplingParams(kappa=4.0, my0=0.1)
-        proto = SweepProtocol(bx_start=-3.0, bx_end=3.0, rate=2.0,
-                              direction_pattern="up", sample_rate=50.0)
-        traj = run_sweep(proto, P, c, mode="ode")
-        expect = traj.b_applied[:, 1] + c.kappa * traj.m1[:, 1]
-        assert np.max(np.abs(traj.b_eff[:, 1] - expect)) < 1e-12
-
-    def test_slow_sweep_tracks_steady_state(self):
-        c = CouplingParams(kappa=0.0, my0=0.0)
-        proto = SweepProtocol(bx_start=-2.0, bx_end=2.0, rate=0.2,
-                              direction_pattern="up", sample_rate=50.0)
-        traj = run_sweep(proto, P, c, mode="ode")
-        ref = run_sweep(proto, P, c, mode="latch")
-        # quasi-static lag ~ (dm/dbx)*rate/Gamma ~ 1e-3
-        assert np.max(np.abs(traj.m1 - ref.m1)) < 3e-3
-        assert np.max(np.abs(traj.m2 - ref.m2)) < 3e-3
-
-    def test_strong_coupling_stays_bounded(self):
-        # the alignment precesses about b + kappa*m1, about 100 nT here
-        # against an applied field of 0.45 nT
-        c = CouplingParams(kappa=100.0, my0=0.01)
-        proto = SweepProtocol(bx_start=-0.2, bx_end=0.2, rate=5.0,
-                              direction_pattern="up", sample_rate=50.0,
-                              static_by=0.4)
-        traj = run_sweep(proto, P, c, mode="ode")
-        for a in (traj.m1, traj.m2, traj.b_eff):
-            assert np.all(np.isfinite(a))
-        assert np.max(np.linalg.norm(traj.m2, axis=1)) <= P.a0
-        assert np.max(np.linalg.norm(traj.m1, axis=1)) <= P.m0
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            run_sweep(triangle(), P, CouplingParams(kappa=0.0, my0=0.0),
-                      mode="quantum")
 
 
 class TestCouplingParams:

@@ -1,12 +1,14 @@
 """Static checks on the package source: no unused imports, no module
 constant that nothing reads, no top-level function or class that nothing
 references, the shared constants and spin-2 generators each defined in
-exactly one place, the generators read only by the B.G contraction, the
-signal mix written once, LAPACK solves kept out of the grid solvers, no
-run-time filter design by scipy's bilinear transform, the table format
-(its column-names line, its text body parser and its binary body decoder)
-kept in recordio, and no scipy at run time (numpy is the only dependency;
-scipy is a test oracle)."""
+exactly one place, the generators read only by the B.G contraction and
+that contraction only by the scalar alignment oracle (the generic 5x5
+numerics stay off every run-time path), the signal mix written once,
+LAPACK solves kept out of the grid solvers, no run-time filter design by
+scipy's bilinear transform, the table format (its column-names line, its
+text body parser and its binary body decoder) kept in recordio, and no
+scipy at run time (numpy is the only dependency; scipy is a test
+oracle)."""
 
 import ast
 import os
@@ -135,6 +137,11 @@ def _reads(name):
 
 def test_spin2_generators_read_only_by_contraction():
     assert _enclosing_functions(_reads("SPIN2_GENERATORS")) == [("spincore", "spin2_contract")]
+
+
+def test_spin2_contract_read_only_by_scalar_oracle():
+    assert _enclosing_functions(_reads("spin2_contract")) == [
+        ("spincore", "alignment_steady_state")]
 
 
 def test_bilinear_not_called_in_package():

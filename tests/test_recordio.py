@@ -99,6 +99,20 @@ class TestRecordFile:
         with pytest.raises(TypeError):
             write_record({"not": "a record"}, tmp_path / "x.txt")
 
+    def test_nested_numpy_meta_round_trip(self, scan_record, tmp_path):
+        # numpy scalars inside containers are written as Python literals,
+        # not as their numpy 2 repr (np.float64(1.5)), which read rejects
+        rec = replace(scan_record, meta={**scan_record.meta, "lst": [np.float64(1.5)],
+                                         "tup": (np.int64(2), [np.float32(0.5)]),
+                                         "dct": {"on": np.bool_(True)}})
+        f1 = write_record(rec, tmp_path / "rec.txt")
+        assert b"# meta.lst = [1.5]\n" in f1.read_bytes()
+        back = read_record(f1)
+        assert back.meta["lst"] == [1.5]
+        assert back.meta["tup"] == (2, [0.5]) and back.meta["dct"] == {"on": True}
+        f2 = write_record(back, tmp_path / "rec2.txt")
+        assert f1.read_bytes() == f2.read_bytes()
+
     def test_record_with_back_action_replays(self, scan_record, tmp_path):
         # records from before CouplingParams.back_action was removed carry
         # it in their meta; latch-mode synthesis never read it
@@ -200,6 +214,60 @@ class TestStrictBody:
         n = _line_no(f, "# seed:")
         f.write_text(f.read_text().replace("# seed: 0", "# seed: zero"))
         with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: expected '# seed: <int>'")):
+            read_points_table(f)
+
+
+def _points_table(tmp_path):
+    point = StudyPoint(*[0.25] * 17, fit_converged=True)
+    f = tmp_path / "points.txt"
+    _write_points_table(StudyConfig("single", (0.25,), seed=4), (point,), f)
+    return f
+
+
+class TestStrictPointsHeader:
+    @pytest.mark.parametrize("extra", [
+        "garbage", "# seed: 5", "# kind: single", "# kind: chi_grid", "#seed: 5",
+        "# seed:5", "# note: x"])
+    def test_stray_or_repeated_line_is_data_error(self, tmp_path, capsys, extra):
+        # a line that is not the one kind line or the one seed line would
+        # be dropped on rewrite (or, repeated, win over the first), so it is
+        # rejected instead
+        f = _points_table(tmp_path)
+        assert read_points_table(f)[:2] == ("single", 4)
+        n = _line_no(f, "# columns:")
+        f.write_text(f.read_text().replace("# columns:", f"{extra}\n# columns:", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{f}:{n}:")):
+            read_points_table(f)
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 2
+        assert f"{f}:{n}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("# kind: single", "missing '# kind:' line"),
+        ("# seed: 4", None)])
+    def test_kind_required_seed_optional(self, tmp_path, line, message):
+        f = _points_table(tmp_path)
+        f.write_text(f.read_text().replace(line + "\n", "", 1))
+        if message is None:
+            assert read_points_table(f)[:2] == ("single", 0)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{f}:2: {message}")):
+                read_points_table(f)
+
+    @pytest.mark.parametrize("seed", ["04", "-0"])
+    def test_non_canonical_seed_rejected(self, tmp_path, seed):
+        # each would read back as an int that rewrites differently
+        f = _points_table(tmp_path)
+        n = _line_no(f, "# seed:")
+        f.write_text(f.read_text().replace("# seed: 4", f"# seed: {seed}", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: expected '# seed: <int>'")):
+            read_points_table(f)
+
+    def test_unknown_kind_names_the_line(self, tmp_path):
+        f = _points_table(tmp_path)
+        n = _line_no(f, "# kind:")
+        f.write_text(f.read_text().replace("# kind: single", "# kind: ring", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: unknown study kind 'ring'")):
             read_points_table(f)
 
 
