@@ -1,26 +1,28 @@
 """Command-line interface: simulate, demodulate, fit, study, estimate, report.
 
-Configs are flat ``section.key = value`` text files; sections map onto the
-library dataclasses (``ramp.*`` -> SweepProtocol, ``instrument.*`` ->
-ScanConfig, ``physics.*`` -> EnsembleParams, ``coupling.*`` ->
-CouplingParams, ``mix.*`` -> SignalMix, ``study.*``/``preset.*`` ->
-StudyConfig); a scan is sampled at ``instrument.sample_rate``, so
-``simulate`` rejects ``ramp.sample_rate``.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 fit non-convergence (partial output is still
-printed).  The ALIGNOR_OUT environment variable overrides the base output
-directory.
+Each command takes only the shared options it reads: --seed, --config and
+--out for simulate and study, --out for demod, --format for fit and each
+estimate command.  Configs are flat ``section.key = value`` text files
+whose sections are applied to library objects (``ramp.*`` ->
+SweepProtocol, ``instrument.*`` -> ScanConfig, ``physics.*`` ->
+EnsembleParams, ``coupling.*`` -> CouplingParams, ``mix.*`` -> SignalMix
+over the StudyPreset reference loop; ``study.*``/``preset.*`` ->
+StudyConfig); any other key is a data error, and as a scan is sampled at
+``instrument.sample_rate``, so is ``ramp.sample_rate``.  Exit codes: 0
+success, 1 usage error, 2 data error, 3 fit non-convergence (partial
+output is still printed).  The ALIGNOR_OUT environment variable overrides
+the base output directory.
 """
 
 import argparse
-from dataclasses import fields
 import json
 import math
 import os
 from pathlib import Path
 import sys
 
-from .dynamics import CouplingParams, SweepProtocol
 from .estimators import (
+    DIPOLE_GEOMETRIES,
     BroadeningBudget,
     DipoleConfig,
     broadening_rate,
@@ -29,11 +31,10 @@ from .estimators import (
     ensemble_volume,
 )
 from .fitkit import DegenerateFitError, extract_transition, fit_record
-from .instrument import ScanConfig, lockin_demodulate, synthesize_record
+from .instrument import lockin_demodulate, synthesize_record
 from .recordio import config_section, load_config, read_record, write_record
-from .spincore import EnsembleParams, SignalMix
 from .study import (
-    DEFAULT_GRIDS,
+    STUDY_KINDS,
     StudyPreset,
     report,
     run_study,
@@ -56,45 +57,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config and output
 
 
-def default_simulate_config() -> dict:
-    """Flat config for the reference triangle-loop simulation."""
-    preset = StudyPreset()
-    p = preset.ensemble(preset.chi_deg)
-    c = preset.coupling()
-    mix = preset.signal_mix()
-    flat = {
-        "ramp.bx_start": -preset.bx_span_nt,
-        "ramp.bx_end": preset.bx_span_nt,
-        "ramp.rate": preset.ramp_rate,
-        "ramp.direction_pattern": "triangle",
-        "ramp.static_by": preset.residual_by_nt,
-        "ramp.static_bz": preset.residual_bz_nt,
-        "ramp.ellipticity_deg": preset.chi_deg,
-        "instrument.mod_amplitude": preset.mod_amplitude,
-        "instrument.mod_freq": preset.mod_freq,
-        "instrument.sample_rate": preset.sample_rate,
-        "instrument.noise_rms": preset.noise_rms,
-        "instrument.seed": 0,
-    }
-    for name in ("gamma_over_2pi", "relax_rate", "m0", "a0",
-                 "relax_ratio_alignment"):
-        flat[f"physics.{name}"] = getattr(p, name)
-    flat["coupling.kappa"] = c.kappa
-    flat["coupling.my0"] = c.my0
-    for f in fields(SignalMix):
-        flat[f"mix.{f.name}"] = getattr(mix, f.name)
-    return flat
-
-
-def _load_flat(args) -> dict:
-    flat = default_simulate_config()
-    if args.config:
-        flat.update(load_config(args.config))
-    if args.seed is not None:
-        flat["instrument.seed"] = args.seed
+def _config(args, *sections) -> dict:
+    """The --config file's flat dict ({} without one); keys of other
+    sections raise ValueError."""
+    flat = load_config(args.config) if args.config else {}
+    if unread := sorted(k for k in flat if k.partition(".")[0] not in sections):
+        raise ValueError(f"{args.config}: {args.command} reads no {unread}")
     return flat
 
 
@@ -127,15 +98,20 @@ def _emit(rows, fmt: str):
 
 
 def cmd_simulate(args) -> int:
-    flat = _load_flat(args)
+    flat = _config(args, "ramp", "instrument", "physics", "coupling", "mix")
     if "ramp.sample_rate" in flat:
         raise ValueError("ramp.sample_rate is not used by simulate; "
                          "set instrument.sample_rate instead")
-    ramp = config_section(flat, "ramp", SweepProtocol)
-    cfg = config_section(flat, "instrument", ScanConfig, ramp=ramp)
-    p = config_section(flat, "physics", EnsembleParams)
-    c = config_section(flat, "coupling", CouplingParams)
-    mix = config_section(flat, "mix", SignalMix)
+    if args.seed is not None:
+        flat["instrument.seed"] = args.seed
+    # defaults: the preset's live-latch loop at its reference ellipticity
+    preset = StudyPreset()
+    chi = preset.chi_deg
+    ramp = config_section(flat, "ramp", preset.loop_ramp(chi, preset.residual_by_nt))
+    cfg = config_section(flat, "instrument", preset.scan_config(ramp, seed=0))
+    p = config_section(flat, "physics", preset.ensemble(chi))
+    c = config_section(flat, "coupling", preset.coupling())
+    mix = config_section(flat, "mix", preset.signal_mix())
     rec = synthesize_record(cfg, p, c, mix)
     path = write_record(rec, _out_dir(args) / "scan.txt")
     print(path)
@@ -170,13 +146,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_study(args) -> int:
-    flat = load_config(args.config) if args.config else {}
+    flat = _config(args, "study", "preset")
     if args.kind:
         flat["study.kind"] = args.kind
-    kind = flat.get("study.kind", "single")
-    if "study.grid" not in flat:
-        flat["study.grid"] = list(
-            DEFAULT_GRIDS.get(kind, (StudyPreset().chi_deg,)))
     if args.seed is not None:
         flat["study.seed"] = args.seed
     cfg = study_config_from_dict(flat)
@@ -221,77 +193,76 @@ def cmd_estimate(args) -> int:
 # parser
 
 
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the simulation seed")
-    common.add_argument("--config", default=None,
-                        help="flat key=value config file")
-    common.add_argument("--out", default=None,
-                        help="output directory (default: ALIGNOR_OUT or .)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="result output format")
+# the options shared by name between subcommands; each takes only those
+# its handler reads
+_COMMON = {
+    "--seed": dict(type=int, help="override the simulation seed"),
+    "--config": dict(help="flat key=value config file"),
+    "--out": dict(help="output directory (default: ALIGNOR_OUT or .)"),
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="result output format"),
+}
 
+
+def _command(sub, name, func, common=(), **kwargs) -> _Parser:
+    p = sub.add_parser(name, **kwargs)
+    for flag in common:
+        p.add_argument(flag, **_COMMON[flag])
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="alignor",
                      description="Simulate and analyze bistable "
                                  "hysteresis scan records.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="synthesize one raw scan record")
-    p.set_defaults(func=cmd_simulate)
+    _command(sub, "simulate", cmd_simulate, ("--seed", "--config", "--out"),
+             help="synthesize one raw scan record")
 
-    p = sub.add_parser("demod", parents=[common],
-                       help="lock-in demodulate a raw scan record")
+    p = _command(sub, "demod", cmd_demod, ("--out",),
+                 help="lock-in demodulate a raw scan record")
     p.add_argument("record", help="scan record file")
     p.add_argument("--phase-deg", type=float, default=0.0)
     p.add_argument("--lpf-cutoff", type=float, default=0.5)
     p.add_argument("--gain", type=float, default=1.0)
-    p.set_defaults(func=cmd_demod)
 
-    p = sub.add_parser("fit", parents=[common],
-                       help="fit the composite contour to a demod record")
+    p = _command(sub, "fit", cmd_fit, ("--format",),
+                 help="fit the composite contour to a demod record")
     p.add_argument("record", help="demodulated record file")
     p.add_argument("--transition", action="store_true",
                    help="also report transition fields and flip duration")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("study", parents=[common],
-                       help="run a parameter-sweep study")
-    p.add_argument("--kind", choices=("chi_grid", "bz_grid", "by_grid",
-                                      "single"), default=None)
-    p.set_defaults(func=cmd_study)
+    p = _command(sub, "study", cmd_study, ("--seed", "--config", "--out"),
+                 help="run a parameter-sweep study")
+    p.add_argument("--kind", choices=STUDY_KINDS)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="regenerate tables/figures from a study directory")
+    p = _command(sub, "report", cmd_report,
+                 help="regenerate tables/figures from a study directory")
     p.add_argument("study_dir", help="directory containing points.txt")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("estimate", parents=[common],
-                       help="physical back-of-the-envelope estimates")
+    p = sub.add_parser("estimate", help="physical back-of-the-envelope estimates")
     est = p.add_subparsers(dest="what", required=True, parser_class=_Parser)
-    e = est.add_parser("broadening", parents=[common])
-    e.add_argument("--p-in", type=float, default=2.0, help="pump power, mW")
-    e.add_argument("--k-lb", type=float, default=30.0)
-    e.add_argument("--k-serf", type=float, default=0.3)
-    e.add_argument("--k-ls", type=float, default=90.0)
-    e.set_defaults(func=cmd_estimate)
-    e = est.add_parser("dipole", parents=[common])
+    e = _command(est, "broadening", cmd_estimate, ("--format",))
+    e.add_argument("--p-in", type=float, default=BroadeningBudget.p_in,
+                   help="pump power, mW")
+    e.add_argument("--k-lb", type=float, default=BroadeningBudget.k_lb)
+    e.add_argument("--k-serf", type=float, default=BroadeningBudget.k_serf)
+    e.add_argument("--k-ls", type=float, default=BroadeningBudget.k_ls)
+    e = _command(est, "dipole", cmd_estimate, ("--format",))
     e.add_argument("--n", type=float, required=True, help="number of atoms")
     e.add_argument("--l-mm", type=float, required=True, help="distance, mm")
-    e.add_argument("--geometry", choices=("on_axis", "equatorial"),
-                   default="on_axis")
-    e.set_defaults(func=cmd_estimate)
-    e = est.add_parser("volume", parents=[common])
+    e.add_argument("--geometry", choices=DIPOLE_GEOMETRIES,
+                   default=DipoleConfig.geometry)
+    e = _command(est, "volume", cmd_estimate, ("--format",))
     e.add_argument("--n", type=float, required=True, help="number of atoms")
     e.add_argument("--density", type=float, default=2e14,
                    help="number density, cm^-3")
-    e.set_defaults(func=cmd_estimate)
-    e = est.add_parser("density", parents=[common])
+    e = _command(est, "density", cmd_estimate, ("--format",))
     e.add_argument("--temp-c", type=float, required=True,
                    help="cell temperature, deg C")
-    e.set_defaults(func=cmd_estimate)
     return parser
 
 

@@ -17,6 +17,7 @@ from .spincore import (
     EnsembleParams,
     alignment_steady_state_grid,
     orientation_steady_state_grid,
+    reject_nonfinite,
 )
 
 # 10-90% fraction of the half-period of a raised-cosine step
@@ -42,8 +43,7 @@ class CouplingParams:
     tau_flip: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
+        reject_nonfinite(self)
         if self.my0 < 0:
             raise ValueError("my0 must be >= 0")
         if self.tau_flip is not None and self.tau_flip <= 0:
@@ -83,6 +83,7 @@ class SweepProtocol:
     sample_rate: float = 100.0        # Hz
 
     def __post_init__(self):
+        reject_nonfinite(self)
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
         if self.sample_rate <= 0:

@@ -40,19 +40,22 @@ class BroadeningBudget:
             raise ValueError("broadening coefficients must be >= 0")
 
 
+DIPOLE_GEOMETRIES = ("on_axis", "equatorial")
+
+
 @dataclass(frozen=True)
 class DipoleConfig:
     """Point-dipole field estimate inputs."""
 
     n_atoms: float
     distance_mm: float
-    geometry: str = "on_axis"   # or "equatorial"
+    geometry: str = "on_axis"   # one of DIPOLE_GEOMETRIES
 
     def __post_init__(self):
         if self.n_atoms <= 0 or self.distance_mm <= 0:
             raise ValueError("n_atoms and distance_mm must be > 0")
-        if self.geometry not in ("on_axis", "equatorial"):
-            raise ValueError("geometry must be 'on_axis' or 'equatorial'")
+        if self.geometry not in DIPOLE_GEOMETRIES:
+            raise ValueError(f"geometry must be one of {DIPOLE_GEOMETRIES}")
 
 
 def circular_power(p_in: float, chi_deg: float) -> float:

@@ -6,7 +6,7 @@ lockin_demodulate turns it into the per-branch demodulated contour that the
 fitting layer consumes.
 """
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 import math
 
 import numpy as np
@@ -25,6 +25,7 @@ from .spincore import (
     SignalMix,
     alignment_steady_state_grid,
     orientation_steady_state_grid,
+    reject_nonfinite,
     signals_from_state,
 )
 
@@ -42,6 +43,7 @@ class ScanConfig:
     seed: int = 0
 
     def __post_init__(self):
+        reject_nonfinite(self)
         if self.mod_amplitude < 0:
             raise ValueError("mod_amplitude must be >= 0")
         if self.mod_freq <= 0:
@@ -79,45 +81,38 @@ class DemodRecord:
     meta: dict
 
 
+# Settings a record's meta does not hold: the scan config's ramp, which the
+# meta holds field by field, and the ramp's sample rate, which the scan
+# config's sample rate overrides.
+_NOT_IN_META = {ScanConfig: ("ramp",), SweepProtocol: ("sample_rate",)}
+
+
+def _meta_fields(cls):
+    return [f.name for f in fields(cls) if f.name not in _NOT_IN_META.get(cls, ())]
+
+
 def record_meta(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
                 mix: SignalMix) -> dict:
-    """Flat metadata dict sufficient to regenerate the record bit-for-bit."""
-    r = cfg.ramp
-    return {
-        "mod_amplitude": cfg.mod_amplitude, "mod_freq": cfg.mod_freq,
-        "sample_rate": cfg.sample_rate, "noise_rms": cfg.noise_rms,
-        "drift_rate": cfg.drift_rate, "seed": cfg.seed,
-        "bx_start": r.bx_start, "bx_end": r.bx_end, "rate": r.rate,
-        "direction_pattern": r.direction_pattern,
-        "hold_on_zero": r.hold_on_zero, "hold_time": r.hold_time,
-        "static_by": r.static_by, "static_bz": r.static_bz,
-        "ellipticity_deg": r.ellipticity_deg,
-        "gamma_over_2pi": p.gamma_over_2pi, "relax_rate": p.relax_rate,
-        "m0": p.m0, "a0": p.a0,
-        "relax_ratio_alignment": p.relax_ratio_alignment,
-        "kappa": c.kappa, "my0": c.my0, "tau_flip": c.tau_flip,
-        **asdict(mix), "mode": "latch",
-    }
+    """Flat metadata dict sufficient to regenerate the record bit-for-bit:
+    every field of the five settings objects, by name."""
+    meta = {"mode": "latch"}
+    for obj in (cfg, cfg.ramp, p, c, mix):
+        meta.update((name, getattr(obj, name)) for name in _meta_fields(type(obj)))
+    return meta
 
 
 def config_from_meta(meta: dict):
-    """Inverse of record_meta: rebuild the config/parameter objects."""
-    ramp = SweepProtocol(
-        bx_start=meta["bx_start"], bx_end=meta["bx_end"], rate=meta["rate"],
-        direction_pattern=meta["direction_pattern"],
-        hold_on_zero=bool(meta["hold_on_zero"]), hold_time=meta["hold_time"],
-        static_by=meta["static_by"], static_bz=meta["static_bz"],
-        ellipticity_deg=meta["ellipticity_deg"])
-    cfg = ScanConfig(ramp=ramp, mod_amplitude=meta["mod_amplitude"],
-                     mod_freq=meta["mod_freq"], sample_rate=meta["sample_rate"],
-                     noise_rms=meta["noise_rms"], drift_rate=meta["drift_rate"],
-                     seed=int(meta["seed"]))
-    p = EnsembleParams(gamma_over_2pi=meta["gamma_over_2pi"],
-                       relax_rate=meta["relax_rate"], m0=meta["m0"], a0=meta["a0"],
-                       relax_ratio_alignment=meta.get("relax_ratio_alignment", 1.0))
-    c = CouplingParams(kappa=meta["kappa"], my0=meta["my0"], tau_flip=meta["tau_flip"])
-    mix = SignalMix(**{f.name: meta[f.name] for f in fields(SignalMix)})
-    return cfg, p, c, mix
+    """Inverse of record_meta: rebuild the config/parameter objects.
+
+    Records older than ``relax_ratio_alignment`` replay with its default;
+    keys of no current field (an old ``back_action``) are not read."""
+    meta = {"relax_ratio_alignment": 1.0, **meta}
+
+    def build(cls, **given):
+        return cls(**{name: meta[name] for name in _meta_fields(cls)}, **given)
+
+    cfg = build(ScanConfig, ramp=build(SweepProtocol))
+    return cfg, build(EnsembleParams), build(CouplingParams), build(SignalMix)
 
 
 # Samples per block of the steady-state -> signal chain in synthesize_record.

@@ -14,7 +14,7 @@ a malformed header or body raises ValueError naming the file and the line
 """
 
 import ast
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 import os
 from pathlib import Path
 import re
@@ -206,6 +206,20 @@ def _parse_header(path, lines):
     return (kind, meta), names, converters, version == 2
 
 
+def _meta_line(key, value) -> str:
+    """The ``# meta.<key> = <literal>`` line of one meta item; a key or a
+    value that would not read back as itself raises ValueError."""
+    line = f"# meta.{key} = {(text := _format_value(value))}"
+    try:  # the repr of a str, int, float, bool or None is its literal
+        if isinstance(key, str) and _META_LINE.fullmatch(line)[1] == key and (
+                type(value) in (str, int, float, bool, type(None))
+                or _format_value(_parse_literal(text)) == text):
+            return line
+    except (TypeError, ValueError, SyntaxError):
+        pass
+    raise ValueError(f"meta key {key!r}: {text} does not read back as a literal")
+
+
 def write_record(rec, path) -> Path:
     """Serialize a ScanRecord (binary body) or a DemodRecord (text body)."""
     if isinstance(rec, ScanRecord):
@@ -219,7 +233,7 @@ def write_record(rec, path) -> Path:
         raise TypeError(f"cannot serialize {type(rec).__name__}")
     names, _, version = _LAYOUTS[kind]
     header = [f"{_MAGIC} v{version}", f"# kind: {kind}",
-              *(f"# meta.{k} = {_format_value(rec.meta[k])}" for k in sorted(rec.meta))]
+              *(_meta_line(k, rec.meta[k]) for k in sorted(rec.meta))]
     write = _write_binary_table if version == 2 else write_table
     return write(path, header, names, columns)
 
@@ -277,18 +291,19 @@ def _parse_scalar(s: str):
         return s
 
 
-def config_section(flat: dict, prefix: str, cls, **extra):
-    """Instantiate a dataclass from the ``prefix.*`` keys of a flat config."""
-    names = {f.name for f in fields(cls)}
-    kwargs = {}
+def config_section(flat: dict, prefix: str, base):
+    """``base``, a dataclass instance, with the ``prefix.*`` keys of a flat
+    config applied by ``dataclasses.replace``.  A key naming no field, or a
+    field that holds a nested dataclass, raises ValueError."""
+    names = {f.name for f in fields(base) if not is_dataclass(getattr(base, f.name))}
+    changes = {}
     for key, value in flat.items():
         if key.startswith(prefix + "."):
             name = key[len(prefix) + 1:]
             if name not in names:
                 raise ValueError(f"unknown {prefix} field {name!r}")
-            kwargs[name] = value
-    kwargs.update(extra)
-    return cls(**kwargs)
+            changes[name] = value
+    return replace(base, **changes)
 
 
 def load_config(path) -> dict:

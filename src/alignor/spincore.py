@@ -1,20 +1,21 @@
 """Multipole algebra and steady states for coexisting orientation and alignment.
 
 The vapor carries two moments: a rank-1 orientation (a Bloch vector pumped by
-the circular light component) and a rank-2 alignment (pumped by the linear
-component, polarization axis x, light along z).  Both precess about the applied
-magnetic field and relax at a common rate.  Moments are plain numpy arrays:
-the orientation as (..., 3) = (mx, my, mz), the alignment as (..., 5) in the
-real z-quantized basis (m0c, m1c, m1s, m2c, m2s), with m0c = rho_0,
-m_qc = sqrt(2)*Re rho_q and m_qs = -sqrt(2)*Im rho_q for q > 0.  This module holds the validated input
-types (FieldVector, EnsembleParams), the real spin-2 rotation generators
-with their one field contraction, the closed-form alignment lineshape, the
-scalar (LAPACK) steady-state solvers, the closed-form grid solvers (the
-orientation inverse and the adjugate of the 5x5 alignment system), and the
-one signal mix that turns moments into photodetector signals.
+the circular light component along the light axis z) and a rank-2 alignment
+(pumped by the linear component, polarization axis x).  Both precess about
+the applied magnetic field and relax at a common rate.  Moments are plain
+numpy arrays: the orientation as (..., 3) = (mx, my, mz), the alignment as
+(..., 5) in the real z-quantized basis (m0c, m1c, m1s, m2c, m2s), with
+m0c = rho_0, m_qc = sqrt(2)*Re rho_q and m_qs = -sqrt(2)*Im rho_q for q > 0.
+This module holds the validated input types (FieldVector, EnsembleParams),
+the real spin-2 rotation generators with their one field contraction, the
+closed-form alignment lineshape, the scalar (LAPACK) steady-state solvers,
+the closed-form grid solvers (the orientation inverse and the adjugate of
+the 5x5 alignment system), and the one signal mix that turns moments into
+photodetector signals.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import math
 
 import numpy as np
@@ -26,6 +27,15 @@ WEAK_PUMP_GAMMA_HZ_PER_NT = 1.27
 STRONG_PUMP_GAMMA_HZ_PER_NT = 3.5
 
 
+def reject_nonfinite(obj):
+    """Raise ValueError naming the first float field of dataclass ``obj``
+    that is NaN or infinite."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+            raise ValueError(f"{f.name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class FieldVector:
     """Magnetic field (bx, by, bz) in nT."""
@@ -35,9 +45,7 @@ class FieldVector:
     bz: float = 0.0
 
     def __post_init__(self):
-        for v in (self.bx, self.by, self.bz):
-            if not math.isfinite(v):
-                raise ValueError("field components must be finite")
+        reject_nonfinite(self)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.bx, self.by, self.bz])
@@ -49,28 +57,26 @@ class EnsembleParams:
 
     ``relax_rate`` is the half-width at half-maximum of the zero-field
     resonance in angular units (s^-1), so that the dimensionless field is
-    b_i = gamma * B_i / relax_rate with gamma = 2*pi*gamma_over_2pi.
+    b_i = gamma * B_i / relax_rate with gamma = 2*pi*gamma_over_2pi.  The
+    orientation is pumped along the light axis z, toward m0 * z.
     """
 
     gamma_over_2pi: float = WEAK_PUMP_GAMMA_HZ_PER_NT  # Hz/nT
     relax_rate: float = 60.0                           # s^-1, HWHM convention
     m0: float = 1.0        # equilibrium orientation magnitude
     a0: float = 1.0        # equilibrium alignment magnitude
-    pump_axis: tuple = (0.0, 0.0, 1.0)
     # rank-2 coherences usually relax faster than the rank-1 moment; the
     # alignment relaxation rate is relax_ratio_alignment * relax_rate
     relax_ratio_alignment: float = 1.0
 
     def __post_init__(self):
+        reject_nonfinite(self)
         if self.relax_rate <= 0:
             raise ValueError("relax_rate must be > 0")
         if self.relax_ratio_alignment <= 0:
             raise ValueError("relax_ratio_alignment must be > 0")
         if self.gamma_over_2pi <= 0:
             raise ValueError("gamma_over_2pi must be > 0")
-        axis = np.asarray(self.pump_axis, dtype=float)
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
-            raise ValueError("pump_axis must be a unit vector")
 
     @property
     def gamma_rad(self) -> float:
@@ -168,10 +174,10 @@ def alignment_signal_shape(bx, by, bz):
 
 
 def orientation_steady_state(B: FieldVector, p: EnsembleParams) -> np.ndarray:
-    """Steady state of dM/dt = gamma M x B - Gamma (M - m0 * pump_axis).
+    """Steady state of dM/dt = gamma M x B - Gamma (M - m0 z).
 
-    Equivalent linear system: (Gamma I + gamma [B]_x) M = Gamma m0 pump_axis,
-    with [B]_x the cross-product matrix of B.  Returns (mx, my, mz).
+    Equivalent linear system: (Gamma I + gamma [B]_x) M = Gamma m0 z, with
+    [B]_x the cross-product matrix of B.  Returns (mx, my, mz).
     """
     w = p.gamma_rad * B.as_array()
     a = p.relax_rate * np.eye(3) + np.array([
@@ -179,28 +185,25 @@ def orientation_steady_state(B: FieldVector, p: EnsembleParams) -> np.ndarray:
         [w[2], 0.0, -w[0]],
         [-w[1], w[0], 0.0],
     ])
-    return np.linalg.solve(a, p.relax_rate * p.m0 * np.asarray(p.pump_axis, dtype=float))
+    return np.linalg.solve(a, np.array([0.0, 0.0, p.relax_rate * p.m0]))
 
 
 def orientation_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     """Vectorized orientation steady state; returns shape (..., 3).
 
-    Uses the closed inverse of (Gamma I + [w]_x), w = gamma B, v = pump:
-    M = m0 (Gamma^2 v - Gamma w x v + (w.v) w) / (Gamma^2 + |w|^2),
-    written component-wise.  Matches the scalar solve to 1e-12 relative for
-    field components within +-100 nT, Gamma in [10, 500] s^-1 and any unit
-    pump axis.
+    Uses the closed inverse of (Gamma I + [w]_x), w = gamma B, on the pump
+    direction z: M = m0 (wz wx - Gamma wy, Gamma wx + wz wy, Gamma^2 + wz^2)
+    / (Gamma^2 + |w|^2).  Matches the scalar solve to 1e-12 relative for
+    field components within +-100 nT and Gamma in [10, 500] s^-1.
     """
     g = p.gamma_rad
     wx, wy, wz = (g * np.asarray(b, float) for b in (bx, by, bz))
-    vx, vy, vz = (float(c) for c in p.pump_axis)
     gam = p.relax_rate
-    wv = wx * vx + wy * vy + wz * vz
     den = gam**2 + (wx * wx + wy * wy + wz * wz)
-    cross = (wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx)
     out = np.empty(np.broadcast_shapes(wx.shape, wy.shape, wz.shape) + (3,))
-    for k, (vk, ck, wk) in enumerate(zip((vx, vy, vz), cross, (wx, wy, wz))):
-        out[..., k] = p.m0 * (gam**2 * vk - gam * ck + wv * wk) / den
+    out[..., 0] = p.m0 * (wz * wx - gam * wy) / den
+    out[..., 1] = p.m0 * (gam * wx + wz * wy) / den
+    out[..., 2] = p.m0 * (gam**2 + wz * wz) / den
     return out
 
 
@@ -273,6 +276,9 @@ class SignalMix:
     c_t: float = 1.0         # alignment m0c -> S_T (absorption)
     baseline_t: float = 0.0
     baseline_b: float = 0.0
+
+    def __post_init__(self):
+        reject_nonfinite(self)
 
 
 def signals_from_state(m1, m2, mix: SignalMix):

@@ -15,7 +15,7 @@ trend fits, and SVG plots into an output directory.  ``report`` rebuilds
 tables and plots from a saved points table without re-simulation.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 import math
 from pathlib import Path
 import re
@@ -86,6 +86,17 @@ class StudyPreset:
     def signal_mix(self) -> SignalMix:
         return experiment_signal_mix()
 
+    def loop_ramp(self, chi_deg: float, static_by: float) -> SweepProtocol:
+        """Triangle B_x loop over +-bx_span_nt at ramp_rate."""
+        return SweepProtocol(bx_start=-self.bx_span_nt, bx_end=self.bx_span_nt,
+                             rate=self.ramp_rate, ellipticity_deg=chi_deg,
+                             static_by=static_by, static_bz=self.residual_bz_nt)
+
+    def scan_config(self, ramp: SweepProtocol, seed: int) -> ScanConfig:
+        return ScanConfig(ramp=ramp, mod_amplitude=self.mod_amplitude,
+                          mod_freq=self.mod_freq, sample_rate=self.sample_rate,
+                          noise_rms=self.noise_rms, seed=seed)
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -112,13 +123,20 @@ class StudyConfig:
 
 
 def study_config_from_dict(flat: dict) -> StudyConfig:
-    """Build a StudyConfig from flat ``study.*`` / ``preset.*`` config keys."""
-    grid = flat.get("study.grid", ())
+    """Build a StudyConfig from flat ``study.*`` / ``preset.*`` config keys.
+
+    Without ``study.grid`` the grid is the kind's DEFAULT_GRIDS entry, or
+    the preset's reference ellipticity for a single point."""
+    if unknown := sorted(set(k for k in flat if k.startswith("study."))
+                         - {"study.kind", "study.grid", "study.seed"}):
+        raise ValueError(f"unknown study keys {unknown}")
+    kind = flat.get("study.kind", "single")
+    preset = config_section(flat, "preset", StudyPreset())
+    grid = flat.get("study.grid", DEFAULT_GRIDS.get(kind, (preset.chi_deg,)))
     if not isinstance(grid, (list, tuple)):
         grid = (grid,)
-    return StudyConfig(kind=flat.get("study.kind", "single"), grid=tuple(grid),
-                       seed=int(flat.get("study.seed", 0)),
-                       preset=config_section(flat, "preset", StudyPreset))
+    return StudyConfig(kind=kind, grid=tuple(grid),
+                       seed=int(flat.get("study.seed", 0)), preset=preset)
 
 
 # ---------------------------------------------------------------------------
@@ -154,30 +172,21 @@ class StudyPoint:
 POINT_COLUMNS = tuple(f.name for f in fields(StudyPoint))
 
 
-def _scan_config(preset: StudyPreset, ramp: SweepProtocol, seed: int) -> ScanConfig:
-    return ScanConfig(ramp=ramp, mod_amplitude=preset.mod_amplitude,
-                      mod_freq=preset.mod_freq, sample_rate=preset.sample_rate,
-                      noise_rms=preset.noise_rms, seed=seed)
-
-
 def measure_point(preset: StudyPreset, chi_deg: float, static_by: float,
                   bz_pump: float, seed: int, x: float | None = None,
                   records: dict | None = None) -> StudyPoint:
     """Run envelope-pair and loop scans at one setting and reduce them."""
     p = preset.ensemble(chi_deg)
     c = preset.coupling(bz_pump)
-    span, rate = preset.bx_span_nt, preset.ramp_rate
     mix = preset.signal_mix()
 
     # prepared-state envelopes: latch pinned, so the transverse offset is
     # the static residual plus the latched field of each state
     envelopes = {}
     for i, sign in enumerate((+1, -1)):
-        ramp = SweepProtocol(bx_start=-span, bx_end=span, rate=rate,
-                             direction_pattern="up", ellipticity_deg=chi_deg,
-                             static_by=static_by + sign * c.latched_field,
-                             static_bz=preset.residual_bz_nt)
-        rec = synthesize_record(_scan_config(preset, ramp, seed + i), p,
+        ramp = replace(preset.loop_ramp(chi_deg, static_by + sign * c.latched_field),
+                       direction_pattern="up")
+        rec = synthesize_record(preset.scan_config(ramp, seed + i), p,
                                 CouplingParams(kappa=0.0, my0=0.0), mix)
         envelopes[sign] = lockin_demodulate(rec, lpf_cutoff=preset.lpf_cutoff)
     pair = SimpleNamespace(
@@ -186,10 +195,8 @@ def measure_point(preset: StudyPreset, chi_deg: float, static_by: float,
     fit = fit_record(pair)
 
     # live-latch triangle loop for transitions and flip timing
-    ramp = SweepProtocol(bx_start=-span, bx_end=span, rate=rate,
-                         ellipticity_deg=chi_deg, static_by=static_by,
-                         static_bz=preset.residual_bz_nt)
-    rec = synthesize_record(_scan_config(preset, ramp, seed + 2), p, c, mix)
+    ramp = preset.loop_ramp(chi_deg, static_by)
+    rec = synthesize_record(preset.scan_config(ramp, seed + 2), p, c, mix)
     loop = lockin_demodulate(rec, lpf_cutoff=preset.lpf_cutoff)
     tr = extract_transition(loop)
     b_yeff = effective_field_from_transient(tr.dt, p) if tr.dt and tr.dt > 0 \

@@ -1,9 +1,10 @@
+import argparse
 from dataclasses import replace
 import json
 
 import pytest
 
-from alignor.cli import main
+from alignor.cli import build_parser, main
 from alignor.recordio import read_record, write_record
 
 SMALL_CONFIG = """\
@@ -74,6 +75,37 @@ class TestEstimate:
 
 
 class TestUsageErrors:
+    # the shared options each command takes: only those its handler reads
+    COMMON = {"simulate": ["--seed", "--config", "--out"], "demod": ["--out"],
+              "fit": ["--format"], "study": ["--seed", "--config", "--out"],
+              "report": [], "estimate broadening": ["--format"],
+              "estimate dipole": ["--format"], "estimate volume": ["--format"],
+              "estimate density": ["--format"]}
+
+    def test_common_options_per_command(self):
+        def leaves(parser, name):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs and name:
+                yield name, [f for a in parser._actions for f in a.option_strings
+                             if f in ("--seed", "--config", "--out", "--format")]
+            for a in subs:
+                for sub_name, sub in a.choices.items():
+                    yield from leaves(sub, f"{name} {sub_name}".strip())
+
+        assert dict(leaves(build_parser(), "")) == self.COMMON
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "demod.txt", "--seed", "1"],
+        ["report", "study1", "--out", "x"],
+        ["demod", "scan.txt", "--config", "sim.cfg"],
+        ["estimate", "--format", "json", "density", "--temp-c", "145"],
+    ])
+    def test_option_the_command_does_not_read_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage" in err
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
@@ -203,6 +235,43 @@ class TestPipeline:
         assert "instrument.sample_rate" in err
         assert not (tmp_path / "scan.txt").exists()
 
+    @pytest.mark.parametrize("line, field", [
+        ("ramp.bx_end = inf", "bx_end"),
+        ("ramp.static_by = -inf", "static_by"),
+        ("coupling.my0 = nan", "my0"),
+        ("coupling.tau_flip = inf", "tau_flip"),
+        ("physics.relax_rate = inf", "relax_rate"),
+        ("instrument.mod_freq = nan", "mod_freq"),
+        ("instrument.noise_rms = nan", "noise_rms"),
+        ("mix.c_al = nan", "c_al"),
+    ])
+    def test_simulate_rejects_nonfinite_setting(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SMALL_CONFIG + line + "\n")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                             "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert f"{field} must be finite" in err
+        assert not (tmp_path / "scan.txt").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        # the orientation is pumped along the light axis z, a fixed axis
+        ("physics.pump_axis = 1.0, 0.0, 0.0", "unknown physics field 'pump_axis'"),
+        ("instrument.ramp = 1.0", "unknown instrument field 'ramp'"),
+        ("phyiscs.relax_rate = 90.0", "phyiscs.relax_rate"),
+        ("study.kind = 'single'", "study.kind"),
+    ])
+    def test_simulate_rejects_setting_it_would_not_read(self, tmp_path, capsys,
+                                                        line, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SMALL_CONFIG + line + "\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "scan.txt").exists()
+
     def test_env_var_overrides_output_base(self, pipeline, tmp_path,
                                            monkeypatch, capsys):
         monkeypatch.setenv("ALIGNOR_OUT", str(tmp_path))
@@ -225,6 +294,21 @@ class TestStudyAndReport:
         code, text, _ = run(capsys, "report", str(out))
         assert code == 0
         assert (out / "trends.txt").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("study.grids = 0.25", "study.grids"),
+        ("ramp.rate = 2.0", "ramp.rate"),
+        ("preset.pump_axis = 1.0", "unknown preset field 'pump_axis'"),
+    ])
+    def test_study_rejects_setting_it_would_not_read(self, tmp_path, capsys,
+                                                     line, message):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run(capsys, "study", "--config", str(cfg),
+                           "--out", str(tmp_path / "study"))
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "study").exists()
 
     def test_report_on_empty_dir_is_data_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "report", str(tmp_path))

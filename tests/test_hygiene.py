@@ -6,10 +6,12 @@ that contraction only by the scalar alignment oracle (the generic 5x5
 numerics stay off every run-time path), the signal mix written once,
 LAPACK solves kept out of the grid solvers, no run-time filter design by
 scipy's bilinear transform, the table format (its column-names line, its
-text body parser and its binary body decoder) kept in recordio, and no
+text body parser and its binary body decoder) kept in recordio, no
 scipy at run time (numpy is the only dependency; scipy is a test
-oracle)."""
+oracle), and no command-line option that its command's handler does not
+read."""
 
+import argparse
 import ast
 import os
 from pathlib import Path
@@ -241,3 +243,53 @@ def test_package_and_cli_load_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _cli_commands():
+    """(command, handler, option dests) of every leaf parser of the CLI; a
+    nested command also carries the dests of the parsers above it."""
+    from alignor.cli import build_parser
+
+    def walk(parser, name, inherited):
+        dests = inherited + [a.dest for a in parser._actions
+                             if not isinstance(a, argparse._HelpAction)]
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield name, parser.get_default("func"), dests
+        for action in subs:
+            for sub_name, sub in action.choices.items():
+                yield from walk(sub, f"{name} {sub_name}", dests)
+
+    top = build_parser()
+    for action in top._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, parser in action.choices.items():
+                yield from walk(parser, name, [])
+
+
+def _args_reads(module_path):
+    """function name -> (``args.<attr>`` names it reads, names it calls)."""
+    out = {}
+    for node in _tree(module_path).body:
+        if isinstance(node, ast.FunctionDef):
+            reads = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                     and isinstance(n.value, ast.Name) and n.value.id == "args"}
+            calls = {n.func.id for n in ast.walk(node)
+                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            out[node.name] = (reads, calls)
+    return out
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    functions = _args_reads(SRC / "cli.py")
+    unread = []
+    for command, handler, dests in _cli_commands():
+        reads, todo, seen = set(), [handler.__name__], set()
+        while todo:  # the handler and the cli helpers it calls
+            name = todo.pop()
+            if name in functions and name not in seen:
+                seen.add(name)
+                reads |= functions[name][0]
+                todo += functions[name][1]
+        unread += [(command, dest) for dest in dests if dest not in reads]
+    assert unread == []

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -63,6 +63,23 @@ class TestScanConfig:
             ScanConfig(ramp=ramp, mod_amplitude=-1.0)
         with pytest.raises(ValueError):
             ScanConfig(ramp=ramp, noise_rms=-0.1)
+
+
+RAMP = SweepProtocol(bx_start=-5.0, bx_end=5.0, rate=1.0)
+# one valid instance of each settings object a scan is synthesized from
+SETTINGS = {SweepProtocol: RAMP, ScanConfig: ScanConfig(ramp=RAMP),
+            EnsembleParams: EnsembleParams(),
+            CouplingParams: CouplingParams(kappa=1.0, my0=0.1, tau_flip=0.2),
+            SignalMix: SignalMix()}
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls, obj in SETTINGS.items() for f in fields(cls)
+    if isinstance(getattr(obj, f.name), float)], ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_setting_rejected(cls, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        replace(SETTINGS[cls], **{name: bad})
 
 
 class TestSynthesizeRecord:

@@ -1,8 +1,9 @@
-"""Property tests: record, points-table and config round trips, scalar
-oracles vs grids, latch invariants, the closed-form grid solver and the
+"""Property tests: record, points-table and config round trips, replay of
+a scan from the meta of its file, scalar oracles vs grids, latch invariants, the closed-form grid solver and the
 per-flip latch against their slow oracles (the batched LAPACK solve and the
 per-sample loop), and composite-contour recovery by fit_record."""
 
+from dataclasses import fields
 import math
 from pathlib import Path
 import tempfile
@@ -12,15 +13,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from alignor.dynamics import latch_scan
+from alignor.dynamics import CouplingParams, SweepProtocol, latch_scan
 from alignor.fitkit import CompositeContourModel, composite_eval, fit_record
-from alignor.instrument import DemodRecord, ScanRecord
-from alignor.recordio import dump_config, load_config, read_record, write_record
+from alignor.instrument import (
+    DemodRecord,
+    ScanConfig,
+    ScanRecord,
+    record_meta,
+    synthesize_from_meta,
+    synthesize_record,
+)
+from alignor.recordio import (
+    SCAN_COLUMNS,
+    dump_config,
+    load_config,
+    read_record,
+    write_record,
+)
 from alignor.spincore import (
     ALIGNMENT_PUMP_X,
     ALIGNMENT_SIGNAL_CALIBRATION,
     EnsembleParams,
     FieldVector,
+    SignalMix,
     alignment_signal_shape,
     alignment_steady_state,
     alignment_steady_state_grid,
@@ -144,16 +159,71 @@ def test_config_dump_parse_identity(cfg):
     assert _same_dict(back, cfg)
 
 
+# The settings a scan is synthesized from.  The meta of its record holds
+# each of their fields under the field's name, but for two: the ramp, which
+# it holds field by field, and the ramp's sample rate, which the scan
+# config's overrides.
+SETTINGS = (SweepProtocol, ScanConfig, EnsembleParams, CouplingParams, SignalMix)
+NOT_IN_META = {(SweepProtocol, "sample_rate"), (ScanConfig, "ramp")}
+
+
+def test_record_meta_holds_every_setting():
+    names = [f.name for cls in SETTINGS for f in fields(cls)
+             if (cls, f.name) not in NOT_IN_META]
+    assert len(names) == len(set(names))
+    meta = record_meta(ScanConfig(ramp=SweepProtocol(bx_start=-1.0, bx_end=1.0, rate=1.0)),
+                       EnsembleParams(), CouplingParams(kappa=1.0, my0=0.1), SignalMix())
+    assert sorted(meta) == sorted(names + ["mode"])
+
+
+@st.composite
+def scan_settings(draw):
+    """Short scans in which every setting differs from its default and
+    shapes the record: the ramp crosses zero and the flip fields, so the
+    latch flips and the zero-field dwell happens, and the noise is on."""
+    f = st.floats
+    p = EnsembleParams(gamma_over_2pi=draw(f(1.0, 5.0)), relax_rate=draw(f(20.0, 200.0)),
+                       m0=draw(f(0.5, 2.0)), a0=draw(f(0.5, 2.0)),
+                       relax_ratio_alignment=draw(f(0.5, 3.0)))
+    width = p.width_nt
+    chi = draw(st.one_of(st.none(), f(5.0, 45.0)))
+    m_eff = p.m0 * (1.0 if chi is None else math.sin(math.radians(2.0 * chi)))
+    lo, hi = (draw(f(2.0, 4.0)) * width for _ in range(2))
+    ramp = SweepProtocol(
+        bx_start=-lo, bx_end=hi, rate=(lo + hi) / draw(f(1.0, 3.0)),
+        direction_pattern=draw(st.sampled_from(["up", "down", "triangle"])),
+        hold_on_zero=draw(st.booleans()), hold_time=draw(f(0.1, 1.0)),
+        static_by=draw(f(-0.3, 0.3)) * width, static_bz=draw(f(-0.3, 0.3)) * width,
+        ellipticity_deg=chi)
+    mod_freq = draw(f(2.0, 10.0))
+    cfg = ScanConfig(ramp=ramp, mod_amplitude=draw(f(0.1, 1.0)) * width, mod_freq=mod_freq,
+                     sample_rate=draw(f(20.0, 40.0)) * mod_freq,
+                     noise_rms=draw(f(1e-4, 1e-2)), drift_rate=draw(f(-0.5, 0.5)) * width,
+                     seed=draw(st.integers(1, 2**31)))
+    c = CouplingParams(kappa=draw(f(1.0, 20.0)), my0=draw(f(0.05, 0.3)) * m_eff,
+                       tau_flip=draw(st.one_of(st.none(), f(0.01, 0.5))))
+    mix = SignalMix(*(draw(f(-2.0, 2.0)) for _ in fields(SignalMix)))
+    return cfg, p, c, mix
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_settings())
+def test_scan_replays_from_its_file(setup):
+    rec = synthesize_record(*setup)
+    with tempfile.TemporaryDirectory() as tmp:
+        meta = read_record(write_record(rec, Path(tmp) / "scan.txt")).meta
+    replay = synthesize_from_meta(meta)
+    for name in SCAN_COLUMNS:
+        assert getattr(replay, name).tobytes() == getattr(rec, name).tobytes()
+    assert _same_dict(replay.meta, rec.meta)
+
+
 @st.composite
 def ensembles(draw):
-    axis = np.array(draw(st.tuples(*[st.floats(-1, 1)] * 3)))
-    norm = np.linalg.norm(axis)
-    axis = tuple(axis / norm) if norm > 1e-3 else (0.0, 0.0, 1.0)
     return EnsembleParams(gamma_over_2pi=draw(st.floats(1.0, 5.0)),
                           relax_rate=draw(st.floats(10.0, 500.0)),
                           m0=draw(st.floats(0.1, 2.0)),
                           a0=draw(st.floats(0.1, 2.0)),
-                          pump_axis=axis,
                           relax_ratio_alignment=draw(st.floats(0.5, 3.0)))
 
 

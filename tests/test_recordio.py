@@ -113,6 +113,14 @@ class TestRecordFile:
         f2 = write_record(back, tmp_path / "rec2.txt")
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("value", [np.array([1.0, 2.0]), object()],
+                             ids=["ndarray", "object"])
+    def test_meta_that_does_not_read_back_is_refused(self, scan_record, tmp_path, value):
+        f = tmp_path / "rec.txt"
+        with pytest.raises(ValueError, match="meta key 'bad'"):
+            write_record(replace(scan_record, meta={**scan_record.meta, "bad": value}), f)
+        assert not f.exists()
+
     def test_record_with_back_action_replays(self, scan_record, tmp_path):
         # records from before CouplingParams.back_action was removed carry
         # it in their meta; latch-mode synthesis never read it
