@@ -1,29 +1,14 @@
 """Narrative demo: one bistable scan from field sweep to fitted contour.
 
-Runs the reference operating point three times -- a live-latch triangle
-loop plus the two prepared-state envelope scans -- then demodulates,
-fits the composite contour, times the flip transient, and plots the
-overlaid branches.  Outputs land in demos/output/.
+Measures the reference operating point with ``measure_point`` -- a
+live-latch triangle loop plus the two prepared-state envelope scans,
+demodulated, fitted with the composite contour and timed at the flip --
+then plots the overlaid branches.  Outputs land in demos/output/.
 """
 
-from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
-from alignor import (
-    CouplingParams,
-    ScanConfig,
-    Series,
-    SweepProtocol,
-    effective_field_from_transient,
-    emit_plot,
-    extract_transition,
-    fit_record,
-    lockin_demodulate,
-    synthesize_record,
-    write_record,
-)
-from alignor.study import StudyPreset
+from alignor import Series, StudyPreset, emit_plot, measure_point, write_record
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -31,58 +16,30 @@ OUT.mkdir(exist_ok=True)
 preset = StudyPreset()
 p = preset.ensemble(preset.chi_deg)
 c = preset.coupling()
-mix = preset.signal_mix()
-span = preset.bx_span_nt
 
 print(f"operating point: chi = {preset.chi_deg} deg, "
       f"latched field = {c.latched_field:.2f} nT, "
       f"resonance width = {p.width_nt:.2f} nT")
 
-
-def scan(ramp, seed):
-    cfg = ScanConfig(ramp=ramp, mod_amplitude=preset.mod_amplitude,
-                     mod_freq=preset.mod_freq, sample_rate=preset.sample_rate,
-                     noise_rms=preset.noise_rms, seed=seed)
-    rec = synthesize_record(cfg, p, scan.coupling, mix)
-    return lockin_demodulate(rec, lpf_cutoff=preset.lpf_cutoff)
-
-
-# --- live latch: the solid hysteresis loop -------------------------------
-loop_ramp = SweepProtocol(bx_start=-span, bx_end=span, rate=preset.ramp_rate,
-                          ellipticity_deg=preset.chi_deg,
-                          static_by=preset.residual_by_nt,
-                          static_bz=preset.residual_bz_nt)
-scan.coupling = c
-loop = scan(loop_ramp, seed=0)
+rec = {}
+pt = measure_point(preset, preset.chi_deg, preset.residual_by_nt, 0.0, seed=0,
+                   records=rec)
+loop, env_plus, env_minus = rec["loop"], rec["env_plus"], rec["env_minus"]
 write_record(loop, OUT / "loop.txt")
 
-tr = extract_transition(loop)
-print(f"transitions at B_x = {tr.bx_up:+.2f} / {tr.bx_down:+.2f} nT, "
-      f"loop hysteresis {tr.hysteresis:.2f} nT")
-print(f"flip duration {tr.dt * 1e3:.0f} ms -> effective transverse field "
-      f"{effective_field_from_transient(tr.dt, p):.2f} nT "
-      f"(configured {c.latched_field:.2f} nT)")
-
-# --- pinned latch: the two bistability envelopes -------------------------
-scan.coupling = CouplingParams(kappa=0.0, my0=0.0)
-env = {}
-for sign in (+1, -1):
-    ramp = replace(loop_ramp, direction_pattern="up",
-                   static_by=preset.residual_by_nt + sign * c.latched_field)
-    env[sign] = scan(ramp, seed=1 + (sign < 0))
-
-fit = fit_record(SimpleNamespace(bx_up=env[+1].bx_up, s_up=env[+1].s_up,
-                                 bx_down=env[-1].bx_up, s_down=env[-1].s_up))
-m = fit.model
-print(f"composite fit (converged={fit.converged}): "
-      f"antisymmetric a={m.a_anti:.3f}, w={m.w_anti:.2f} nT; "
-      f"symmetric a={m.a_sym:.3f}, w={m.w_sym:.2f} nT; "
-      f"H={m.hysteresis_h:.2f} nT")
+print(f"transitions at B_x = {pt.bx_up:+.2f} / {pt.bx_down:+.2f} nT, "
+      f"loop hysteresis {pt.loop_hysteresis:.2f} nT")
+print(f"flip duration {pt.dt * 1e3:.0f} ms -> effective transverse field "
+      f"{pt.b_yeff:.2f} nT (configured {c.latched_field:.2f} nT)")
+print(f"composite fit (converged={pt.fit_converged}): "
+      f"antisymmetric a={pt.a_anti:.3f}, w={pt.w_anti:.2f} nT; "
+      f"symmetric a={pt.a_sym:.3f}, w={pt.w_sym:.2f} nT; "
+      f"H={pt.hysteresis_h:.2f} nT")
 
 emit_plot([Series("loop up", loop.bx_up, loop.s_up),
            Series("loop down", loop.bx_down, loop.s_down),
-           Series("envelope +", env[+1].bx_up, env[+1].s_up, dashed=True),
-           Series("envelope -", env[-1].bx_up, env[-1].s_up, dashed=True)],
+           Series("envelope +", env_plus.bx_up, env_plus.s_up, dashed=True),
+           Series("envelope -", env_minus.bx_up, env_minus.s_up, dashed=True)],
           OUT / "hysteresis_loop.svg", title="bistable scan contour",
           xlabel="B_x (nT)", ylabel="demodulated signal")
-print(f"wrote {OUT / 'hysteresis_loop.svg'}")
+print(f"wrote {OUT / 'loop.txt'} and {OUT / 'hysteresis_loop.svg'}")

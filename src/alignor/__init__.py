@@ -62,15 +62,9 @@ from .recordio import (
 )
 from .spincore import (
     EnsembleParams,
-    FieldVector,
     SignalMix,
-    alignment_signal_shape,
-    alignment_steady_state,
     alignment_steady_state_grid,
-    build_spin2_generators,
-    orientation_steady_state,
     orientation_steady_state_grid,
-    experiment_signal_mix,
     signals_from_state,
 )
 from .study import (
@@ -88,21 +82,20 @@ __version__ = "0.1.0"
 __all__ = [
     "BroadeningBudget", "CompositeContourModel", "CouplingParams",
     "DegenerateFitError", "DemodRecord", "DipoleConfig", "EnsembleParams",
-    "FieldVector", "FitResult", "FlipEvent", "ScanConfig", "ScanRecord",
-    "Series", "SignalMix", "StudyConfig", "StudyPreset", "StudyResult",
+    "FitResult", "FlipEvent", "ScanConfig", "ScanRecord", "Series",
+    "SignalMix", "StudyConfig", "StudyPreset", "StudyResult",
     "SweepProtocol", "Trajectory", "TransitionResult",
-    "UnreachableThresholdError", "alignment_signal_shape",
-    "alignment_steady_state", "alignment_steady_state_grid",
-    "broadening_rate", "build_spin2_generators", "calibrate_phase",
-    "circular_power", "composite_eval", "cs_number_density",
-    "cs_vapor_pressure_pa", "default_tau_flip", "dipole_field", "dump_config",
+    "UnreachableThresholdError", "alignment_steady_state_grid",
+    "broadening_rate", "calibrate_phase", "circular_power",
+    "composite_eval", "cs_number_density", "cs_vapor_pressure_pa",
+    "default_tau_flip", "dipole_field", "dump_config",
     "effective_field_from_transient", "effective_params", "emit_plot",
     "ensemble_volume", "extract_transition", "fit_record", "fit_trend",
     "levenberg_marquardt", "load_config", "lockin_demodulate",
     "lowpass_filter", "lowpass_rise_time", "measure_point",
-    "orientation_steady_state", "orientation_steady_state_grid",
-    "experiment_signal_mix", "parse_config", "point_dipole_validity",
-    "predict_flip_field", "read_record", "report", "run_study", "run_sweep",
-    "signals_from_state", "study_config_from_dict", "sweep_profile",
-    "synthesize_record", "write_record",
+    "orientation_steady_state_grid", "parse_config",
+    "point_dipole_validity", "predict_flip_field", "read_record", "report",
+    "run_study", "run_sweep", "signals_from_state",
+    "study_config_from_dict", "sweep_profile", "synthesize_record",
+    "write_record",
 ]

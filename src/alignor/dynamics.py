@@ -23,6 +23,10 @@ from .spincore import (
 # 10-90% fraction of the half-period of a raised-cosine step
 RAISED_COS_10_90 = (math.acos(-0.8) - math.acos(0.8)) / math.pi
 
+# The most samples sweep_profile lays out for one scan: 80 MB per float64
+# column, and synthesize_record holds about a dozen columns of that length.
+MAX_SCAN_SAMPLES = 10**7
+
 
 class UnreachableThresholdError(ValueError):
     """Flip threshold exceeds the available orientation moment."""
@@ -170,12 +174,20 @@ def _segments(proto: SweepProtocol):
 
 
 def sweep_profile(proto: SweepProtocol):
-    """Sample the scan: returns (t, bx, direction) on a uniform grid."""
+    """Sample the scan: returns (t, bx, direction) on a uniform grid.
+
+    Raises ValueError, before allocating, for a scan of more than
+    MAX_SCAN_SAMPLES samples or of a non-finite length.
+    """
     segs = _segments(proto)
     durations = np.array([s[0] for s in segs])
     edges = np.concatenate([[0.0], np.cumsum(durations)])
     dt = 1.0 / proto.sample_rate
-    n = int(math.floor(edges[-1] / dt)) + 1
+    steps = edges[-1] / dt
+    if not math.isfinite(steps) or steps >= MAX_SCAN_SAMPLES:
+        raise ValueError(f"the scan takes {steps + 1:.3g} samples, more than "
+                         f"the {MAX_SCAN_SAMPLES:.0e} a scan may take")
+    n = int(math.floor(steps)) + 1
     t = np.arange(n) * dt
     # segment k covers edges[k] <= t < edges[k + 1]; the last one runs to the end
     starts = np.searchsorted(t, edges[:-1]).tolist() + [n]

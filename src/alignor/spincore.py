@@ -7,12 +7,11 @@ the applied magnetic field and relax at a common rate.  Moments are plain
 numpy arrays: the orientation as (..., 3) = (mx, my, mz), the alignment as
 (..., 5) in the real z-quantized basis (m0c, m1c, m1s, m2c, m2s), with
 m0c = rho_0, m_qc = sqrt(2)*Re rho_q and m_qs = -sqrt(2)*Im rho_q for q > 0.
-This module holds the validated input types (FieldVector, EnsembleParams),
-the real spin-2 rotation generators with their one field contraction, the
-closed-form alignment lineshape, the scalar (LAPACK) steady-state solvers,
-the closed-form grid solvers (the orientation inverse and the adjugate of
-the 5x5 alignment system), and the one signal mix that turns moments into
-photodetector signals.
+This module holds the validated ensemble constants (EnsembleParams), the
+closed-form grid solvers (the orientation inverse and the adjugate of the
+5x5 alignment system), and the one signal mix that turns moments into
+photodetector signals.  Their slow references (LAPACK solves, the spin-2
+generators, the m2s lineshape) live in the test suite's ``tests/oracles.py``.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -34,21 +33,6 @@ def reject_nonfinite(obj):
         v = getattr(obj, f.name)
         if isinstance(v, (float, np.floating)) and not math.isfinite(v):
             raise ValueError(f"{f.name} must be finite, got {v!r}")
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """Magnetic field (bx, by, bz) in nT."""
-
-    bx: float = 0.0
-    by: float = 0.0
-    bz: float = 0.0
-
-    def __post_init__(self):
-        reject_nonfinite(self)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.bx, self.by, self.bz])
 
 
 @dataclass(frozen=True)
@@ -97,104 +81,14 @@ class EnsembleParams:
         return replace(self, m0=m0)
 
 
-def build_spin2_generators() -> np.ndarray:
-    """Read-only (3, 5, 5) stack (gx, gy, gz) of spin-2 generators in the
-    (m0c, m1c, m1s, m2c, m2s) basis.
-
-    Built from the complex j=2 angular momentum matrices (ladder coefficients
-    sqrt(6 - q(q+-1))) transformed to the real basis; the results satisfy
-    cyclic commutators [gx, gy] = gz and Casimir gx^2+gy^2+gz^2 = -6 I.
-    """
-    q = np.arange(-2, 3)
-    jz = np.diag(q).astype(complex)
-    jp = np.zeros((5, 5), dtype=complex)
-    for i in range(4):
-        jp[i + 1, i] = math.sqrt(6.0 - q[i] * (q[i] + 1))
-    jm = jp.conj().T
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2.0j
-
-    # rows: real components; columns: rho_q ordered q = -2..2
-    s = 1.0 / math.sqrt(2.0)
-    u = np.zeros((5, 5), dtype=complex)
-    u[0, 2] = 1.0
-    u[1, 3], u[1, 1] = s, -s            # m1c = (rho_1 - rho_-1)/sqrt2
-    u[2, 3], u[2, 1] = 1j * s, 1j * s   # m1s = i(rho_1 + rho_-1)/sqrt2
-    u[3, 4], u[3, 0] = s, s             # m2c
-    u[4, 4], u[4, 0] = 1j * s, -1j * s  # m2s
-
-    def to_real(j):
-        g = u @ (-1j * j) @ u.conj().T
-        if np.abs(g.imag).max() > 1e-12:
-            raise AssertionError("generator not real in this basis")
-        return g.real
-
-    gens = np.stack([to_real(jx), to_real(jy), to_real(jz)])
-    gens.flags.writeable = False
-    return gens
-
-
-SPIN2_GENERATORS = build_spin2_generators()
-
-
-def spin2_contract(bx, by, bz) -> np.ndarray:
-    """B.G of shape (..., 5, 5) for scalar or broadcastable field components.
-
-    Every entry of B.G has at most one non-zero generator term, so this
-    elementwise sum is exact.
-    """
-    g = SPIN2_GENERATORS
-    return (np.asarray(bx, float)[..., None, None] * g[0]
-            + np.asarray(by, float)[..., None, None] * g[1]
-            + np.asarray(bz, float)[..., None, None] * g[2])
-
-
-# Rank-2 pump tensor for linear polarization along x: the q=0 tensor rotated
-# from z to x (Wigner d: d200 = -1/2, d2(+-2)0 = sqrt(3/8), times the sqrt(2)
-# basis normalization on the cosine components).  Unit Euclidean norm.
-ALIGNMENT_PUMP_X = np.array([-0.5, 0.0, 0.0, math.sqrt(3.0) / 2.0, 0.0])
-ALIGNMENT_PUMP_X.flags.writeable = False
-
-
-def alignment_signal_shape(bx, by, bz):
-    """Closed-form alignment coherence lineshape on dimensionless fields.
-
-    Array-friendly: accepts scalars or broadcastable arrays.  This is the
-    exact steady-state m2s observable of the rank-2 linear model, up to a
-    single calibration scalar.
-    """
-    bx = np.asarray(bx, dtype=float)
-    by = np.asarray(by, dtype=float)
-    bz = np.asarray(bz, dtype=float)
-    bx2 = bx * bx
-    byz2 = by * by + bz * bz
-    num = bz * (1.0 + 4.0 * bx2 + byz2) - bx * by * (1.0 + 4.0 * bx2 - 2.0 * byz2)
-    den = (4.0 * bx2 + 4.0 * byz2 + 1.0) * (bx2 + byz2 + 1.0)
-    return num / den
-
-
-def orientation_steady_state(B: FieldVector, p: EnsembleParams) -> np.ndarray:
-    """Steady state of dM/dt = gamma M x B - Gamma (M - m0 z).
-
-    Equivalent linear system: (Gamma I + gamma [B]_x) M = Gamma m0 z, with
-    [B]_x the cross-product matrix of B.  Returns (mx, my, mz).
-    """
-    w = p.gamma_rad * B.as_array()
-    a = p.relax_rate * np.eye(3) + np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
-    return np.linalg.solve(a, np.array([0.0, 0.0, p.relax_rate * p.m0]))
-
-
 def orientation_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     """Vectorized orientation steady state; returns shape (..., 3).
 
     Uses the closed inverse of (Gamma I + [w]_x), w = gamma B, on the pump
     direction z: M = m0 (wz wx - Gamma wy, Gamma wx + wz wy, Gamma^2 + wz^2)
-    / (Gamma^2 + |w|^2).  Matches the scalar solve to 1e-12 relative for
-    field components within +-100 nT and Gamma in [10, 500] s^-1.
+    / (Gamma^2 + |w|^2).  Matches the LAPACK solve of ``tests/oracles.py``
+    to 1e-12 relative for field components within +-100 nT and Gamma in
+    [10, 500] s^-1.
     """
     g = p.gamma_rad
     wx, wy, wz = (g * np.asarray(b, float) for b in (bx, by, bz))
@@ -207,25 +101,13 @@ def orientation_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     return out
 
 
-def alignment_steady_state(B: FieldVector, p: EnsembleParams) -> np.ndarray:
-    """Steady state of the rank-2 moment under field B with x-aligned pump.
-
-    Solves (gamma B.G + Gamma I) m = Gamma a0 p_x and returns m in the
-    (m0c, m1c, m1s, m2c, m2s) basis.  The sign of the precession term
-    (multipole components transform contragrediently) is frozen by the
-    closed-form equivalence test.
-    """
-    gam = p.alignment_relax_rate
-    a = p.gamma_rad * spin2_contract(B.bx, B.by, B.bz) + gam * np.eye(5)
-    return np.linalg.solve(a, gam * p.a0 * ALIGNMENT_PUMP_X)
-
-
 def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     """Vectorized alignment steady state; returns shape (..., 5).
 
     Adjugate (Cramer) solution of (1 + b.G) m = a0 p_x with the dimensionless
     field b = (x, y, z) = gamma B / Gamma2, Gamma2 the alignment relaxation
-    rate.  The determinant is
+    rate, G the spin-2 generators and p_x = (-1/2, 0, 0, sqrt3/2, 0) the unit
+    rank-2 pump tensor of linear polarization along x.  The determinant is
     D = (1 + r^2)(1 + 4 r^2), r^2 = x^2 + y^2 + z^2, and
 
         m0c D / a0        = -2x^4 - x^2y^2 + 5x^2z^2 - 5x^2/2 + 9xyz + y^4
@@ -236,9 +118,10 @@ def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
                             + y^2z^2 + 3y^2/2 + z^2/2 + 1/2
         m2s D / (sqrt3 a0) = xy(4x^2 - 2y^2 - 2z^2 + 1) - z(4x^2 + y^2 + z^2 + 1)
 
-    (the m2s numerator is that of alignment_signal_shape).  It is regular
-    everywhere and equals a0 p_x at B = 0.  Matches the scalar LAPACK solve
-    to 1e-12 relative for field components within +-100 nT, gamma/2pi in
+    (the m2s numerator is that of the lineshape ``alignment_signal_shape``
+    in ``tests/oracles.py``).  It is regular everywhere and equals a0 p_x at
+    B = 0.  Matches the LAPACK solve of ``tests/oracles.py`` to 1e-12
+    relative for field components within +-100 nT, gamma/2pi in
     [1, 5] Hz/nT and Gamma in [5, 1500] s^-1 (up to ~10^3 resonance widths),
     also at the magic angle to the pump axis, where m is only O(1/r).
     """
@@ -260,11 +143,6 @@ def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
                          + y2 * (y2 + z2 + 1.5) + 0.5 * z2 + 0.5)
     out[..., 4] = r3c * (x * y * (1.0 - w) - z * q)
     return out
-
-
-# Scalar c with c * m2s == alignment_signal_shape for the conventions above
-# (a0 = 1): the single calibration scalar of the equivalence test.
-ALIGNMENT_SIGNAL_CALIBRATION = -1.0 / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -291,19 +169,3 @@ def signals_from_state(m1, m2, mix: SignalMix):
     sb = mix.baseline_b + mix.c_al * m2[..., 4] + mix.c_or * m1[..., 2]
     return st, sb
 
-
-def experiment_signal_mix(by_eff_norm: float = 0.1) -> SignalMix:
-    """Signal mixing at the experiment's scale (microamp units).
-
-    Transmission baseline ~6 uA with the alignment dip riding on it; the
-    alignment S_B swing is ~0.3 uA for the given normalized effective B_y.
-    ``by_eff_norm`` is the dimensionless transverse field that sets the
-    symmetric-signal amplitude the 0.3 uA is referred to.
-    """
-    # peak of |m2s| over bx at (by, 0): |calibration| * max |shape|
-    bx = np.linspace(-5.0, 5.0, 4001)
-    peak = np.max(np.abs(alignment_signal_shape(bx, by_eff_norm, 0.0)))
-    peak /= abs(ALIGNMENT_SIGNAL_CALIBRATION)
-    c_al = 0.3 / peak
-    # m0c equilibrium is -a0/2; baseline_t set so S_T sits at 6 uA
-    return SignalMix(c_al=c_al, c_or=0.3, c_t=1.0, baseline_t=6.5, baseline_b=0.0)

@@ -22,7 +22,6 @@ from alignor import (
     SignalMix,
     StudyConfig,
     SweepProtocol,
-    alignment_signal_shape,
     alignment_steady_state_grid,
     broadening_rate,
     composite_eval,
@@ -39,7 +38,6 @@ from alignor import (
     run_sweep,
     synthesize_record,
 )
-from alignor.spincore import ALIGNMENT_SIGNAL_CALIBRATION
 from alignor.study import DEFAULT_GRIDS, StudyPreset
 from alignor.fitkit import (
     _arctan_fn,
@@ -49,6 +47,7 @@ from alignor.fitkit import (
     _lorentz_fn,
     _lorentz_jac,
 )
+from oracles import ALIGNMENT_SIGNAL_CALIBRATION, alignment_signal_shape
 
 
 def _verdict(n, ok, detail):

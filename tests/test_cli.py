@@ -1,11 +1,19 @@
 import argparse
 from dataclasses import replace
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from alignor.cli import build_parser, main
-from alignor.recordio import read_record, write_record
+from alignor.recordio import read_record, write_record, write_table
+from alignor.study import POINT_COLUMNS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SMALL_CONFIG = """\
 ramp.bx_start = -12.0
@@ -255,6 +263,20 @@ class TestPipeline:
         assert f"{field} must be finite" in err
         assert not (tmp_path / "scan.txt").exists()
 
+    def test_simulate_rejects_unbounded_scan(self, tmp_path):
+        # a finite but huge ramp: the scan length overflows to inf samples
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("ramp.bx_end = 1e308\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "alignor.cli", "simulate",
+                               "--config", str(cfg), "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "inf samples" in proc.stderr
+        assert not (tmp_path / "scan.txt").exists()
+
     @pytest.mark.parametrize("line, message", [
         # the orientation is pumped along the light axis z, a fixed axis
         ("physics.pump_axis = 1.0, 0.0, 0.0", "unknown physics field 'pump_axis'"),
@@ -309,6 +331,24 @@ class TestStudyAndReport:
         assert code == 2
         assert message in err
         assert not (tmp_path / "study").exists()
+
+    @pytest.mark.parametrize("kind, xs", [
+        ("single", []),
+        ("chi_grid", [0.25, 0.25]),
+        ("chi_grid", [0.25, float("nan")]),
+    ])
+    def test_report_rejects_invalid_table_before_writing(self, tmp_path, capsys,
+                                                         kind, xs):
+        columns = np.ones((len(POINT_COLUMNS), len(xs)))
+        columns[0] = xs
+        write_table(tmp_path / "points.txt",
+                    ["# alignor-study points", f"# kind: {kind}", "# seed: 0"],
+                    POINT_COLUMNS, columns)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        code, out, err = run(capsys, "report", str(tmp_path))
+        assert code == 2
+        assert out == "" and "grid" in err
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     def test_report_on_empty_dir_is_data_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "report", str(tmp_path))

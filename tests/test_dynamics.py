@@ -130,6 +130,12 @@ class TestSweepProfile:
         assert bx[-1] == pytest.approx(-10.0, abs=0.1)
         assert set(np.unique(d)) <= {-1.0, 0.0, 1.0}
 
+    def test_oversized_scan_rejected_before_allocating(self):
+        # +-1e6 nT at the preset 0.8 nT/s and 500 Hz: 2.5e9 samples, 20 GB of t
+        proto = triangle(b=1e6, rate=0.8, sample_rate=500.0)
+        with pytest.raises(ValueError, match=r"2\.5e\+09 samples"):
+            sweep_profile(proto)
+
     def test_hold_on_zero_inserts_dwell(self):
         proto = SweepProtocol(bx_start=5.0, bx_end=-5.0, rate=1.0,
                               direction_pattern="up", hold_on_zero=True,

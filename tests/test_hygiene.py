@@ -1,10 +1,9 @@
 """Static checks on the package source: no unused imports, no module
 constant that nothing reads, no top-level function or class that nothing
-references, the shared constants and spin-2 generators each defined in
-exactly one place, the generators read only by the B.G contraction and
-that contraction only by the scalar alignment oracle (the generic 5x5
-numerics stay off every run-time path), the signal mix written once,
-LAPACK solves kept out of the grid solvers, no run-time filter design by
+references, the shared constants each defined in exactly one place, no
+name of the test oracles (tests/oracles.py) defined in or imported by the
+package, the signal mix written once, LAPACK solves only in the
+Levenberg-Marquardt normal equations, no run-time filter design by
 scipy's bilinear transform, the table format (its column-names line, its
 text body parser and its binary body decoder) kept in recordio, no
 scipy at run time (numpy is the only dependency; scipy is a test
@@ -54,18 +53,21 @@ def test_no_unused_imports(path):
     assert unused == [], f"{path.name}: unused imports {unused}"
 
 
-def _module_constants(tree):
-    """UPPER_CASE names assigned at module level."""
+def _top_level_names(tree):
+    """Names bound at module level: defs, classes and assignments."""
     for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
         targets = node.targets if isinstance(node, ast.Assign) else \
             [node.target] if isinstance(node, ast.AnnAssign) else []
         for t in targets:
-            if isinstance(t, ast.Name) and t.id.isupper():
+            if isinstance(t, ast.Name):
                 yield t.id
 
 
 def test_module_constants_are_read():
-    assigned = {name for path in MODULES for name in _module_constants(_tree(path))}
+    assigned = {name for path in MODULES for name in _top_level_names(_tree(path))
+                if name.isupper()}
     read = set()
     for path in MODULES:
         for node in ast.walk(_tree(path)):
@@ -103,10 +105,6 @@ def _is_assignment_to(name):
     return pred
 
 
-def test_spin2_generators_built_once():
-    assert _count(_is_call_to("build_spin2_generators")) == 1
-
-
 @pytest.mark.parametrize("name", ["TWO_PI", "RAISED_COS_10_90"])
 def test_constant_assigned_once(name):
     assert _count(_is_assignment_to(name)) == 1
@@ -129,23 +127,6 @@ def _enclosing_functions(predicate):
     return found
 
 
-def _reads(name):
-    def pred(node):
-        return (isinstance(node, ast.Name) and node.id == name
-                and isinstance(node.ctx, ast.Load)) or \
-            (isinstance(node, ast.Attribute) and node.attr == name)
-    return pred
-
-
-def test_spin2_generators_read_only_by_contraction():
-    assert _enclosing_functions(_reads("SPIN2_GENERATORS")) == [("spincore", "spin2_contract")]
-
-
-def test_spin2_contract_read_only_by_scalar_oracle():
-    assert _enclosing_functions(_reads("spin2_contract")) == [
-        ("spincore", "alignment_steady_state")]
-
-
 def test_bilinear_not_called_in_package():
     # lowpass_filter writes its bilinear-transformed biquad in closed form;
     # scipy.signal.bilinear is only the test oracle
@@ -162,12 +143,20 @@ def _is_linalg_solve(node):
 
 
 def test_linalg_solve_only_in_scalar_oracles():
-    # the grid solvers are closed forms; LAPACK solves the scalar steady-state
-    # oracles and the Levenberg-Marquardt normal equations only
-    assert sorted(_enclosing_functions(_is_linalg_solve)) == [
-        ("fitkit", "levenberg_marquardt"),
-        ("spincore", "alignment_steady_state"),
-        ("spincore", "orientation_steady_state")]
+    # the grid solvers are closed forms and the LAPACK steady-state oracles
+    # live in tests/oracles.py; LAPACK solves only the Levenberg-Marquardt
+    # normal equations
+    assert _enclosing_functions(_is_linalg_solve) == [("fitkit", "levenberg_marquardt")]
+
+
+def test_oracle_names_stay_out_of_package():
+    # the slow references stay in the tests, so the package keeps one
+    # implementation of each steady state
+    oracle = set(_top_level_names(_tree(ROOT / "tests" / "oracles.py")))
+    found = sorted((path.stem, name) for path in MODULES for tree in [_tree(path)]
+                   for name in set(_top_level_names(tree)) | set(_imported_names(tree))
+                   if name in oracle)
+    assert found == []
 
 
 def test_signal_mix_written_once():

@@ -30,15 +30,14 @@ from alignor.instrument import (
     synthesize_record,
 )
 from alignor.spincore import (
-    ALIGNMENT_SIGNAL_CALIBRATION,
     TWO_PI,
     EnsembleParams,
     SignalMix,
-    alignment_signal_shape,
     alignment_steady_state_grid,
     orientation_steady_state_grid,
     signals_from_state,
 )
+from oracles import ALIGNMENT_SIGNAL_CALIBRATION, alignment_signal_shape
 
 P = EnsembleParams(gamma_over_2pi=3.5, relax_rate=60.0)
 C = CouplingParams(kappa=11.0, my0=0.1)

@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 from alignor.spincore import (
-    ALIGNMENT_PUMP_X,
-    ALIGNMENT_SIGNAL_CALIBRATION,
     EnsembleParams,
-    FieldVector,
     SignalMix,
-    alignment_signal_shape,
-    alignment_steady_state,
     alignment_steady_state_grid,
-    build_spin2_generators,
-    orientation_steady_state,
     orientation_steady_state_grid,
-    experiment_signal_mix,
     signals_from_state,
 )
+from alignor.study import StudyPreset
+from oracles import (
+    ALIGNMENT_PUMP_X,
+    ALIGNMENT_SIGNAL_CALIBRATION,
+    SPIN2_GENERATORS as GEN,
+    alignment_signal_shape,
+    alignment_steady_state,
+    angular_momentum_j2,
+    orientation_steady_state,
+)
 
-GEN = build_spin2_generators()
 GX, GY, GZ = GEN
 
 
@@ -46,14 +47,7 @@ class TestGenerators:
 
     def test_casimir_against_complex_ladder_oracle(self):
         # independent route: Casimir of the complex j=2 matrices is j(j+1) I
-        q = np.arange(-2, 3)
-        jp = np.zeros((5, 5), dtype=complex)
-        for i in range(4):
-            jp[i + 1, i] = math.sqrt(6.0 - q[i] * (q[i] + 1))
-        jm = jp.conj().T
-        jx = (jp + jm) / 2
-        jy = (jp - jm) / 2j
-        jz = np.diag(q).astype(complex)
+        jx, jy, jz = angular_momentum_j2()
         j2 = jx @ jx + jy @ jy + jz @ jz
         assert np.abs(j2 - 6.0 * np.eye(5)).max() < 1e-12
         # eigenvalue content of the real generators matches -i*J_k
@@ -103,7 +97,7 @@ class TestOrientationSteadyState:
     P = EnsembleParams(relax_rate=50.0, m0=0.8)
 
     def test_zero_field(self):
-        mx, my, mz = orientation_steady_state(FieldVector(0, 0, 0), self.P)
+        mx, my, mz = orientation_steady_state(0, 0, 0, self.P)
         assert mx == pytest.approx(0.0, abs=1e-15)
         assert my == pytest.approx(0.0, abs=1e-15)
         assert mz == pytest.approx(self.P.m0, rel=1e-14)
@@ -111,7 +105,7 @@ class TestOrientationSteadyState:
     def test_half_width_point(self):
         # gamma*Bx = Gamma: mz = m0/2, |my| = m0/2
         bx = self.P.width_nt
-        mx, my, mz = orientation_steady_state(FieldVector(bx, 0, 0), self.P)
+        mx, my, mz = orientation_steady_state(bx, 0, 0, self.P)
         assert mz == pytest.approx(self.P.m0 / 2, rel=1e-12)
         assert abs(my) == pytest.approx(self.P.m0 / 2, rel=1e-12)
         assert my > 0  # frozen sign of the M x B convention
@@ -119,30 +113,30 @@ class TestOrientationSteadyState:
 
     def test_no_x_projection_for_x_field(self):
         for bx in (-30.0, -2.0, 5.0, 100.0):
-            mx = orientation_steady_state(FieldVector(bx, 0, 0), self.P)[0]
+            mx = orientation_steady_state(bx, 0, 0, self.P)[0]
             assert mx == pytest.approx(0.0, abs=1e-14)
 
     def test_direct_linear_solve_oracle(self):
         # brute-force oracle: residual of the Bloch equation at the solution
         rng = np.random.default_rng(11)
         for _ in range(50):
-            B = FieldVector(*rng.uniform(-40, 40, 3))
-            m = orientation_steady_state(B, self.P)
-            torque = self.P.gamma_rad * np.cross(m, B.as_array())
+            B = rng.uniform(-40, 40, 3)
+            m = orientation_steady_state(*B, self.P)
+            torque = self.P.gamma_rad * np.cross(m, B)
             relax = self.P.relax_rate * (m - self.P.m0 * np.array([0.0, 0.0, 1.0]))
             assert np.abs(torque - relax).max() < 1e-10
 
     def test_contraction(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
-            B = FieldVector(*rng.uniform(-100, 100, 3))
-            m = orientation_steady_state(B, self.P)
+            B = rng.uniform(-100, 100, 3)
+            m = orientation_steady_state(*B, self.P)
             assert np.linalg.norm(m) <= self.P.m0 * (1 + 1e-12)
 
     def test_linear_in_m0(self):
-        B = FieldVector(3.0, -1.0, 2.0)
-        m1 = orientation_steady_state(B, self.P)
-        m2 = orientation_steady_state(B, self.P.with_m0(2 * self.P.m0))
+        B = (3.0, -1.0, 2.0)
+        m1 = orientation_steady_state(*B, self.P)
+        m2 = orientation_steady_state(*B, self.P.with_m0(2 * self.P.m0))
         assert np.allclose(m2, 2 * m1, rtol=1e-13)
 
     def test_grid_matches_pointwise(self):
@@ -150,7 +144,7 @@ class TestOrientationSteadyState:
         b = rng.uniform(-30, 30, (40, 3))
         grid = orientation_steady_state_grid(b[:, 0], b[:, 1], b[:, 2], self.P)
         for i in range(40):
-            m = orientation_steady_state(FieldVector(*b[i]), self.P)
+            m = orientation_steady_state(*b[i], self.P)
             assert np.allclose(grid[i], m, rtol=1e-11, atol=1e-13)
 
 
@@ -158,7 +152,7 @@ class TestAlignmentSteadyState:
     P = EnsembleParams(relax_rate=40.0, a0=0.7)
 
     def test_zero_field_equilibrium(self):
-        m = alignment_steady_state(FieldVector(0, 0, 0), self.P)
+        m = alignment_steady_state(0, 0, 0, self.P)
         assert np.allclose(m, self.P.a0 * ALIGNMENT_PUMP_X, atol=1e-14)
 
     def test_matches_closed_form_on_grid(self):
@@ -178,14 +172,14 @@ class TestAlignmentSteadyState:
     def test_calibration_constant(self):
         b = (0.7, -0.4, 0.2)
         f = self.P.width_nt
-        m = alignment_steady_state(FieldVector(*(v * f for v in b)), self.P)
+        m = alignment_steady_state(*(v * f for v in b), self.P)
         assert ALIGNMENT_SIGNAL_CALIBRATION * m[4] / self.P.a0 == pytest.approx(
             alignment_signal_shape(*b), rel=1e-12)
 
     def test_observable_odd_parity(self):
         f = self.P.width_nt
-        m_plus = alignment_steady_state(FieldVector(1.3 * f, 0.5 * f, 0), self.P)
-        m_minus = alignment_steady_state(FieldVector(-1.3 * f, 0.5 * f, 0), self.P)
+        m_plus = alignment_steady_state(1.3 * f, 0.5 * f, 0, self.P)
+        m_minus = alignment_steady_state(-1.3 * f, 0.5 * f, 0, self.P)
         assert m_plus[4] == pytest.approx(-m_minus[4], rel=1e-12)
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, 1.9, 3.3, 5.1])
@@ -199,7 +193,7 @@ class TestAlignmentSteadyState:
                       math.sin(theta) * math.sin(phi)])
         B = 100.0 * math.sqrt(3.0) * n
         grid = alignment_steady_state_grid(*B, p)
-        ref = alignment_steady_state(FieldVector(*B), p)
+        ref = alignment_steady_state(*B, p)
         assert np.max(np.abs(grid - ref)) <= 1e-12 * np.linalg.norm(ref)
 
     def test_grid_shape_contract(self):
@@ -215,9 +209,9 @@ class TestAlignmentSteadyState:
 
     def test_linear_in_a0(self):
         from dataclasses import replace
-        B = FieldVector(5.0, 2.0, -3.0)
-        m1 = alignment_steady_state(B, self.P)
-        m2 = alignment_steady_state(B, replace(self.P, a0=2 * self.P.a0))
+        B = (5.0, 2.0, -3.0)
+        m1 = alignment_steady_state(*B, self.P)
+        m2 = alignment_steady_state(*B, replace(self.P, a0=2 * self.P.a0))
         assert np.allclose(m2, 2 * m1, rtol=1e-13)
 
 
@@ -240,15 +234,15 @@ class TestSignals:
         mix = SignalMix(c_al=2.0, c_or=0.0)
         f = p.width_nt
         b = (0.9, 0.2, -0.1)
-        m2 = alignment_steady_state(FieldVector(*(v * f for v in b)), p)
+        m2 = alignment_steady_state(*(v * f for v in b), p)
         _, sb = signals_from_state(np.zeros(3), m2, mix)
         expect = 2.0 * alignment_signal_shape(*b) / ALIGNMENT_SIGNAL_CALIBRATION
         assert sb == pytest.approx(expect, rel=1e-12)
 
     def test_experiment_scale_preset(self):
-        mix = experiment_signal_mix(by_eff_norm=0.1)
+        mix = StudyPreset().signal_mix()
         p = EnsembleParams()
-        m2_eq = alignment_steady_state(FieldVector(0, 0, 0), p)
+        m2_eq = alignment_steady_state(0, 0, 0, p)
         st, _ = signals_from_state(np.zeros(3), m2_eq, mix)
         assert st == pytest.approx(6.0, rel=1e-6)
         # max alignment swing of S_B across a bx scan at by_eff_norm = 0.1
@@ -256,6 +250,14 @@ class TestSignals:
         m = alignment_steady_state_grid(bx, 0.1 * p.width_nt, 0.0, p)
         swing = np.max(np.abs(mix.c_al * m[:, 4]))
         assert swing == pytest.approx(0.3, rel=1e-3)
+
+    def test_preset_c_al_is_the_oracle_lineshape_peak(self):
+        # the literal c_al: 0.3 over max |m2s| on the 4,001-point bx grid on
+        # +-5 at normalized b_y = 0.1
+        bx = np.linspace(-5.0, 5.0, 4001)
+        peak = np.max(np.abs(alignment_signal_shape(bx, 0.1, 0.0)))
+        peak /= abs(ALIGNMENT_SIGNAL_CALIBRATION)
+        assert StudyPreset().signal_mix().c_al == 0.3 / peak
 
     def test_rows_match_batch(self):
         rng = np.random.default_rng(5)
@@ -267,10 +269,6 @@ class TestSignals:
 
 
 class TestValidation:
-    def test_nonfinite_field_rejected(self):
-        with pytest.raises(ValueError):
-            FieldVector(np.nan, 0, 0)
-
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             EnsembleParams(relax_rate=0.0)
