@@ -76,7 +76,6 @@ def _out_dir(args) -> Path:
         out = Path(env) if env else Path(".")
     elif env and not out.is_absolute():
         out = Path(env) / out
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -113,7 +112,9 @@ def cmd_simulate(args) -> int:
     c = config_section(flat, "coupling", preset.coupling())
     mix = config_section(flat, "mix", preset.signal_mix())
     rec = synthesize_record(cfg, p, c, mix)
-    path = write_record(rec, _out_dir(args) / "scan.txt")
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    path = write_record(rec, out / "scan.txt")
     print(path)
     return EXIT_OK
 
@@ -124,7 +125,9 @@ def cmd_demod(args) -> int:
         raise ValueError(f"{args.record}: expected a raw scan record")
     demod = lockin_demodulate(rec, phase_deg=args.phase_deg,
                               lpf_cutoff=args.lpf_cutoff, gain=args.gain)
-    path = write_record(demod, _out_dir(args) / "demod.txt")
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    path = write_record(demod, out / "demod.txt")
     print(path)
     return EXIT_OK
 

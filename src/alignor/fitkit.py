@@ -7,6 +7,13 @@ width per sweep direction.  A small hand-rolled Levenberg-Marquardt driver
 with analytic Jacobians does all the fitting; trend models (linear, cubic
 polynomial, hyperbola, arctangent, Lorentzian) cover the parameter-vs-knob
 analyses.
+
+The composite fit starts Levenberg-Marquardt from four points and keeps the
+best result.  On study data the starts nearly always end in one minimum, so
+a start that comes within LM_MERGE_TOL of a minimum an earlier start already
+converged to stops there (the clustering rule of multi-level single
+linkage: no local search inside the basin of a known minimum); one start is
+polished to the end instead of four, and the covariance is formed once.
 """
 
 from dataclasses import dataclass, replace
@@ -138,6 +145,17 @@ LM_LAMBDA_MAX = 1e12
 LM_COST_TOL = 1e-10
 LM_STEP_TOL = 1e-9
 LM_GRAD_TOL = 1e-12
+# fit_record stops a start at its first accepted iterate within this
+# distance, max|p - p*| / (1 + |p*|) after the sign fold, of a minimum p*
+# that an earlier start converged to.  LM converges about linearly here:
+# on study fits the distance to the minimum shrinks about x0.5 per
+# iteration, and a start is within 1e-2 after 5-9 of its 25-30
+# iterations.  On the seed-3 chi_grid study all 21 later starts merge and
+# the 7 fits take 338 LM iterations instead of 668; 1e-3 merges as often
+# but later (379 iterations).  Over 1,000 noiseless contours drawn from the
+# region where the multistart misses some (CHANGES.md), the merge failed
+# none that four full runs recover.
+LM_MERGE_TOL = 1e-2
 
 
 def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
@@ -150,6 +168,14 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
     LM_GRAD_TOL, or when no damped step can lower the cost at all.
     Covariance is sigma^2 (J^T J)^+ at the optimum.
     """
+    res = _lm_descend(fn, jac, x, y, init, param_names)
+    return _lm_covariance(res, jac, x, np.size(y))
+
+
+def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
+    """The iteration of ``levenberg_marquardt``: its FitResult without the
+    covariance, or None once ``stop(p)`` holds at an accepted iterate p that
+    has not converged."""
     y = np.asarray(y, dtype=float)
     p = np.asarray(init, dtype=float).copy()
     if not np.all(np.isfinite(y)):
@@ -206,15 +232,28 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
             break
         if not accepted:
             break
+        if stop is not None and stop(p):
+            return None
     else:
         warnings.append("max iterations reached without convergence")
+    return FitResult(params=p, param_names=names, covariance=None,
+                     residual_rms=math.sqrt(cost / y.size),
+                     iterations=len(history) - 1, converged=converged,
+                     cost_history=tuple(history), warnings=tuple(warnings))
 
+
+def _lm_covariance(res, jac, x, n_points):
+    """``res`` with the covariance sigma^2 (J^T J)^+ at its parameters, and
+    the parameters of the negligible J^T J eigenvectors flagged
+    unidentifiable."""
+    p, names = res.params, res.param_names
     j = jac(x, p)
     jtj = j.T @ j
-    dof = max(y.size - p.size, 1)
-    sigma2 = cost / dof
+    dof = max(n_points - p.size, 1)
+    sigma2 = res.cost_history[-1] / dof
     eigval, eigvec = np.linalg.eigh(jtj)
     tiny = eigval < 1e-10 * max(eigval.max(), 1e-300)
+    warnings = list(res.warnings)
     unident = []
     if np.any(tiny):
         for k in np.nonzero(tiny)[0]:
@@ -222,11 +261,8 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
         warnings.append("unidentifiable parameters: " + ", ".join(sorted(set(unident))))
     cov = sigma2 * np.linalg.pinv(jtj, rcond=1e-12)
     cov = 0.5 * (cov + cov.T)
-    return FitResult(params=p, param_names=names, covariance=cov,
-                     residual_rms=math.sqrt(cost / y.size),
-                     iterations=len(history) - 1, converged=converged,
-                     cost_history=tuple(history), warnings=tuple(warnings),
-                     unidentifiable=tuple(sorted(set(unident))))
+    return replace(res, covariance=cov, warnings=tuple(warnings),
+                   unidentifiable=tuple(sorted(set(unident))))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +336,17 @@ def _initial_guess(bx_up, s_up, bx_down, s_down):
     return np.array([a_anti, w_anti, a_sym, w_sym, center, h, offset])
 
 
+def _fold_signs(p):
+    """Composite parameters with w_anti and w_sym made positive: D is odd and
+    L even, so (a_anti, w_anti) -> (-a_anti, -w_anti) and w_sym -> -w_sym
+    leave the model unchanged."""
+    p = p.copy()
+    if p[1] < 0:
+        p[0], p[1] = -p[0], -p[1]
+    p[3] = abs(p[3])
+    return p
+
+
 def fit_record(rec, init=None):
     """Joint up/down-branch fit of the composite contour to a demodulated scan.
 
@@ -307,6 +354,16 @@ def fit_record(rec, init=None):
     All parameters are shared between branches except the fixed branch signs.
     A single-branch record is fitted with hysteresis pinned at zero and a
     warning flag.  A branch with fewer than 2 rows raises ValueError.
+
+    Levenberg-Marquardt runs from the initial guess (or ``init``) and three
+    variants of it with other w_sym and hysteresis.  Each converged start's
+    parameters, with the signs of w_anti and w_sym folded, become a known
+    minimum; a later start stops at its first accepted iterate within
+    LM_MERGE_TOL of one, since all it would do from there is polish a
+    minimum the fit already has.  Of the starts that ran to the end, a sane
+    converged one (widths and hysteresis under half the scan span) beats
+    the rest and then the lowest cost wins; only the winner gets its
+    covariance.
     """
     bx_up = np.asarray(rec.bx_up, dtype=float)
     s_up = np.asarray(rec.s_up, dtype=float)
@@ -350,18 +407,26 @@ def fit_record(rec, init=None):
         alt[3] = max(abs(p0[1]) * w_fac, 1e-3)
         alt[5] = h0
         starts.append(alt)
+    minima = []
+
+    def known(p):
+        q = _fold_signs(p)
+        return any(np.max(np.abs(q - m) / (1.0 + np.abs(m))) < LM_MERGE_TOL
+                   for m in minima)
+
     res = None
     for start in starts:
-        cand = levenberg_marquardt(_composite_fn, jc, (bx, sigma), y, start,
-                                   param_names=COMPOSITE_PARAM_NAMES)
+        cand = _lm_descend(_composite_fn, jc, (bx, sigma), y, start,
+                           COMPOSITE_PARAM_NAMES, stop=known)
+        if cand is None:
+            continue
+        if cand.converged:
+            minima.append(_fold_signs(cand.params))
         if res is None or (sane(cand) and not sane(res)) \
                 or (sane(cand) == sane(res) and cand.residual_rms < res.residual_rms):
             res = cand
-    p = res.params.copy()
-    if p[1] < 0:
-        # D is odd, so (a_anti, w_anti) and (-a_anti, -w_anti) are the same
-        p[0], p[1] = -p[0], -p[1]
-    p[3] = abs(p[3])
+    res = _lm_covariance(res, jc, (bx, sigma), y.size)
+    p = _fold_signs(res.params)
     p[5] = abs(p[5]) if not single else 0.0
     warnings = res.warnings
     if single:

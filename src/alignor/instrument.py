@@ -95,7 +95,7 @@ def record_meta(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
                 mix: SignalMix) -> dict:
     """Flat metadata dict sufficient to regenerate the record bit-for-bit:
     every field of the five settings objects, by name."""
-    meta = {"mode": "latch"}
+    meta = {}
     for obj in (cfg, cfg.ramp, p, c, mix):
         meta.update((name, getattr(obj, name)) for name in _meta_fields(type(obj)))
     return meta
@@ -105,7 +105,8 @@ def config_from_meta(meta: dict):
     """Inverse of record_meta: rebuild the config/parameter objects.
 
     Records older than ``relax_ratio_alignment`` replay with its default;
-    keys of no current field (an old ``back_action``) are not read."""
+    keys of no current field (an old ``back_action`` or ``mode``) are not
+    read."""
     meta = {"relax_ratio_alignment": 1.0, **meta}
 
     def build(cls, **given):

@@ -383,20 +383,24 @@ def _write_trends(kind: str, points, out: Path) -> tuple:
 
 
 def run_study(cfg: StudyConfig, out_dir) -> StudyResult:
-    """Run every grid point, then write tables, records, and figures."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Run every grid point, then write tables, records, and figures.
+
+    Every point is measured before ``out_dir`` is created, so a point that
+    raises leaves no directory behind."""
     points = []
-    loops = []
+    records = []
     for i, value in enumerate(cfg.grid):
         chi, by, bz = _point_settings(cfg, value)
-        records = {}
-        pt = measure_point(cfg.preset, chi, by, bz, seed=cfg.seed + 10 * i,
-                           x=value, records=records)
-        points.append(pt)
-        loops.append(records["loop"])
-        for name, rec in records.items():
+        recs = {}
+        points.append(measure_point(cfg.preset, chi, by, bz, seed=cfg.seed + 10 * i,
+                                    x=value, records=recs))
+        records.append(recs)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for i, recs in enumerate(records):
+        for name, rec in recs.items():
             write_record(rec, out / f"point_{i:02d}_{name}.txt")
+    loops = [recs["loop"] for recs in records]
     points = tuple(points)
     _write_points_table(cfg, points, out / "points.txt")
     trends = _write_trends(cfg.kind, points, out)

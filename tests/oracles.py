@@ -7,12 +7,25 @@ under ``src/`` imports them.
   j=2 ladder matrices, checked against the spin algebra, and their field
   contraction ``spin2_contract``;
 * ``alignment_signal_shape``: the closed-form m2s lineshape, the reference
-  of the grid's m2s and the source of ``StudyPreset.signal_mix``'s c_al.
+  of the grid's m2s and the source of ``StudyPreset.signal_mix``'s c_al;
+* ``fit_record_all_starts``: the composite-contour multistart run to the end
+  from every start, the reference of ``fit_record``'s basin merge.
 """
 
+from dataclasses import replace
 import math
 
 import numpy as np
+
+from alignor.fitkit import (
+    COMPOSITE_PARAM_NAMES,
+    CompositeContourModel,
+    _check_branch,
+    _composite_fn,
+    _composite_jac,
+    _initial_guess,
+    levenberg_marquardt,
+)
 
 
 def angular_momentum_j2():
@@ -121,3 +134,79 @@ def alignment_steady_state(bx, by, bz, p) -> np.ndarray:
     a = p.gamma_rad * spin2_contract(bx, by, bz) + gal * np.eye(5)
     rhs = np.broadcast_to(gal * p.a0 * ALIGNMENT_PUMP_X, bx.shape + (5,))
     return np.linalg.solve(a, rhs[..., None])[..., 0]
+
+
+def fit_record_all_starts(rec, init=None):
+    """``fit_record`` as four full Levenberg-Marquardt runs, one from each
+    start, with no merging of starts that reach a known minimum: the oracle
+    of its basin merge.  The body below is the fit before the merge, verbatim.
+
+    Joint up/down-branch fit of the composite contour to a demodulated scan.
+
+    ``rec`` must expose bx_up, s_up and (optionally) bx_down, s_down arrays.
+    All parameters are shared between branches except the fixed branch signs.
+    A single-branch record is fitted with hysteresis pinned at zero and a
+    warning flag.  A branch with fewer than 2 rows raises ValueError.
+    """
+    bx_up = np.asarray(rec.bx_up, dtype=float)
+    s_up = np.asarray(rec.s_up, dtype=float)
+    _check_branch("up", bx_up)
+    bx_down = getattr(rec, "bx_down", None)
+    single = bx_down is None or len(bx_down) == 0
+    if single:
+        bx_down = bx_up
+        s_down = s_up
+    else:
+        _check_branch("down", bx_down)
+        bx_down = np.asarray(bx_down, dtype=float)
+        s_down = np.asarray(rec.s_down, dtype=float)
+
+    bx = np.concatenate([bx_up, bx_down])
+    sigma = np.concatenate([np.ones(bx_up.size), -np.ones(bx_down.size)])
+    y = np.concatenate([s_up, s_down])
+    p0 = np.array(init, dtype=float) if init is not None \
+        else _initial_guess(bx_up, s_up, bx_down, s_down)
+    if single:
+        p0[5] = 0.0
+
+    def jc(x, p):
+        j = _composite_jac(x, p)
+        if single:
+            # a zero column leaves hysteresis_h at its starting value of 0
+            j[:, 5] = 0.0
+        return j
+
+    span = float(bx.max() - bx.min())
+
+    def sane(r):
+        return (r.converged and abs(r.params[1]) < 0.5 * span
+                and abs(r.params[3]) < 0.5 * span and abs(r.params[5]) < 0.5 * span)
+
+    # multi-start: the branch-difference init can land in a degenerate basin
+    # when the symmetric part is weak, so retry from coarser starting points
+    starts = [p0]
+    for w_fac, h0 in ((0.8, 0.0), (0.4, p0[5]), (1.5, 0.0)):
+        alt = p0.copy()
+        alt[3] = max(abs(p0[1]) * w_fac, 1e-3)
+        alt[5] = h0
+        starts.append(alt)
+    res = None
+    for start in starts:
+        cand = levenberg_marquardt(_composite_fn, jc, (bx, sigma), y, start,
+                                   param_names=COMPOSITE_PARAM_NAMES)
+        if res is None or (sane(cand) and not sane(res)) \
+                or (sane(cand) == sane(res) and cand.residual_rms < res.residual_rms):
+            res = cand
+    p = res.params.copy()
+    if p[1] < 0:
+        # D is odd, so (a_anti, w_anti) and (-a_anti, -w_anti) are the same
+        p[0], p[1] = -p[0], -p[1]
+    p[3] = abs(p[3])
+    p[5] = abs(p[5]) if not single else 0.0
+    warnings = res.warnings
+    if single:
+        warnings = warnings + ("single branch: hysteresis fixed at 0",)
+    model = CompositeContourModel(a_anti=p[0], w_anti=p[1], a_sym=p[2],
+                                  w_sym=p[3], center=p[4], hysteresis_h=p[5],
+                                  offset=p[6])
+    return replace(res, params=p, warnings=warnings, model=model)

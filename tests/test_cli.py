@@ -332,6 +332,17 @@ class TestStudyAndReport:
         assert message in err
         assert not (tmp_path / "study").exists()
 
+    def test_study_data_error_leaves_no_directory(self, tmp_path, capsys):
+        # the scan length is refused while measuring the first point, before
+        # anything is written
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("study.kind = 'chi_grid'\npreset.sample_rate = 1e12\n")
+        code, _, err = run(capsys, "study", "--config", str(cfg),
+                           "--out", str(tmp_path / "study"))
+        assert code == 2
+        assert "samples" in err
+        assert not (tmp_path / "study").exists()
+
     @pytest.mark.parametrize("kind, xs", [
         ("single", []),
         ("chi_grid", [0.25, 0.25]),

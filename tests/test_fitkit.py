@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from alignor import fitkit
 from alignor.dynamics import RAISED_COS_10_90
 from alignor.fitkit import (
     COMPOSITE_PARAM_NAMES,
@@ -23,6 +24,7 @@ from alignor.fitkit import (
     fit_trend,
     levenberg_marquardt,
 )
+from oracles import fit_record_all_starts
 
 RNG = np.random.default_rng(7)
 
@@ -255,6 +257,34 @@ class TestFitRecord:
         assert res.model.hysteresis_h == pytest.approx(1.8, rel=0.05)
         assert res.model.w_sym == pytest.approx(2.5, rel=0.05)
         assert res.model.a_anti == pytest.approx(0.1, rel=0.05)
+
+    def test_later_starts_merge_and_covariance_formed_once(self, monkeypatch):
+        # the second start converges to another minimum (negative w_sym and
+        # h), the third comes within LM_MERGE_TOL of the first start's
+        # minimum and stops, the fourth runs to the iteration cap.  Run to
+        # the end, the third start polishes the same minimum and wins by a
+        # rounding-level cost, so the four full runs agree to 1e-7
+        descend, covariance = fitkit._lm_descend, fitkit._lm_covariance
+        descents, tails = [], []
+
+        def spy_descend(*args, **kwargs):
+            descents.append(descend(*args, **kwargs))
+            return descents[-1]
+
+        def spy_covariance(res, *args):
+            tails.append(res)
+            return covariance(res, *args)
+
+        monkeypatch.setattr(fitkit, "_lm_descend", spy_descend)
+        monkeypatch.setattr(fitkit, "_lm_covariance", spy_covariance)
+        rec = make_record(self.TRUE, noise=0.0005, seed=1)
+        res = fit_record(rec)
+        assert [d is None for d in descents] == [False, False, True, False]
+        assert tails == [descents[0]]
+        ref = fit_record_all_starts(rec)
+        assert res.converged and ref.converged
+        assert res.residual_rms == pytest.approx(ref.residual_rms, rel=1e-9)
+        assert np.all(np.abs(res.params - ref.params) <= 1e-7 * np.abs(ref.params))
 
     def test_no_antisymmetric_part_consistent_with_zero(self):
         m = CompositeContourModel(a_anti=0.0, w_anti=3.0, a_sym=0.15, w_sym=2.5,

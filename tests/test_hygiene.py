@@ -146,7 +146,7 @@ def test_linalg_solve_only_in_scalar_oracles():
     # the grid solvers are closed forms and the LAPACK steady-state oracles
     # live in tests/oracles.py; LAPACK solves only the Levenberg-Marquardt
     # normal equations
-    assert _enclosing_functions(_is_linalg_solve) == [("fitkit", "levenberg_marquardt")]
+    assert _enclosing_functions(_is_linalg_solve) == [("fitkit", "_lm_descend")]
 
 
 def test_oracle_names_stay_out_of_package():

@@ -115,7 +115,7 @@ class TestSynthesizeRecord:
         assert p2 == P
         assert c2 == C
         assert mix2 == SignalMix()
-        assert rec.meta["mode"] == "latch"
+        assert "mode" not in rec.meta
 
     def test_reference_preset_hysteresis_phenomenology(self):
         from alignor.fitkit import extract_transition

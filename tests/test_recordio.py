@@ -11,6 +11,7 @@ from alignor.instrument import (
     DemodRecord,
     ScanConfig,
     ScanRecord,
+    config_from_meta,
     lockin_demodulate,
     synthesize_from_meta,
     synthesize_record,
@@ -129,6 +130,19 @@ class TestRecordFile:
                          tmp_path / "rec.txt")
         assert b"# meta.back_action = 0.0\n" in f.read_bytes()
         replay = synthesize_from_meta(read_record(f).meta)
+        for name in ("t", "bx_ramp", "st_raw", "sb_raw", "direction"):
+            assert getattr(replay, name).tobytes() == getattr(scan_record, name).tobytes()
+        assert replay.meta == scan_record.meta
+
+    def test_record_with_mode_replays(self, scan_record, tmp_path):
+        # records from before the RK4 sweep was removed carry
+        # mode = 'latch' in their meta; nothing reads it
+        f = write_record(replace(scan_record, meta={"mode": "latch", **scan_record.meta}),
+                         tmp_path / "rec.txt")
+        assert b"# meta.mode = 'latch'\n" in f.read_bytes()
+        meta = read_record(f).meta
+        assert config_from_meta(meta) == config_from_meta(scan_record.meta)
+        replay = synthesize_from_meta(meta)
         for name in ("t", "bx_ramp", "st_raw", "sb_raw", "direction"):
             assert getattr(replay, name).tobytes() == getattr(scan_record, name).tobytes()
         assert replay.meta == scan_record.meta
