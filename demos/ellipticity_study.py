@@ -1,9 +1,9 @@
 """Narrative demo: sweep the pump ellipticity and fit the trends.
 
 Runs the chi-grid study (width and amplitude growth of both contour
-components, hyperbolic shrinking of the hysteresis loop), prints the
-fitted trend table, and leaves all tables, records, and SVG figures in
-demos/output/chi_study/.
+components, hyperbolic shrinking of the hysteresis loop), prints each
+fitted trend parameter as value ± standard error, and leaves all tables,
+records, and SVG figures in demos/output/chi_study/.
 """
 
 from pathlib import Path
@@ -25,15 +25,17 @@ for pt in res.points:
 
 print("\ntrend fits:")
 for tr in res.trends:
-    pstr = ", ".join(f"{n}={v:.3g}" for n, v in zip(tr.param_names, tr.params))
+    pstr = ", ".join(f"{n}={v:.3g} ± {se:.2g}"
+                     for n, v, se in zip(tr.param_names, tr.params, tr.stderr))
     print(f"  {tr.quantity:16s} ~ {tr.kind:10s} [{pstr}]  "
           f"rms {tr.residual_rms:.3g}")
 
-slopes = {t.quantity: t.params[0] for t in res.trends
+slopes = {t.quantity: f"{t.params[0]:.2f} ± {t.stderr[0]:.2f}" for t in res.trends
           if t.kind == "linear" and t.quantity.startswith("w_")}
-print(f"\nwidth growth: antisymmetric {slopes['w_anti']:.2f} nT/deg, "
-      f"symmetric {slopes['w_sym']:.2f} nT/deg")
+print(f"\nwidth growth: antisymmetric {slopes['w_anti']} nT/deg, "
+      f"symmetric {slopes['w_sym']} nT/deg")
 hyp = next(t for t in res.trends
            if t.quantity == "loop_hysteresis" and t.kind == "hyperbola")
-print(f"hysteresis vs chi: H = {hyp.params[0]:.2f} + {hyp.params[1]:.2f}/chi")
+print(f"hysteresis vs chi: H = ({hyp.params[0]:.2f} ± {hyp.stderr[0]:.2f}) "
+      f"+ ({hyp.params[1]:.2f} ± {hyp.stderr[1]:.2f})/chi")
 print(f"\nall outputs in {OUT}")

@@ -46,7 +46,6 @@ from .instrument import (
     DemodRecord,
     ScanConfig,
     ScanRecord,
-    calibrate_phase,
     lockin_demodulate,
     lowpass_filter,
     lowpass_rise_time,
@@ -54,7 +53,6 @@ from .instrument import (
 )
 from .plotsvg import Series, emit_plot
 from .recordio import (
-    dump_config,
     load_config,
     parse_config,
     read_record,
@@ -86,9 +84,9 @@ __all__ = [
     "SignalMix", "StudyConfig", "StudyPreset", "StudyResult",
     "SweepProtocol", "Trajectory", "TransitionResult",
     "UnreachableThresholdError", "alignment_steady_state_grid",
-    "broadening_rate", "calibrate_phase", "circular_power",
+    "broadening_rate", "circular_power",
     "composite_eval", "cs_number_density", "cs_vapor_pressure_pa",
-    "default_tau_flip", "dipole_field", "dump_config",
+    "default_tau_flip", "dipole_field",
     "effective_field_from_transient", "effective_params", "emit_plot",
     "ensemble_volume", "extract_transition", "fit_record", "fit_trend",
     "levenberg_marquardt", "load_config", "lockin_demodulate",

@@ -175,7 +175,9 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
 def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
     """The iteration of ``levenberg_marquardt``: its FitResult without the
     covariance, or None once ``stop(p)`` holds at an accepted iterate p that
-    has not converged."""
+    has not converged.  A model or Jacobian that is not finite at ``init``
+    (overflowing data or starting values) raises ValueError before any
+    LAPACK call sees it."""
     y = np.asarray(y, dtype=float)
     p = np.asarray(init, dtype=float).copy()
     if not np.all(np.isfinite(y)):
@@ -185,13 +187,15 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
     names = tuple(param_names) if param_names else tuple(f"p{i}" for i in range(p.size))
 
     r = y - fn(x, p)
+    j = jac(x, p)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(j))):
+        raise ValueError("model or Jacobian not finite at the starting parameters")
     cost = float(r @ r)
     lam = LM_LAMBDA0
     history = [cost]
     converged = False
     warnings = []
     for it in range(1, LM_MAX_ITER + 1):
-        j = jac(x, p)
         jtj = j.T @ j
         jtr = j.T @ r
         if np.max(np.abs(jtr)) < LM_GRAD_TOL:
@@ -234,6 +238,7 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
             break
         if stop is not None and stop(p):
             return None
+        j = jac(x, p)
     else:
         warnings.append("max iterations reached without convergence")
     return FitResult(params=p, param_names=names, covariance=None,
@@ -270,9 +275,12 @@ def _lm_covariance(res, jac, x, n_points):
 
 
 def _check_branch(name, bx):
-    """Reject a branch too short for a slope (np.gradient needs 2 rows)."""
+    """Reject a branch too short for a slope (np.gradient needs 2 rows) or
+    with a non-finite bx."""
     if len(bx) < 2:
         raise ValueError(f"{name} branch has {len(bx)} row(s); need at least 2")
+    if not np.all(np.isfinite(bx)):
+        raise ValueError(f"{name} branch has a non-finite bx")
 
 
 def _transition_index(bx, s):

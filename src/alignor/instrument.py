@@ -300,17 +300,6 @@ def lowpass_filter(series, cutoff: float, sample_rate: float):
     return spare[n - 1 - pad:pad - 1:-1] + (e0 + r0)
 
 
-def calibrate_phase(rec: ScanRecord, lpf_cutoff: float = 0.5) -> float:
-    """Reference phase (degrees) maximizing the in-phase lock-in energy."""
-    f = rec.meta["mod_freq"]
-    fs = rec.meta["sample_rate"]
-    x = rec.sb_raw - np.mean(rec.sb_raw)
-    i = lowpass_filter(x * np.sin(TWO_PI * f * rec.t), lpf_cutoff, fs)
-    q = lowpass_filter(x * np.cos(TWO_PI * f * rec.t), lpf_cutoff, fs)
-    return math.degrees(0.5 * math.atan2(2.0 * float(i @ q),
-                                         float(i @ i - q @ q)))
-
-
 def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
                       lpf_cutoff: float = 0.5, gain: float = 1.0) -> DemodRecord:
     """First-harmonic lock-in of S_B plus low-passed S_T, resampled per branch.

@@ -1,9 +1,9 @@
-"""Minimal static SVG plot emitter with a plain-text data sidecar.
+"""Minimal static SVG plot emitter.
 
 Good enough for the scan-contour and trend figures: one axes box, tick
-labels, a polyline (optionally with markers) per series, and a legend.  Each
-plot also writes ``<name>.dat`` with the series columns so the numbers are
-greppable without an SVG viewer.
+labels, a polyline (optionally with markers) per series, and a legend.  A
+plot writes only its SVG; the numbers behind a study's figures are in its
+tables (``points.txt``, ``trends.txt``) and point records.
 """
 
 from dataclasses import dataclass
@@ -59,7 +59,7 @@ def _fmt(v):
 
 def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
               width: int = 640, height: int = 420) -> Path:
-    """Write an SVG figure and a delimited sidecar; returns the SVG path."""
+    """Write an SVG figure of the series; returns its path."""
     if not series:
         raise ValueError("no series to plot")
     path = Path(path)
@@ -125,12 +125,4 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
                    f'text-anchor="end" font-size="11" fill="{color}">{s.name}</text>')
     out.append("</svg>")
     path.write_text("\n".join(out) + "\n")
-
-    sidecar = path.with_suffix(".dat")
-    nmax = max(s.x.size for s in series)
-    columns = [[*map(repr, v.tolist()), *["nan"] * (nmax - v.size)]
-               for s in series for v in (s.x, s.y)]
-    lines = ["# " + "\t".join(f"{s.name}.x\t{s.name}.y" for s in series)]
-    lines.extend(map("\t".join, zip(*columns)))
-    sidecar.write_text("\n".join(lines) + "\n")
     return path

@@ -1,8 +1,9 @@
 """Versioned serialization for tables, scan/demod records and configs.
 
-Records and study points tables share one table layout: ``#`` header
-lines, a ``# columns: <names>`` line, then the body.  Demod records and
-points tables have a text body, one row of repr floats per line.  Scan
+Records and the study points and trends tables share one table layout:
+``#`` header lines, a ``# columns: <names>`` line, then the body.  Demod
+records and the study tables have a text body, one row per line of repr
+floats and of words in str columns.  Scan
 records (format v2) have a binary body: a ``# body: f8-le <rows>`` line,
 then exactly ``rows x columns x 8`` bytes of little-endian float64, one
 column after another, so ``head scan.txt`` shows the header and nothing
@@ -309,16 +310,3 @@ def config_section(flat: dict, prefix: str, base):
 def load_config(path) -> dict:
     return parse_config(Path(path).read_text())
 
-
-def dump_config(cfg: dict, path) -> Path:
-    """Write a flat config that parse_config reads back; lists in brackets."""
-    path = Path(path)
-    lines = []
-    for k in sorted(cfg):
-        v = cfg[k]
-        if isinstance(v, (list, tuple)):
-            lines.append(f"{k} = [" + ", ".join(_format_value(x) for x in v) + "]")
-        else:
-            lines.append(f"{k} = {_format_value(v)}")
-    path.write_text("\n".join(lines) + "\n")
-    return path

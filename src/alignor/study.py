@@ -10,9 +10,15 @@ A study point runs the full measurement chain three times at one setting:
   effective transverse field are extracted.
 
 ``run_study`` sweeps a grid (pump ellipticity, pump-axis field, or
-transverse offset), writes a points table, per-point demodulated records,
-trend fits, and SVG plots into an output directory.  ``report`` rebuilds
-tables and plots from a saved points table without re-simulation.
+transverse offset) and writes into an output directory: the points table
+``points.txt``, per-point demodulated records, the trend table
+``trends.txt`` and SVG plots (no data sidecars).  ``trends.txt`` is a
+``write_table`` table in long format, one row per fitted parameter with
+the columns ``quantity kind name value stderr n_points residual_rms
+converged``; ``stderr`` is the square root of the covariance diagonal, so
+a coefficient with ``|value| < 2 stderr`` is zero within two standard
+errors.  ``report`` rebuilds the trend table and plots from a saved points
+table without re-simulation.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -250,6 +256,7 @@ class TrendFit:
     quantity: str
     kind: str
     params: tuple
+    stderr: tuple      # sqrt of the covariance diagonal, one per parameter
     param_names: tuple
     residual_rms: float
     converged: bool
@@ -286,6 +293,7 @@ def _fit_trends(kind: str, points) -> tuple:
             trends.append(TrendFit(
                 quantity=quantity, kind=tk,
                 params=tuple(float(v) for v in res.params),
+                stderr=tuple(float(v) for v in np.sqrt(np.diag(res.covariance))),
                 param_names=res.param_names, residual_rms=float(res.residual_rms),
                 converged=bool(res.converged), n_points=x.size))
     return tuple(trends)
@@ -297,6 +305,9 @@ def _fit_trends(kind: str, points) -> tuple:
 _X_LABEL = {"chi_grid": "ellipticity (deg)", "bz_grid": "pump-axis field (nT)",
             "by_grid": "transverse offset (nT)", "single": "x"}
 _POINTS_SIGNATURE = "# alignor-study points"
+_TRENDS_SIGNATURE = "# alignor-study trends"
+TREND_COLUMNS = ("quantity", "kind", "name", "value", "stderr", "n_points",
+                 "residual_rms", "converged")
 
 
 def _write_points_table(cfg: StudyConfig, points, path: Path):
@@ -336,27 +347,13 @@ def read_points_table(path) -> tuple:
                              for r in rows)
 
 
-def _write_trends_table(trends, path: Path):
-    lines = ["# alignor-study trends",
-             "# quantity kind n_points residual_rms converged params..."]
-    for tr in trends:
-        pieces = [tr.quantity, tr.kind, str(tr.n_points), repr(tr.residual_rms),
-                  str(tr.converged)]
-        pieces += [f"{n}={v!r}" for n, v in zip(tr.param_names, tr.params)]
-        lines.append(" ".join(pieces))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _plot_trend(points, trend: TrendFit, xlabel: str, path: Path):
-    x, y = _trend_data(points, trend.quantity)
-    xs = np.linspace(x.min(), x.max(), 200)
-    if trend.kind == "hyperbola":
-        xs = xs[np.abs(xs) > 1e-12]
-    fitted = TREND_EVAL[trend.kind](xs, np.array(trend.params))
-    emit_plot([Series("measured", x, y, markers=True),
-               Series(f"{trend.kind} fit", xs, fitted, dashed=True)],
-              path, title=f"{trend.quantity} vs {xlabel}", xlabel=xlabel,
-              ylabel=trend.quantity)
+def _write_trends(kind: str, trends, path: Path):
+    """Write the trend table: one row per fitted parameter."""
+    rows = [(tr.quantity, tr.kind, name, value, se, tr.n_points, tr.residual_rms,
+             tr.converged)
+            for tr in trends for name, value, se in zip(tr.param_names, tr.params, tr.stderr)]
+    columns = list(zip(*rows)) if rows else [()] * len(TREND_COLUMNS)
+    write_table(path, [_TRENDS_SIGNATURE, f"# kind: {kind}"], TREND_COLUMNS, columns)
 
 
 def _point_settings(cfg: StudyConfig, value: float):
@@ -371,14 +368,22 @@ def _point_settings(cfg: StudyConfig, value: float):
     return chi, by, bz
 
 
-def _write_trends(kind: str, points, out: Path) -> tuple:
-    """Fit the trends of a study kind; write trends.txt and one plot each."""
+def _trend_outputs(kind: str, points, out: Path) -> tuple:
+    """Fit the trends of a study kind; write trends.txt and one SVG per
+    trend, the measured points and the fitted curve."""
     trends = _fit_trends(kind, points)
-    _write_trends_table(trends, out / "trends.txt")
+    _write_trends(kind, trends, out / "trends.txt")
     xlabel = _X_LABEL[kind]
     for tr in trends:
-        _plot_trend(points, tr, xlabel,
-                    out / f"trend_{tr.quantity}_{tr.kind}.svg")
+        x, y = _trend_data(points, tr.quantity)
+        xs = np.linspace(x.min(), x.max(), 200)
+        if tr.kind == "hyperbola":
+            xs = xs[np.abs(xs) > 1e-12]
+        fitted = TREND_EVAL[tr.kind](xs, np.array(tr.params))
+        emit_plot([Series("measured", x, y, markers=True),
+                   Series(f"{tr.kind} fit", xs, fitted, dashed=True)],
+                  out / f"trend_{tr.quantity}_{tr.kind}.svg",
+                  title=f"{tr.quantity} vs {xlabel}", xlabel=xlabel, ylabel=tr.quantity)
     return trends
 
 
@@ -403,7 +408,7 @@ def run_study(cfg: StudyConfig, out_dir) -> StudyResult:
     loops = [recs["loop"] for recs in records]
     points = tuple(points)
     _write_points_table(cfg, points, out / "points.txt")
-    trends = _write_trends(cfg.kind, points, out)
+    trends = _trend_outputs(cfg.kind, points, out)
     _plot_points_overview(cfg, loops, out)
     return StudyResult(config=cfg, points=points, trends=trends, out_dir=out)
 
@@ -431,7 +436,7 @@ def report(study_dir) -> StudyResult:
     kind, seed, points = read_points_table(out / "points.txt")
     # validate the table as a study (non-empty, unique finite x) before writing
     cfg = StudyConfig(kind=kind, grid=tuple(pt.x for pt in points), seed=seed)
-    trends = _write_trends(kind, points, out)
+    trends = _trend_outputs(kind, points, out)
     return StudyResult(config=cfg, points=points, trends=trends, out_dir=out)
 
 

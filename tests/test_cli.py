@@ -216,6 +216,22 @@ class TestPipeline:
         assert out == ""
         assert "down branch has 1 row" in err
 
+    @pytest.mark.parametrize("transition", [False, True])
+    def test_fit_nonfinite_bx_is_data_error(self, pipeline, tmp_path, capfd, transition):
+        # stopped before LAPACK: no "Eigenvalues did not converge" from eigh
+        # and no OpenBLAS "DLASCL" complaint on the process's stderr
+        rec = read_record(pipeline / "demod.txt")
+        bx_down = rec.bx_down.copy()
+        bx_down[5] = np.nan
+        path = write_record(replace(rec, bx_down=bx_down), tmp_path / "demod.txt")
+        argv = ["fit", str(path)] + (["--transition"] if transition else [])
+        code = main(argv)
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "down branch has a non-finite bx" in err
+        assert "Eigenvalues" not in err and "DLASCL" not in err
+
     def test_fit_one_row_scan_is_data_error(self, tmp_path, capsys):
         # a ramp narrower than one decimated sample leaves a 1-row up branch
         cfg = tmp_path / "sim.cfg"

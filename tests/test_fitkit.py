@@ -245,6 +245,14 @@ class TestLevenbergMarquardt:
         with pytest.raises(ValueError):
             levenberg_marquardt(_lorentz_fn, _lorentz_jac, x, y, [1.0, 1.0, 0.0])
 
+    def test_nonfinite_start_is_value_error(self):
+        # a model or Jacobian that is not finite at the start never reaches
+        # the LAPACK calls of the descent or the covariance
+        x = np.linspace(-3, 3, 20)
+        y = _lorentz_fn(x, [1.0, 1.0, 0.0])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            levenberg_marquardt(_lorentz_fn, _lorentz_jac, x, y, [1.0, 0.0, 0.0])
+
 
 class TestFitRecord:
     TRUE = CompositeContourModel(a_anti=0.1, w_anti=3.2, a_sym=0.15, w_sym=2.5,
@@ -321,6 +329,27 @@ class TestFitRecord:
         for fn in (fit_record, extract_transition):
             with pytest.raises(ValueError, match=message):
                 fn(short)
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_bx_is_value_error(self, branch, bad):
+        rec = make_record(self.TRUE)
+        bx = getattr(rec, f"bx_{branch}").copy()
+        bx[7] = bad
+        broken = SimpleNamespace(**{**vars(rec), f"bx_{branch}": bx})
+        for fn in (fit_record, extract_transition):
+            with pytest.raises(ValueError, match=f"{branch} branch has a non-finite bx"):
+                fn(broken)
+
+    def test_overflowing_bx_stops_before_lapack(self):
+        # finite, but the contour model overflows on it: a ValueError from
+        # the start of the descent, not a LinAlgError from eigh
+        rec = make_record(self.TRUE)
+        bx = rec.bx_down.copy()
+        bx[7] = 1e300
+        huge = SimpleNamespace(**{**vars(rec), "bx_down": bx})
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            fit_record(huge)
 
     def test_single_branch_leaves_init_untouched(self):
         rec = make_record(self.TRUE, noise=0.0005, seed=4)

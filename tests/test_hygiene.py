@@ -5,10 +5,10 @@ name of the test oracles (tests/oracles.py) defined in or imported by the
 package, the signal mix written once, LAPACK solves only in the
 Levenberg-Marquardt normal equations, no run-time filter design by
 scipy's bilinear transform, the table format (its column-names line, its
-text body parser and its binary body decoder) kept in recordio, no
-scipy at run time (numpy is the only dependency; scipy is a test
-oracle), and no command-line option that its command's handler does not
-read."""
+text body parser and its binary body decoder) kept in recordio, one
+writer per file format, no scipy at run time (numpy is the only
+dependency; scipy is a test oracle), and no command-line option that its
+command's handler does not read."""
 
 import argparse
 import ast
@@ -173,6 +173,32 @@ def test_loadtxt_only_in_read_table():
 def test_frombuffer_only_in_read_table():
     # the one decoder of a binary record body
     assert set(_enclosing_functions(_is_call_to("frombuffer"))) == {("recordio", "read_table")}
+
+
+def _is_file_write(node):
+    """A call of write_text, write_bytes, or of open (the builtin or
+    Path.open) with a mode that writes."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    args = node.args[1:] if isinstance(f, ast.Name) else node.args  # skip open's file
+    mode = next((k.value for k in node.keywords if k.arg == "mode"), args[0] if args else None)
+    if mode is None:
+        return False  # the default mode, "r"
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_files_written_only_by_the_format_writers():
+    # text tables, binary record bodies and SVG figures each have one writer
+    assert set(_enclosing_functions(_is_file_write)) == {
+        ("recordio", "write_table"), ("recordio", "_write_binary_table"),
+        ("plotsvg", "emit_plot")}
 
 
 def test_columns_line_literal_only_in_recordio():

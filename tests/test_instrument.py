@@ -21,7 +21,6 @@ from alignor.instrument import (
     DemodRecord,
     ScanConfig,
     ScanRecord,
-    calibrate_phase,
     config_from_meta,
     lockin_demodulate,
     lowpass_design,
@@ -296,11 +295,6 @@ class TestLockin:
     def test_cutoff_too_high(self):
         with pytest.raises(ValueError):
             lockin_demodulate(tone_record(), lpf_cutoff=3.0)
-
-    def test_calibrate_phase_recovers_offset(self):
-        rec = tone_record(amp=0.4, phase=-35.0)
-        phi = calibrate_phase(rec)
-        assert math.cos(math.radians(2 * (phi - (-35.0)))) == pytest.approx(1.0, abs=1e-3)
 
     def derivative_error(self, mod_amplitude):
         ramp = SweepProtocol(bx_start=-8.0, bx_end=8.0, rate=0.2,

@@ -10,8 +10,8 @@ from alignor.plotsvg import _COLORS, Series, _fmt, _ticks, emit_plot
 
 def emit_plot_per_sample(series, path, title: str = "", xlabel: str = "",
                          ylabel: str = "", width: int = 640, height: int = 420) -> Path:
-    """emit_plot with a per-sample loop for the points, markers and
-    sidecar rows: the oracle for its array-wise form."""
+    """emit_plot with a per-sample loop for the points and markers: the
+    oracle for its array-wise form."""
     if not series:
         raise ValueError("no series to plot")
     path = Path(path)
@@ -78,18 +78,6 @@ def emit_plot_per_sample(series, path, title: str = "", xlabel: str = "",
     out.append("</svg>")
     path.write_text("\n".join(out) + "\n")
 
-    sidecar = path.with_suffix(".dat")
-    lines = ["# " + "\t".join(f"{s.name}.x\t{s.name}.y" for s in series)]
-    nmax = max(s.x.size for s in series)
-    for i in range(nmax):
-        cells = []
-        for s in series:
-            if i < s.x.size:
-                cells.extend([repr(float(s.x[i])), repr(float(s.y[i]))])
-            else:
-                cells.extend(["nan", "nan"])
-        lines.append("\t".join(cells))
-    sidecar.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -122,19 +110,16 @@ def assert_same_files(series, tmp_path, **kw):
     got = emit_plot(series, tmp_path / "new.svg", **kw)
     want = emit_plot_per_sample(series, tmp_path / "old.svg", **kw)
     assert got.read_bytes() == want.read_bytes()
-    assert got.with_suffix(".dat").read_bytes() == want.with_suffix(".dat").read_bytes()
 
 
 class TestEmitPlot:
-    def test_minimal_plot_is_valid_svg_with_sidecar(self, tmp_path):
+    def test_minimal_plot_is_valid_svg_and_the_only_file(self, tmp_path):
         s = Series("points", np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 0.5]))
         out = emit_plot([s], tmp_path / "p.svg", title="t", xlabel="x", ylabel="y")
         root = ET.parse(out).getroot()
         assert root.tag.endswith("svg")
-        sidecar = out.with_suffix(".dat")
-        rows = [ln for ln in sidecar.read_text().splitlines()
-                if ln and not ln.startswith("#")]
-        assert len(rows) == 3
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 1
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_two_branch_styling(self, tmp_path):
         x = np.linspace(-1, 1, 20)

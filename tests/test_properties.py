@@ -1,7 +1,8 @@
-"""Property tests: record, points-table and config round trips, replay of
-a scan from the meta of its file, scalar oracles vs grids, latch invariants, the closed-form grid solver and the
-per-flip latch against their slow oracles (the batched LAPACK solve and the
-per-sample loop), and composite-contour recovery by fit_record."""
+"""Property tests: record, points-table, trends-table and config round
+trips, replay of a scan from the meta of its file, scalar oracles vs grids,
+latch invariants, the closed-form grid solver and the per-flip latch against
+their slow oracles (the batched LAPACK solve and the per-sample loop), and
+composite-contour recovery by fit_record."""
 
 from dataclasses import fields
 import math
@@ -14,7 +15,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from alignor.dynamics import CouplingParams, SweepProtocol, latch_scan
-from alignor.fitkit import CompositeContourModel, composite_eval, fit_record
+from alignor.fitkit import (
+    TREND_KINDS,
+    TREND_PARAM_NAMES,
+    CompositeContourModel,
+    composite_eval,
+    fit_record,
+)
 from alignor.instrument import (
     DemodRecord,
     ScanConfig,
@@ -25,9 +32,9 @@ from alignor.instrument import (
 )
 from alignor.recordio import (
     SCAN_COLUMNS,
-    dump_config,
-    load_config,
+    parse_config,
     read_record,
+    read_table,
     write_record,
 )
 from alignor.spincore import (
@@ -37,10 +44,14 @@ from alignor.spincore import (
     orientation_steady_state_grid,
 )
 from alignor.study import (
+    POINT_COLUMNS,
     STUDY_KINDS,
+    TREND_COLUMNS,
     StudyConfig,
     StudyPoint,
+    TrendFit,
     _write_points_table,
+    _write_trends,
     read_points_table,
 )
 from oracles import (
@@ -150,13 +161,75 @@ def test_points_table_round_trip(points, kind, seed):
     assert [pt.fit_converged for pt in back] == [pt.fit_converged for pt in points]
 
 
+# the words of the trend table's three text columns; the test's header
+# parser reads each one as its index here
+TREND_WORDS = sorted({*POINT_COLUMNS, *TREND_KINDS,
+                      *(n for names in TREND_PARAM_NAMES.values() for n in names)})
+
+
+@st.composite
+def trend_fits(draw):
+    fits = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(TREND_KINDS))
+        n = len(TREND_PARAM_NAMES[kind])
+        fits.append(TrendFit(
+            quantity=draw(st.sampled_from(POINT_COLUMNS)), kind=kind,
+            params=tuple(draw(st.lists(FLOATS, min_size=n, max_size=n))),
+            stderr=tuple(draw(st.lists(FLOATS, min_size=n, max_size=n))),
+            param_names=TREND_PARAM_NAMES[kind], residual_rms=draw(FLOATS),
+            converged=draw(st.booleans()), n_points=draw(st.integers(0, 10**6))))
+    return tuple(fits)
+
+
+def _parse_trends_header(path, lines):
+    assert len(lines) == 2 and lines[0] == "# alignor-study trends"
+    kind = lines[1].removeprefix("# kind: ")
+    assert kind in STUDY_KINDS
+    return kind, TREND_COLUMNS, {i: TREND_WORDS.index for i in range(3)}, False
+
+
+def _trends_from_rows(rows):
+    """TrendFits from trend-table rows, one block of rows per fit."""
+    fits, i = [], 0
+    while i < len(rows):
+        kind = TREND_WORDS[int(rows[i][1])]
+        block = rows[i:i + len(TREND_PARAM_NAMES[kind])]
+        i += len(block)
+        quantity, _, _, _, _, n_points, rms, converged = block[0]
+        fits.append(TrendFit(
+            quantity=TREND_WORDS[int(quantity)], kind=kind,
+            params=tuple(r[3] for r in block), stderr=tuple(r[4] for r in block),
+            param_names=tuple(TREND_WORDS[int(r[2])] for r in block),
+            residual_rms=rms, converged=bool(converged), n_points=int(n_points)))
+    return tuple(fits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trend_fits(), st.sampled_from(STUDY_KINDS))
+def test_trends_table_round_trip(trends, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        f1, f2 = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+        _write_trends(kind, trends, f1)
+        back_kind, rows = read_table(f1, _parse_trends_header)
+        back = _trends_from_rows(rows.tolist())
+        _write_trends(back_kind, back, f2)
+        assert f1.read_bytes() == f2.read_bytes()
+    assert back_kind == kind
+    assert [(t.quantity, t.kind, t.param_names, t.n_points, t.converged) for t in back] == \
+        [(t.quantity, t.kind, t.param_names, t.n_points, t.converged) for t in trends]
+    assert [_float_reprs((*t.params, *t.stderr, t.residual_rms)) for t in back] == \
+        [_float_reprs((*t.params, *t.stderr, t.residual_rms)) for t in trends]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(KEYS, st.one_of(SCALARS, st.lists(SCALARS, max_size=4)),
                        max_size=8))
 def test_config_dump_parse_identity(cfg):
-    with tempfile.TemporaryDirectory() as tmp:
-        back = load_config(dump_config(cfg, Path(tmp) / "c.cfg"))
-    assert _same_dict(back, cfg)
+    # a flat config written as repr literals, lists in brackets
+    text = "".join(f"{k} = [{', '.join(map(repr, v))}]\n" if isinstance(v, list)
+                   else f"{k} = {v!r}\n" for k, v in sorted(cfg.items()))
+    assert _same_dict(parse_config(text), cfg)
 
 
 # The settings a scan is synthesized from.  The meta of its record holds

@@ -19,8 +19,6 @@ from alignor.instrument import (
 from alignor.recordio import (
     SCAN_COLUMNS,
     _format_value,
-    dump_config,
-    load_config,
     parse_config,
     read_record,
     write_record,
@@ -422,11 +420,6 @@ class TestConfig:
         assert cfg["study.grid"] == [0.05, 0.1, 0.25]
         assert cfg["instrument.seed"] == 42
         assert cfg["ramp.hold_on_zero"] is True
-
-    def test_round_trip(self, tmp_path):
-        cfg = {"a.b": 1.5, "a.c": "text", "d.grid": [1.0, 2.0], "e": None}
-        f = dump_config(cfg, tmp_path / "c.cfg")
-        assert load_config(f) == cfg
 
     def test_quoted_commas_stay_in_one_value(self):
         cfg = parse_config('a.b = "x,y"\n'
