@@ -7,8 +7,8 @@ whose sections are applied to library objects (``ramp.*`` ->
 SweepProtocol, ``instrument.*`` -> ScanConfig, ``physics.*`` ->
 EnsembleParams, ``coupling.*`` -> CouplingParams, ``mix.*`` -> SignalMix
 over the StudyPreset reference loop; ``study.*``/``preset.*`` ->
-StudyConfig); any other key is a data error, and as a scan is sampled at
-``instrument.sample_rate``, so is ``ramp.sample_rate``.  Exit codes: 0
+StudyConfig); any other key, such as ``ramp.sample_rate`` (a scan is
+sampled at ``instrument.sample_rate``), is a data error.  Exit codes: 0
 success, 1 usage error, 2 data error, 3 fit non-convergence (partial
 output is still printed).  The ALIGNOR_OUT environment variable overrides
 the base output directory.
@@ -98,9 +98,6 @@ def _emit(rows, fmt: str):
 
 def cmd_simulate(args) -> int:
     flat = _config(args, "ramp", "instrument", "physics", "coupling", "mix")
-    if "ramp.sample_rate" in flat:
-        raise ValueError("ramp.sample_rate is not used by simulate; "
-                         "set instrument.sample_rate instead")
     if args.seed is not None:
         flat["instrument.seed"] = args.seed
     # defaults: the preset's live-latch loop at its reference ellipticity
@@ -283,7 +280,8 @@ def main(argv=None) -> int:
     except DegenerateFitError as e:
         print(f"fit failed: {e}", file=sys.stderr)
         return EXIT_FIT
-    except (ValueError, KeyError, TypeError, OSError) as e:
+    # OverflowError: an integer setting or meta value too large for a float
+    except (ValueError, KeyError, TypeError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -84,14 +84,11 @@ class SweepProtocol:
     static_by: float = 0.0
     static_bz: float = 0.0
     ellipticity_deg: float | None = None
-    sample_rate: float = 100.0        # Hz
 
     def __post_init__(self):
         reject_nonfinite(self)
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be > 0")
         if self.bx_start == self.bx_end:
             raise ValueError("bx_start and bx_end must differ")
         if self.direction_pattern not in ("up", "down", "triangle"):
@@ -173,16 +170,19 @@ def _segments(proto: SweepProtocol):
     return segs
 
 
-def sweep_profile(proto: SweepProtocol):
-    """Sample the scan: returns (t, bx, direction) on a uniform grid.
+def sweep_profile(proto: SweepProtocol, sample_rate: float):
+    """Sample the scan at sample_rate Hz into (t, bx, direction).
 
-    Raises ValueError, before allocating, for a scan of more than
-    MAX_SCAN_SAMPLES samples or of a non-finite length.
+    Raises ValueError for a sample_rate that is not > 0 and, before
+    allocating, for a scan of more than MAX_SCAN_SAMPLES samples or of a
+    non-finite length.
     """
+    if not sample_rate > 0:
+        raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
     segs = _segments(proto)
     durations = np.array([s[0] for s in segs])
     edges = np.concatenate([[0.0], np.cumsum(durations)])
-    dt = 1.0 / proto.sample_rate
+    dt = 1.0 / sample_rate
     steps = edges[-1] / dt
     if not math.isfinite(steps) or steps >= MAX_SCAN_SAMPLES:
         raise ValueError(f"the scan takes {steps + 1:.3g} samples, more than "
@@ -206,13 +206,13 @@ def latch_scan(t, my, direction, my0: float, tau_flip: float, s0: int | None = N
     """Scan the latch over a sampled trajectory of the slow M_y.
 
     Returns the continuous latch variable (raised-cosine ramps between -1 and
-    +1) and the list of flip start indices.  With my0 = 0 the latch simply
-    tracks sign crossings of M_y in either sweep direction.
+    +1) and the list of flip start indices.
 
     A flip starts at the first sample at or after the current one where the
     held state s < 0 meets M_y >= my0 on an up sweep (s > 0: M_y <= -my0 on a
-    down sweep; with my0 = 0, M_y > 0 or M_y < 0 in any direction).  That
-    sample keeps the old state; the following samples ramp as
+    down sweep); the rule holds for every my0 >= 0, zero included, so a
+    dwell sample (direction 0) never starts a flip.  The trigger sample
+    keeps the old state; the following samples ramp as
     s_old + (s - s_old)(1 - cos phase)/2 with phase = (t - t0)/tau_flip, up to
     the first sample with phase >= pi, which takes s; the trigger checks
     resume after it.  The scan loops once per flip, so its Python work is
@@ -224,11 +224,8 @@ def latch_scan(t, my, direction, my0: float, tau_flip: float, s0: int | None = N
     my = np.asarray(my, float)
     direction = np.asarray(direction)
     n = t.size
-    if my0 == 0.0:
-        up, down = my > 0.0, my < 0.0
-    else:
-        up = (direction > 0) & (my >= my0)
-        down = (direction < 0) & (my <= -my0)
+    up = (direction > 0) & (my >= my0)
+    down = (direction < 0) & (my <= -my0)
     rising, falling, never = np.flatnonzero(up), np.flatnonzero(down), np.empty(0, int)
     ell = np.empty(n)
     flips = []
@@ -264,19 +261,18 @@ def effective_params(p: EnsembleParams, proto: SweepProtocol) -> EnsembleParams:
     return p.with_m0(p.m0 * math.sin(abs(2.0 * proto.ellipticity_deg) * math.pi / 180.0))
 
 
-def _flip_events(t, bx, my, flips, my0, direction):
+def _flip_events(t, bx, my, flips, my0, ell):
+    """The threshold crossing before each flip start, interpolated between
+    it and the sample before."""
     events = []
     for i in flips:
-        d = 1 if my[i] >= 0 else -1
-        thr = my0 * d if my0 > 0 else 0.0
-        if i > 0 and my[i] != my[i - 1]:
-            frac = (thr - my[i - 1]) / (my[i] - my[i - 1])
-            frac = min(max(frac, 0.0), 1.0)
-        else:
-            frac = 0.0
-        events.append(FlipEvent(t=float(t[i - 1] + frac * (t[i] - t[i - 1])) if i > 0 else float(t[i]),
-                                bx=float(bx[i - 1] + frac * (bx[i] - bx[i - 1])) if i > 0 else float(bx[i]),
-                                direction=d))
+        d = 1 if ell[i] < 0 else -1     # the trigger sample holds the old state
+        k = max(i - 1, 0)
+        frac = 0.0
+        if my[i] != my[k]:
+            frac = min(max((my0 * d - my[k]) / (my[i] - my[k]), 0.0), 1.0)
+        events.append(FlipEvent(t=float(t[k] + frac * (t[i] - t[k])),
+                                bx=float(bx[k] + frac * (bx[i] - bx[k])), direction=d))
     return tuple(events)
 
 
@@ -285,13 +281,13 @@ def _flip_events(t, bx, my, flips, my0, direction):
 
 
 def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
-              initial_sign: int | None = None) -> Trajectory:
-    """Run a field scan and return the sampled trajectory.
+              sample_rate: float = 100.0, initial_sign: int | None = None) -> Trajectory:
+    """Run a field scan sampled at sample_rate (Hz) and return the trajectory.
 
     Both moments follow their quasi-static steady states; the alignment sees
     static_by plus the latched effective field kappa*my0*latch(t).
     """
-    t, bx, direction = sweep_profile(proto)
+    t, bx, direction = sweep_profile(proto, sample_rate)
     pe = effective_params(p, proto)
     by = np.full_like(bx, proto.static_by)
     bz = np.full_like(bx, proto.static_bz)
@@ -302,6 +298,6 @@ def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
     by_eff = by + c.kappa * c.my0 * ell
     m2 = alignment_steady_state_grid(bx, by_eff, bz, pe)
     b_eff = np.stack([bx, by_eff, bz], axis=-1)
-    flips = _flip_events(t, bx, m1[:, 1], flip_idx, c.my0, direction)
+    flips = _flip_events(t, bx, m1[:, 1], flip_idx, c.my0, ell)
     return Trajectory(t=t, b_applied=b_applied, b_eff=b_eff, m1=m1, m2=m2,
                       latch=ell, direction=direction, flips=flips)

@@ -175,7 +175,7 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
 def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
     """The iteration of ``levenberg_marquardt``: its FitResult without the
     covariance, or None once ``stop(p)`` holds at an accepted iterate p that
-    has not converged.  A model or Jacobian that is not finite at ``init``
+    has not converged.  A cost or Jacobian that is not finite at ``init``
     (overflowing data or starting values) raises ValueError before any
     LAPACK call sees it."""
     y = np.asarray(y, dtype=float)
@@ -188,9 +188,9 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
 
     r = y - fn(x, p)
     j = jac(x, p)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(j))):
-        raise ValueError("model or Jacobian not finite at the starting parameters")
     cost = float(r @ r)
+    if not (math.isfinite(cost) and np.all(np.isfinite(j))):
+        raise ValueError("cost or Jacobian not finite at the starting parameters")
     lam = LM_LAMBDA0
     history = [cost]
     converged = False
@@ -274,13 +274,14 @@ def _lm_covariance(res, jac, x, n_points):
 # record-level fitting
 
 
-def _check_branch(name, bx):
+def _check_branch(name, bx, **columns):
     """Reject a branch too short for a slope (np.gradient needs 2 rows) or
-    with a non-finite bx."""
+    with a non-finite bx or other named column."""
     if len(bx) < 2:
         raise ValueError(f"{name} branch has {len(bx)} row(s); need at least 2")
-    if not np.all(np.isfinite(bx)):
-        raise ValueError(f"{name} branch has a non-finite bx")
+    for col, values in {"bx": bx, **columns}.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} branch has a non-finite {col}")
 
 
 def _transition_index(bx, s):
@@ -360,8 +361,10 @@ def fit_record(rec, init=None):
 
     ``rec`` must expose bx_up, s_up and (optionally) bx_down, s_down arrays.
     All parameters are shared between branches except the fixed branch signs.
-    A single-branch record is fitted with hysteresis pinned at zero and a
-    warning flag.  A branch with fewer than 2 rows raises ValueError.
+    A single-branch record is fitted as the up branch alone, with
+    hysteresis pinned at zero and a warning flag.  A branch with fewer than
+    2 rows raises ValueError.  hysteresis_h is reported as |h|, with a
+    warning when the winner's h < 0: that model does not reproduce the fit.
 
     Levenberg-Marquardt runs from the initial guess (or ``init``) and three
     variants of it with other w_sym and hysteresis.  Each converged start's
@@ -379,16 +382,16 @@ def fit_record(rec, init=None):
     bx_down = getattr(rec, "bx_down", None)
     single = bx_down is None or len(bx_down) == 0
     if single:
-        bx_down = bx_up
-        s_down = s_up
+        # the up rows alone; the initial guess reads them as both branches
+        bx_down, s_down = bx_up, s_up
+        bx, sigma, y = bx_up, np.ones(bx_up.size), s_up
     else:
         _check_branch("down", bx_down)
         bx_down = np.asarray(bx_down, dtype=float)
         s_down = np.asarray(rec.s_down, dtype=float)
-
-    bx = np.concatenate([bx_up, bx_down])
-    sigma = np.concatenate([np.ones(bx_up.size), -np.ones(bx_down.size)])
-    y = np.concatenate([s_up, s_down])
+        bx = np.concatenate([bx_up, bx_down])
+        sigma = np.concatenate([np.ones(bx_up.size), -np.ones(bx_down.size)])
+        y = np.concatenate([s_up, s_down])
     p0 = np.array(init, dtype=float) if init is not None \
         else _initial_guess(bx_up, s_up, bx_down, s_down)
     if single:
@@ -435,10 +438,13 @@ def fit_record(rec, init=None):
             res = cand
     res = _lm_covariance(res, jc, (bx, sigma), y.size)
     p = _fold_signs(res.params)
-    p[5] = abs(p[5]) if not single else 0.0
     warnings = res.warnings
     if single:
         warnings = warnings + ("single branch: hysteresis fixed at 0",)
+    elif p[5] < 0:
+        warnings = warnings + (f"hysteresis_h = {p[5]:.6g} folded to |h|: the model "
+                               "does not reproduce the fit (branch labels swapped?)",)
+    p[5] = abs(p[5]) if not single else 0.0
     model = CompositeContourModel(a_anti=p[0], w_anti=p[1], a_sym=p[2],
                                   w_sym=p[3], center=p[4], hysteresis_h=p[5],
                                   offset=p[6])
@@ -529,17 +535,18 @@ def extract_transition(rec) -> TransitionResult:
     change on the record's own time base, deconvolved (in quadrature) from
     the instrument response ``meta["response_time"]`` when the record has
     one.  A record without transitions yields a monostable result rather
-    than an error; a branch with fewer than 2 rows raises ValueError.
+    than an error; a branch with fewer than 2 rows or a non-finite bx, t or
+    s raises ValueError (the side-level polyfit would hand it to LAPACK).
     """
     meta = getattr(rec, "meta", None)
     response_time = meta.get("response_time") if isinstance(meta, dict) else None
     response_time = 0.0 if response_time is None else float(response_time)
-    _check_branch("up", rec.bx_up)
+    _check_branch("up", rec.bx_up, t=rec.t_up, s=rec.s_up)
     up = _branch_transition(np.asarray(rec.t_up, float), np.asarray(rec.bx_up, float),
                             np.asarray(rec.s_up, float))
     down = None
     if getattr(rec, "bx_down", None) is not None and len(rec.bx_down):
-        _check_branch("down", rec.bx_down)
+        _check_branch("down", rec.bx_down, t=rec.t_down, s=rec.s_down)
         down = _branch_transition(np.asarray(rec.t_down, float),
                                   np.asarray(rec.bx_down, float),
                                   np.asarray(rec.s_down, float))

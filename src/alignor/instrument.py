@@ -6,7 +6,7 @@ lockin_demodulate turns it into the per-branch demodulated contour that the
 fitting layer consumes.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass
 import math
 
 import numpy as np
@@ -81,14 +81,9 @@ class DemodRecord:
     meta: dict
 
 
-# Settings a record's meta does not hold: the scan config's ramp, which the
-# meta holds field by field, and the ramp's sample rate, which the scan
-# config's sample rate overrides.
-_NOT_IN_META = {ScanConfig: ("ramp",), SweepProtocol: ("sample_rate",)}
-
-
 def _meta_fields(cls):
-    return [f.name for f in fields(cls) if f.name not in _NOT_IN_META.get(cls, ())]
+    """Fields a record's meta holds by name: all but a nested dataclass."""
+    return [f.name for f in fields(cls) if not is_dataclass(f.type)]
 
 
 def record_meta(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
@@ -127,8 +122,9 @@ SYNTH_BLOCK = 4096
 
 def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
                       mix: SignalMix | None = None) -> ScanRecord:
-    """Simulate one scan through the full measurement chain (latch mode).
+    """Simulate one scan through the full measurement chain.
 
+    The scan is sampled at cfg.sample_rate, its one sampling rate, and
     B_x(t) = ramp + mod_amplitude*sin(2 pi mod_freq t) + drift_rate*t.  The
     latch watches the slow (unmodulated) orientation moment, since the flip
     dynamics are slower than a modulation period; both moments otherwise
@@ -142,13 +138,12 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
     """
     if mix is None:
         mix = SignalMix()
-    proto = replace(cfg.ramp, sample_rate=cfg.sample_rate)
-    t, bx_ramp, dirs = sweep_profile(proto)
-    pe = effective_params(p, proto)
+    t, bx_ramp, dirs = sweep_profile(cfg.ramp, cfg.sample_rate)
+    pe = effective_params(p, cfg.ramp)
     drift = cfg.drift_rate * t
     bx_slow = bx_ramp + drift
     bx_mod = bx_slow + cfg.mod_amplitude * np.sin(TWO_PI * cfg.mod_freq * t)
-    by, bz = proto.static_by, proto.static_bz
+    by, bz = cfg.ramp.static_by, cfg.ramp.static_bz
     blocks = [slice(i, i + SYNTH_BLOCK) for i in range(0, t.size, SYNTH_BLOCK)]
 
     my_slow = np.empty(t.size)

@@ -139,14 +139,17 @@ def alignment_steady_state(bx, by, bz, p) -> np.ndarray:
 def fit_record_all_starts(rec, init=None):
     """``fit_record`` as four full Levenberg-Marquardt runs, one from each
     start, with no merging of starts that reach a known minimum: the oracle
-    of its basin merge.  The body below is the fit before the merge, verbatim.
+    of its basin merge.  The body below is the fit before the merge,
+    verbatim but for the single-branch rows, which it fits once, as
+    ``fit_record`` does.
 
     Joint up/down-branch fit of the composite contour to a demodulated scan.
 
     ``rec`` must expose bx_up, s_up and (optionally) bx_down, s_down arrays.
     All parameters are shared between branches except the fixed branch signs.
-    A single-branch record is fitted with hysteresis pinned at zero and a
-    warning flag.  A branch with fewer than 2 rows raises ValueError.
+    A single-branch record is fitted as the up branch alone, with
+    hysteresis pinned at zero and a warning flag.  A branch with fewer than
+    2 rows raises ValueError.
     """
     bx_up = np.asarray(rec.bx_up, dtype=float)
     s_up = np.asarray(rec.s_up, dtype=float)
@@ -154,16 +157,15 @@ def fit_record_all_starts(rec, init=None):
     bx_down = getattr(rec, "bx_down", None)
     single = bx_down is None or len(bx_down) == 0
     if single:
-        bx_down = bx_up
-        s_down = s_up
+        bx_down, s_down = bx_up, s_up
+        bx, sigma, y = bx_up, np.ones(bx_up.size), s_up
     else:
         _check_branch("down", bx_down)
         bx_down = np.asarray(bx_down, dtype=float)
         s_down = np.asarray(rec.s_down, dtype=float)
-
-    bx = np.concatenate([bx_up, bx_down])
-    sigma = np.concatenate([np.ones(bx_up.size), -np.ones(bx_down.size)])
-    y = np.concatenate([s_up, s_down])
+        bx = np.concatenate([bx_up, bx_down])
+        sigma = np.concatenate([np.ones(bx_up.size), -np.ones(bx_down.size)])
+        y = np.concatenate([s_up, s_down])
     p0 = np.array(init, dtype=float) if init is not None \
         else _initial_guess(bx_up, s_up, bx_down, s_down)
     if single:

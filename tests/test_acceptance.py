@@ -136,8 +136,8 @@ def test_criterion_06_hysteresis_mechanics():
     sym_ok, pred_ok, hvalues = True, True, []
     for chi in chis:
         proto = SweepProtocol(bx_start=-16.0, bx_end=16.0, rate=1.0,
-                              sample_rate=128.0, ellipticity_deg=float(chi))
-        traj = run_sweep(proto, p, c)
+                              ellipticity_deg=float(chi))
+        traj = run_sweep(proto, p, c, sample_rate=128.0)
         bx_up = next(e.bx for e in traj.flips if e.direction > 0)
         bx_down = next(e.bx for e in traj.flips if e.direction < 0)
         sym_ok &= abs(bx_up + bx_down) <= 1e-9
@@ -229,10 +229,10 @@ def test_criterion_09_bistability_persists_through_zero_field_hold():
     start = time.monotonic()
     p = EnsembleParams(gamma_over_2pi=3.5, relax_rate=8.0 * 2 * math.pi * 3.5)
     c = CouplingParams(kappa=100.0, my0=0.15 * math.sin(math.radians(0.6)))
+    fs = 50.0
     proto = SweepProtocol(bx_start=-16.0, bx_end=16.0, rate=1.0,
-                          sample_rate=50.0, hold_on_zero=True,
-                          hold_time=300.0, ellipticity_deg=0.5)
-    traj = run_sweep(proto, p, c)
+                          hold_on_zero=True, hold_time=300.0, ellipticity_deg=0.5)
+    traj = run_sweep(proto, p, c, sample_rate=fs)
     # both triangle legs dwell at zero; each dwell must hold its own state
     idx = np.flatnonzero(traj.direction == 0)
     segments = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
@@ -243,7 +243,7 @@ def test_criterion_09_bistability_persists_through_zero_field_hold():
         no_dwell_flips &= all(not traj.t[seg[0]] <= e.t <= traj.t[seg[-1]]
                               for e in traj.flips)
     elapsed = time.monotonic() - start
-    ok = len(segments) == 2 and held >= 300.0 - 1.0 / proto.sample_rate \
+    ok = len(segments) == 2 and held >= 300.0 - 1.0 / fs \
         and unchanged and no_dwell_flips and len(traj.flips) >= 2 \
         and elapsed < 30.0
     _verdict(9, ok, f"latch constant over both {held:.1f}s zero-field "

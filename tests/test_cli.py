@@ -190,6 +190,27 @@ class TestPipeline:
         assert code == 2
         assert f"{f}:{n}:" in err
 
+    def test_integer_too_large_for_a_float_is_data_error(self, pipeline, tmp_path,
+                                                          capsys):
+        # a 401-digit integer literal is valid config and meta syntax; it
+        # overflows where it is first used as a float
+        huge = "1" + "0" * 400
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SMALL_CONFIG + f"ramp.rate = {huge}\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert "too large" in err
+        assert not (tmp_path / "scan.txt").exists()
+        head, body = (pipeline / "scan.txt").read_bytes().split(b"\n# body: ", 1)
+        lines = [f"# meta.sample_rate = {huge}" if ln.startswith("# meta.sample_rate =")
+                 else ln for ln in head.decode().splitlines()]
+        f = tmp_path / "scan.txt"
+        f.write_bytes(("\n".join(lines) + "\n# body: ").encode() + body)
+        code, _, err = run(capsys, "demod", str(f), "--out", str(tmp_path))
+        assert code == 2
+        assert "too large" in err
+        assert not (tmp_path / "demod.txt").exists()
+
     @pytest.mark.parametrize("flag, value", [("--phase-deg", "nan"),
                                              ("--phase-deg", "inf"),
                                              ("--gain", "inf"), ("--gain", "nan")])
@@ -249,14 +270,14 @@ class TestPipeline:
         assert code == 2
 
     def test_simulate_rejects_ramp_sample_rate(self, tmp_path, capsys):
-        # the scan is sampled at instrument.sample_rate; a ramp rate would
-        # be silently ignored
+        # the scan is sampled at instrument.sample_rate; the ramp has no
+        # sample rate, so the key names no field
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(SMALL_CONFIG + "ramp.sample_rate = 50.0\n")
         code, _, err = run(capsys, "simulate", "--config", str(cfg),
                            "--out", str(tmp_path))
         assert code == 2
-        assert "instrument.sample_rate" in err
+        assert "unknown ramp field 'sample_rate'" in err
         assert not (tmp_path / "scan.txt").exists()
 
     @pytest.mark.parametrize("line, field", [

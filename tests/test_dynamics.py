@@ -22,10 +22,10 @@ from alignor.dynamics import (
 from alignor.spincore import EnsembleParams
 
 P = EnsembleParams(gamma_over_2pi=3.5, relax_rate=60.0, m0=1.0, a0=1.0)
+FS = 50.0      # Hz, the sample rate of the sweeps below unless they name one
 
 
 def triangle(b=15.0, rate=1.0, **kw):
-    kw.setdefault("sample_rate", 50.0)
     return SweepProtocol(bx_start=-b, bx_end=b, rate=rate, **kw)
 
 
@@ -77,12 +77,12 @@ class TestEffectiveFieldFromTransient:
             effective_field_from_transient(0.0, P)
 
 
-def per_sample_profile(proto):
+def per_sample_profile(proto, sample_rate):
     """sweep_profile's per-sample form: the oracle for its fill by segment."""
     segs = _segments(proto)
     durations = np.array([s[0] for s in segs])
     edges = np.concatenate([[0.0], np.cumsum(durations)])
-    dt = 1.0 / proto.sample_rate
+    dt = 1.0 / sample_rate
     n = int(math.floor(edges[-1] / dt)) + 1
     t = np.arange(n) * dt
     k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(segs) - 1)
@@ -92,8 +92,9 @@ def per_sample_profile(proto):
     return t, bx, np.sign(slope)
 
 
-def assert_profile_matches_oracle(proto):
-    for got, want in zip(sweep_profile(proto), per_sample_profile(proto)):
+def assert_profile_matches_oracle(proto, sample_rate):
+    for got, want in zip(sweep_profile(proto, sample_rate),
+                         per_sample_profile(proto, sample_rate)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -106,7 +107,7 @@ class TestSweepProfile:
         hold = {} if hold_time is None else {"hold_on_zero": True, "hold_time": hold_time}
         assert_profile_matches_oracle(SweepProtocol(
             bx_start=-6.3, bx_end=4.1, rate=1.7, direction_pattern=pattern,
-            sample_rate=sample_rate, **hold))
+            **hold), sample_rate)
 
     @settings(max_examples=60, deadline=None)
     @given(pattern=st.sampled_from(["up", "down", "triangle"]),
@@ -118,10 +119,10 @@ class TestSweepProfile:
         assume(start != end)
         assert_profile_matches_oracle(SweepProtocol(
             bx_start=start, bx_end=end, rate=rate, direction_pattern=pattern,
-            hold_on_zero=hold, hold_time=hold_time, sample_rate=sample_rate))
+            hold_on_zero=hold, hold_time=hold_time), sample_rate)
 
     def test_triangle_shape(self):
-        t, bx, d = sweep_profile(triangle(b=10.0, rate=2.0))
+        t, bx, d = sweep_profile(triangle(b=10.0, rate=2.0), FS)
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0)
         assert np.allclose(np.diff(t), np.diff(t)[0])
@@ -132,15 +133,25 @@ class TestSweepProfile:
 
     def test_oversized_scan_rejected_before_allocating(self):
         # +-1e6 nT at the preset 0.8 nT/s and 500 Hz: 2.5e9 samples, 20 GB of t
-        proto = triangle(b=1e6, rate=0.8, sample_rate=500.0)
+        proto = triangle(b=1e6, rate=0.8)
         with pytest.raises(ValueError, match=r"2\.5e\+09 samples"):
-            sweep_profile(proto)
+            sweep_profile(proto, 500.0)
+
+    @pytest.mark.parametrize("sample_rate", [0.0, -50.0, math.nan])
+    def test_sample_rate_must_be_positive(self, sample_rate):
+        with pytest.raises(ValueError, match="sample_rate must be > 0"):
+            sweep_profile(triangle(), sample_rate)
+
+    def test_protocol_has_no_sample_rate(self):
+        # a scan has one sampling rate, its caller's: the protocol holds none
+        with pytest.raises(TypeError):
+            triangle(sample_rate=FS)
 
     def test_hold_on_zero_inserts_dwell(self):
         proto = SweepProtocol(bx_start=5.0, bx_end=-5.0, rate=1.0,
                               direction_pattern="up", hold_on_zero=True,
-                              hold_time=20.0, sample_rate=20.0)
-        t, bx, d = sweep_profile(proto)
+                              hold_time=20.0)
+        t, bx, d = sweep_profile(proto, 20.0)
         dwell = np.sum(np.abs(bx) < 1e-9) / 20.0
         assert dwell == pytest.approx(20.0, abs=0.2)
         assert t[-1] == pytest.approx(30.0, abs=0.1)
@@ -183,18 +194,12 @@ class TestLatchScan:
         assert flips == []
         assert np.all(ell == -1.0)
 
-    def test_zero_threshold_tracks_sign(self):
-        t = np.linspace(0.0, 10.0, 4001)
-        my = np.sin(2 * math.pi * 0.3 * t) * 0.2
-        ell, flips = latch_scan(t, my, np.ones(t.size), 0.0, 0.01)
-        assert len(flips) >= 5
-
 
 class TestRunSweepLatch:
     C = CouplingParams(kappa=11.0, my0=0.1)
 
     def test_hysteresis_matches_prediction(self):
-        traj = run_sweep(triangle(rate=0.5), P, self.C)
+        traj = run_sweep(triangle(rate=0.5), P, self.C, FS)
         ups = [f for f in traj.flips if f.direction > 0]
         downs = [f for f in traj.flips if f.direction < 0]
         assert len(ups) == 1 and len(downs) == 1
@@ -203,27 +208,27 @@ class TestRunSweepLatch:
         assert h == pytest.approx(2 * b0, rel=0.05)
 
     def test_flip_fields_antisymmetric(self):
-        traj = run_sweep(triangle(rate=0.5), P, self.C)
+        traj = run_sweep(triangle(rate=0.5), P, self.C, FS)
         up = [f.bx for f in traj.flips if f.direction > 0][0]
         down = [f.bx for f in traj.flips if f.direction < 0][0]
         assert up + down == pytest.approx(0.0, abs=1e-6)
 
     def test_rate_independence(self):
-        f1 = run_sweep(triangle(rate=0.5), P, self.C).flips
-        f2 = run_sweep(triangle(rate=0.25), P, self.C).flips
+        f1 = run_sweep(triangle(rate=0.5), P, self.C, FS).flips
+        f2 = run_sweep(triangle(rate=0.25), P, self.C, FS).flips
         for a, b in zip(f1, f2):
             assert b.bx == pytest.approx(a.bx, rel=0.02, abs=1e-3)
 
     def test_no_threshold_no_hysteresis(self):
         c0 = CouplingParams(kappa=11.0, my0=0.0)
-        traj = run_sweep(triangle(rate=0.5), P, c0)
+        traj = run_sweep(triangle(rate=0.5), P, c0, FS)
         ups = [f.bx for f in traj.flips if f.direction > 0]
         downs = [f.bx for f in traj.flips if f.direction < 0]
         assert ups and downs
         assert abs(ups[0] - downs[0]) < 0.05
 
     def test_no_orientation_no_flips(self):
-        traj = run_sweep(triangle(rate=0.5, ellipticity_deg=0.0), P, self.C,
+        traj = run_sweep(triangle(rate=0.5, ellipticity_deg=0.0), P, self.C, FS,
                          initial_sign=1)
         assert traj.flips == ()
         # with the latch never tripping, both passes see the same constant
@@ -237,14 +242,14 @@ class TestRunSweepLatch:
 
     def test_latch_effective_field_bookkeeping(self):
         proto = triangle(rate=0.5, static_by=0.3)
-        traj = run_sweep(proto, P, self.C)
+        traj = run_sweep(proto, P, self.C, FS)
         expect = 0.3 + self.C.kappa * self.C.my0 * traj.latch
         assert np.max(np.abs(traj.b_eff[:, 1] - expect)) < 1e-12
 
     def test_kappa_zero_matches_uncoupled_alignment(self):
         c0 = CouplingParams(kappa=0.0, my0=0.1)
         proto = triangle(rate=1.0, static_by=0.4)
-        traj = run_sweep(proto, P, c0)
+        traj = run_sweep(proto, P, c0, FS)
         from alignor.spincore import alignment_steady_state_grid
 
         ref = alignment_steady_state_grid(traj.bx, np.full_like(traj.bx, 0.4),
@@ -254,20 +259,20 @@ class TestRunSweepLatch:
     def test_hold_at_zero_preserves_latch(self):
         proto = SweepProtocol(bx_start=15.0, bx_end=-15.0, rate=1.0,
                               direction_pattern="up", hold_on_zero=True,
-                              hold_time=300.0, sample_rate=20.0)
-        traj = run_sweep(proto, P, self.C, initial_sign=1)
+                              hold_time=300.0)
+        traj = run_sweep(proto, P, self.C, sample_rate=20.0, initial_sign=1)
         dwell = np.abs(traj.bx) < 1e-9
         assert dwell.sum() / 20.0 >= 299.0
         assert np.all(traj.latch[dwell] == traj.latch[dwell][0])
 
     def test_moment_norms_bounded(self):
-        traj = run_sweep(triangle(rate=0.5, static_by=0.2, static_bz=0.1), P, self.C)
+        traj = run_sweep(triangle(rate=0.5, static_by=0.2, static_bz=0.1), P, self.C, FS)
         assert np.max(np.linalg.norm(traj.m1, axis=1)) <= P.m0 + 1e-9
         assert np.max(np.linalg.norm(traj.m2, axis=1)) <= P.a0 + 1e-9
 
     def test_transition_duration_matches_default_tau(self):
         tau = default_tau_flip(P, self.C)
-        traj = run_sweep(triangle(rate=0.5), P, self.C)
+        traj = run_sweep(triangle(rate=0.5), P, self.C, FS)
         # 10-90% duration of the latch ramp
         i = np.argmax(traj.latch > -0.8)
         j = np.argmax(traj.latch > 0.8)

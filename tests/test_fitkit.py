@@ -246,12 +246,23 @@ class TestLevenbergMarquardt:
             levenberg_marquardt(_lorentz_fn, _lorentz_jac, x, y, [1.0, 1.0, 0.0])
 
     def test_nonfinite_start_is_value_error(self):
-        # a model or Jacobian that is not finite at the start never reaches
+        # a cost or Jacobian that is not finite at the start never reaches
         # the LAPACK calls of the descent or the covariance
         x = np.linspace(-3, 3, 20)
         y = _lorentz_fn(x, [1.0, 1.0, 0.0])
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             levenberg_marquardt(_lorentz_fn, _lorentz_jac, x, y, [1.0, 0.0, 0.0])
+
+    def test_overflowing_cost_is_value_error(self):
+        # finite data whose squared residual overflows: before the fix the
+        # descent accepted steps from an infinite cost and eigh failed on
+        # the covariance with "Eigenvalues did not converge"
+        x = np.linspace(-3, 3, 20)
+        y = _lorentz_fn(x, [1.0, 1.0, 0.0])
+        y[3] = 1e300
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="cost or Jacobian not finite"):
+            levenberg_marquardt(_lorentz_fn, _lorentz_jac, x, y, [1.0, 1.0, 0.0])
 
 
 class TestFitRecord:
@@ -341,6 +352,16 @@ class TestFitRecord:
             with pytest.raises(ValueError, match=f"{branch} branch has a non-finite bx"):
                 fn(broken)
 
+    @pytest.mark.parametrize("column", ["t", "s"])
+    def test_transition_rejects_nonfinite_column(self, column):
+        # a NaN time or signal in a side window reached polyfit's SVD
+        rec = make_record(self.TRUE)
+        values = getattr(rec, f"{column}_down").copy()
+        values[7] = math.nan
+        broken = SimpleNamespace(**{**vars(rec), f"{column}_down": values})
+        with pytest.raises(ValueError, match=f"down branch has a non-finite {column}"):
+            extract_transition(broken)
+
     def test_overflowing_bx_stops_before_lapack(self):
         # finite, but the contour model overflows on it: a ValueError from
         # the start of the descent, not a LinAlgError from eigh
@@ -350,6 +371,34 @@ class TestFitRecord:
         huge = SimpleNamespace(**{**vars(rec), "bx_down": bx})
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             fit_record(huge)
+
+    def test_single_branch_recovers_every_parameter(self):
+        # the up rows are fitted once: a copy of them with the down sign
+        # would cancel the symmetric part and pin a_sym at 0
+        m = CompositeContourModel(a_anti=0.2, w_anti=2.0, a_sym=0.15, w_sym=1.5,
+                                  center=0.3, offset=0.1)
+        bx = np.linspace(-12.0, 12.0, 241)
+        one = SimpleNamespace(bx_up=bx, s_up=composite_eval(m, bx, "up"), bx_down=None)
+        for res in (fit_record(one), fit_record_all_starts(one)):
+            assert res.converged
+            assert res.residual_rms < 1e-10
+            assert np.allclose(res.params, m.free_params(), rtol=1e-8, atol=1e-10)
+            assert "w_sym" not in res.unidentifiable
+
+    def test_negative_hysteresis_is_flagged(self):
+        # with the branch labels swapped the best fit has h < 0; the model
+        # reported with |h| then misses the data, and the fit says so
+        bx = np.linspace(-12.0, 12.0, 241)
+        up, down = (composite_eval(self.TRUE, bx, b) for b in ("up", "down"))
+        for s_up, s_down, folded in ((up, down, False), (down, up, True)):
+            rec = SimpleNamespace(bx_up=bx, s_up=s_up, bx_down=bx, s_down=s_down)
+            res = fit_record(rec)
+            assert res.converged and res.residual_rms < 1e-10
+            assert any("folded to |h|" in w for w in res.warnings) == folded
+            model_rms = math.sqrt(np.mean(np.concatenate([
+                composite_eval(res.model, bx, "up") - s_up,
+                composite_eval(res.model, bx, "down") - s_down]) ** 2))
+            assert (model_rms > 1e-3) == folded
 
     def test_single_branch_leaves_init_untouched(self):
         rec = make_record(self.TRUE, noise=0.0005, seed=4)

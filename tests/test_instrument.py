@@ -135,8 +135,8 @@ class TestSynthesizeRecord:
 def straight_line_synthesis(cfg, p, c, mix):
     """synthesize_record's chain as one full-length pass: the oracle for its
     block-wise evaluation.  Returns (t, bx_ramp, st_raw, sb_raw, direction, flips)."""
-    proto = replace(cfg.ramp, sample_rate=cfg.sample_rate)
-    t, bx_ramp, dirs = sweep_profile(proto)
+    proto = cfg.ramp
+    t, bx_ramp, dirs = sweep_profile(proto, cfg.sample_rate)
     pe = effective_params(p, proto)
     drift = cfg.drift_rate * t
     bx_slow = bx_ramp + drift

@@ -233,16 +233,14 @@ def test_config_dump_parse_identity(cfg):
 
 
 # The settings a scan is synthesized from.  The meta of its record holds
-# each of their fields under the field's name, but for two: the ramp, which
-# it holds field by field, and the ramp's sample rate, which the scan
-# config's overrides.
+# each of their fields under the field's name, but for the scan config's
+# ramp, which it holds field by field.
 SETTINGS = (SweepProtocol, ScanConfig, EnsembleParams, CouplingParams, SignalMix)
-NOT_IN_META = {(SweepProtocol, "sample_rate"), (ScanConfig, "ramp")}
 
 
 def test_record_meta_holds_every_setting():
     names = [f.name for cls in SETTINGS for f in fields(cls)
-             if (cls, f.name) not in NOT_IN_META]
+             if (cls, f.name) != (ScanConfig, "ramp")]
     assert len(names) == len(set(names))
     meta = record_meta(ScanConfig(ramp=SweepProtocol(bx_start=-1.0, bx_end=1.0, rate=1.0)),
                        EnsembleParams(), CouplingParams(kappa=1.0, my0=0.1), SignalMix())
@@ -445,10 +443,9 @@ def test_latch_invariants(args):
     starts = ell[flips]
     assert np.all(np.abs(starts) == 1.0)
     assert np.all(starts[1:] == -starts[:-1])
-    if my0 > 0.0:
-        assert np.all(direction[flips] != 0.0)
-        # and only on a threshold crossing in the sweep direction
-        assert np.all(np.where(starts < 0, my[flips] >= my0, my[flips] <= -my0))
+    # and only on a threshold crossing in the sweep direction, my0 = 0 too
+    assert np.all(direction[flips] != 0.0)
+    assert np.all(np.where(starts < 0, my[flips] >= my0, my[flips] <= -my0))
     # outside the raised-cosine ramps the latch holds a state exactly
     in_ramp = np.zeros(t.size, bool)
     for i in flips:
@@ -479,12 +476,7 @@ def _latch_scan_loop(t, my, direction, my0, tau_flip, s0=None):
                 ell[i] = s_old + (s - s_old) * 0.5 * (1.0 - math.cos(phase))
             continue
         trig = 0
-        if my0 == 0.0:
-            if s < 0 and my[i] > 0.0:
-                trig = 1
-            elif s > 0 and my[i] < 0.0:
-                trig = -1
-        elif direction[i] > 0 and s < 0 and my[i] >= my0:
+        if direction[i] > 0 and s < 0 and my[i] >= my0:
             trig = 1
         elif direction[i] < 0 and s > 0 and my[i] <= -my0:
             trig = -1
@@ -546,10 +538,29 @@ def test_latch_dwell_samples_never_trigger(s0):
 @pytest.mark.parametrize("s0", [None, -1, 1])
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 def test_latch_zero_threshold_either_direction(s0, direction):
+    # my0 = 0 follows the sweep-direction rule like any threshold: M_y
+    # oscillating through zero on a one-way sweep flips the latch at most
+    # once, into the state of that direction (M_y starts at 0, so s0=None
+    # holds +1)
     my = np.sin(np.arange(300) * 0.07) * 0.3
     flips = _assert_latch_matches_loop(np.arange(300) * DT, my,
                                        np.full(300, direction), 0.0, TAU, s0)
-    assert len(flips) >= 3
+    start = 1 if s0 is None else s0
+    assert len(flips) == (start != direction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(latch_inputs())
+def test_latch_zero_threshold_is_the_smallest_threshold(args):
+    # my0 = 0 follows the same direction-gated rule as any threshold: the
+    # latch at 0 equals the latch at the smallest positive float wherever
+    # no sample sits exactly on M_y = 0, the one value the two separate
+    t, my, direction, _, tau, s0 = args
+    my = np.where(my == 0.0, 0.5, my)
+    ell, flips = latch_scan(t, my, direction, 0.0, tau, s0=s0)
+    ell_min, flips_min = latch_scan(t, my, direction, 5e-324, tau, s0=s0)
+    assert ell.tobytes() == ell_min.tobytes()
+    assert flips == flips_min
 
 
 def test_latch_ramp_ends_at_phase_exactly_pi():

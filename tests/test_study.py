@@ -1,9 +1,11 @@
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from alignor.fitkit import composite_eval, fit_record
 from alignor.recordio import read_record
 from alignor.study import (
     DEFAULT_GRIDS,
@@ -90,6 +92,32 @@ class TestMeasurePoint:
         assert pt.b_yeff == pytest.approx(PRESET.latch_field_nt, rel=0.10)
         assert pt.w_anti > pt.w_sym > 0
         assert pt.dt > 0
+
+
+    def test_envelope_pair_hysteresis_sign(self):
+        # near the center a live loop's up sweep holds latch state -, so the
+        # + envelope fitted as the up branch ends at h < 0 (-8.98 nT): the
+        # fit warns that the model with |h| misses the data.  With the
+        # labels swapped the same minimum has h > 0 and the model
+        # reproduces the fit
+        records = {}
+        measure_point(PRESET, PRESET.chi_deg, PRESET.residual_by_nt, 0.0, seed=3,
+                      records=records)
+        plus, minus = records["env_plus"], records["env_minus"]
+        for up, down, folded in ((plus, minus, True), (minus, plus, False)):
+            pair = SimpleNamespace(bx_up=up.bx_up, s_up=up.s_up,
+                                   bx_down=down.bx_up, s_down=down.s_up)
+            res = fit_record(pair)
+            assert res.converged
+            assert res.model.hysteresis_h == pytest.approx(8.981, abs=1e-3)
+            assert any("hysteresis_h = -8.98" in w for w in res.warnings) == folded
+            model_rms = math.sqrt(np.mean(np.concatenate([
+                composite_eval(res.model, pair.bx_up, "up") - pair.s_up,
+                composite_eval(res.model, pair.bx_down, "down") - pair.s_down]) ** 2))
+            if folded:
+                assert model_rms > 3.0 * res.residual_rms
+            else:
+                assert model_rms == pytest.approx(res.residual_rms, rel=1e-9)
 
 
 class TestChiGridStudy:
