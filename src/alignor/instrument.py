@@ -311,6 +311,8 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
     """
     f = rec.meta["mod_freq"]
     fs = rec.meta["sample_rate"]
+    if not 0.0 < 20.0 * f <= fs:  # the ScanConfig rule; NaN and inf fail it too
+        raise ValueError("meta mod_freq must be > 0 and at most sample_rate / 20")
     if lpf_cutoff >= f / 2.0:
         raise ValueError("lpf_cutoff must be below mod_freq/2")
     if not (math.isfinite(phase_deg) and math.isfinite(gain)):

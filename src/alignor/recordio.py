@@ -1,17 +1,17 @@
 """Versioned serialization for tables, scan/demod records and configs.
 
 Records and the study points and trends tables share one table layout:
-``#`` header lines, a ``# columns: <names>`` line, then the body.  Demod
-records and the study tables have a text body, one row per line of repr
-floats and of words in str columns.  Scan
-records (format v2) have a binary body: a ``# body: f8-le <rows>`` line,
-then exactly ``rows x columns x 8`` bytes of little-endian float64, one
-column after another, so ``head scan.txt`` shows the header and nothing
-below it is text.  v1 scan records, which have a text body, still read
-(and are rewritten as v2).  write -> read -> write is byte-identical, and
-a malformed header or body raises ValueError naming the file and the line
-(or, from the ``# body:`` line on, the byte offset).  Configs are flat
-``section.key = value`` text files.
+``#`` header lines, a ``# columns: <names>`` line, then the body.  The
+study tables have a text body, one row per line of repr floats and of
+words in str columns.  Records (format v2) have a binary body: a
+``# body: f8-le <rows>`` line, then exactly ``rows x columns x 8`` bytes
+of little-endian float64, one column after another (a demod ``branch``
+is +1.0 up, -1.0 down), so ``head scan.txt`` shows the header and nothing
+below it is text.  v1 records, with a text body (``branch`` the word
+``up`` or ``down``), still read and are rewritten as v2.  write -> read
+-> write is byte-identical, and a malformed header or body raises
+ValueError naming the file and the line (or, from the ``# body:`` line
+on, the byte offset).  Configs are flat ``section.key = value`` files.
 """
 
 import ast
@@ -33,10 +33,9 @@ _META_LINE = re.compile(r"# meta\.([^\s=]+) = (.*)")
 
 SCAN_COLUMNS = ("t", "bx_ramp", "st_raw", "sb_raw", "direction")
 DEMOD_COLUMNS = ("bx", "st", "sb_demod", "t", "branch")
-# record kind -> (column names, converters of its non-numeric columns,
-# format version written; version 2 has a binary body, version 1 a text one)
-_LAYOUTS = {"scan": (SCAN_COLUMNS, None, 2),
-            "demod": (DEMOD_COLUMNS, {4: {"up": 1.0, "down": -1.0}.__getitem__}, 1)}
+# record kind -> (column names, loadtxt converters of the words in a v1 text body)
+_LAYOUTS = {"scan": (SCAN_COLUMNS, None),
+            "demod": (DEMOD_COLUMNS, {4: {"up": 1.0, "down": -1.0}.__getitem__})}
 
 
 def _column_length(path, names, columns) -> int:
@@ -200,11 +199,7 @@ def _parse_header(path, lines):
         meta[m[1]] = value
     if kind is None:
         raise ValueError(f"{path}:2: missing '# kind:' line")
-    names, converters, latest = _LAYOUTS[kind]
-    if version > latest:
-        raise ValueError(f"{path}:1: unsupported {kind} record format version {version} "
-                         f"(latest: {latest})")
-    return (kind, meta), names, converters, version == 2
+    return (kind, meta), *_LAYOUTS[kind], version == 2
 
 
 def _meta_line(key, value) -> str:
@@ -222,21 +217,19 @@ def _meta_line(key, value) -> str:
 
 
 def write_record(rec, path) -> Path:
-    """Serialize a ScanRecord (binary body) or a DemodRecord (text body)."""
+    """Serialize a ScanRecord or a DemodRecord as format v2 (binary body)."""
     if isinstance(rec, ScanRecord):
         kind, columns = "scan", [getattr(rec, name) for name in SCAN_COLUMNS]
     elif isinstance(rec, DemodRecord):
         kind, columns = "demod", [np.concatenate(pair) for pair in (
             (rec.bx_up, rec.bx_down), (rec.st_up, rec.st_down),
             (rec.s_up, rec.s_down), (rec.t_up, rec.t_down))]
-        columns.append(["up"] * len(rec.bx_up) + ["down"] * len(rec.bx_down))
+        columns.append(np.repeat([1.0, -1.0], [len(rec.bx_up), len(rec.bx_down)]))
     else:
         raise TypeError(f"cannot serialize {type(rec).__name__}")
-    names, _, version = _LAYOUTS[kind]
-    header = [f"{_MAGIC} v{version}", f"# kind: {kind}",
+    header = [f"{_MAGIC} v2", f"# kind: {kind}",
               *(_meta_line(k, rec.meta[k]) for k in sorted(rec.meta))]
-    write = _write_binary_table if version == 2 else write_table
-    return write(path, header, names, columns)
+    return _write_binary_table(path, header, _LAYOUTS[kind][0], columns)
 
 
 def read_record(path):
@@ -244,6 +237,10 @@ def read_record(path):
     (kind, meta), body = read_table(path, _parse_header)
     if kind == "scan":
         return ScanRecord(**dict(zip(SCAN_COLUMNS, body.T)), meta=meta)
+    # v1 words read as +-1.0; branch is the last column, the file's last bytes
+    if (bad := np.flatnonzero(np.abs(body[:, 4]) != 1.0)).size:
+        raise ValueError(f"{path}: byte {os.path.getsize(path) - 8 * (len(body) - bad[0])}: "
+                         f"branch {float(body[bad[0], 4])!r} is neither 1.0 (up) nor -1.0 (down)")
     up, down = body[body[:, 4] > 0].T, body[body[:, 4] < 0].T
     return DemodRecord(bx_up=up[0], st_up=up[1], s_up=up[2], t_up=up[3], bx_down=down[0],
                        st_down=down[1], s_down=down[2], t_down=down[3], meta=meta)

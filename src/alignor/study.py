@@ -11,14 +11,14 @@ A study point runs the full measurement chain three times at one setting:
 
 ``run_study`` sweeps a grid (pump ellipticity, pump-axis field, or
 transverse offset) and writes into an output directory: the points table
-``points.txt``, per-point demodulated records, the trend table
-``trends.txt`` and SVG plots (no data sidecars).  ``trends.txt`` is a
-``write_table`` table in long format, one row per fitted parameter with
-the columns ``quantity kind name value stderr n_points residual_rms
-converged``; ``stderr`` is the square root of the covariance diagonal, so
-a coefficient with ``|value| < 2 stderr`` is zero within two standard
-errors.  ``report`` rebuilds the trend table and plots from a saved points
-table without re-simulation.
+``points.txt``, per point three demod records (binary body, format v2),
+the trend table ``trends.txt`` and SVG plots (no data sidecars).
+``trends.txt`` is a ``write_table`` table in long format, one row per
+fitted parameter with the columns ``quantity kind name value stderr
+n_points residual_rms converged``; ``stderr`` is the square root of the
+covariance diagonal, so a coefficient with ``|value| < 2 stderr`` is zero
+within two standard errors.  ``report`` rebuilds the trend table and
+plots from a saved points table without re-simulation.
 """
 
 from dataclasses import dataclass, field, fields, replace

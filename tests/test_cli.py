@@ -222,6 +222,19 @@ class TestPipeline:
         assert "finite" in err
         assert not (tmp_path / "demod.txt").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    def test_demod_rejects_mod_freq_out_of_range(self, pipeline, tmp_path, capsys, value):
+        # each used to demodulate into a record whose s is all NaN, exit 0
+        head, body = (pipeline / "scan.txt").read_bytes().split(b"\n# body: ", 1)
+        lines = [f"# meta.mod_freq = {value}" if ln.startswith("# meta.mod_freq =")
+                 else ln for ln in head.decode().splitlines()]
+        f = tmp_path / "scan.txt"
+        f.write_bytes(("\n".join(lines) + "\n# body: ").encode() + body)
+        code, _, err = run(capsys, "demod", str(f), "--out", str(tmp_path))
+        assert code == 2
+        assert "mod_freq" in err
+        assert not (tmp_path / "demod.txt").exists()
+
     @pytest.mark.parametrize("transition", [False, True])
     def test_fit_one_row_down_branch_is_data_error(self, pipeline, tmp_path,
                                                    capsys, transition):

@@ -15,6 +15,7 @@ import io
 import json
 import math
 from pathlib import Path
+import struct
 import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -171,15 +172,16 @@ NUMBERS = ("nan", "inf", "-inf", "1e300", "-1e300", "0.0", "-0.0", "1e-320")
 
 @st.composite
 def field_mutations(draw, data: bytes):
-    """data, a text record, with 1-3 numeric body fields set to NUMBERS:
-    a file the reader accepts, so the fit sees the values."""
-    lines = data.decode().splitlines(keepends=True)
-    body = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
-    for i in draw(st.lists(st.sampled_from(body), min_size=1, max_size=3, unique=True)):
-        row = lines[i].split()
-        row[draw(st.integers(0, len(row) - 2))] = draw(st.sampled_from(NUMBERS))
-        lines[i] = " ".join(row) + "\n"
-    return "".join(lines).encode()
+    """data, a v2 demod record, with 1-3 body cells outside the last column
+    (branch) set to NUMBERS as <f8: a file the reader accepts, so the fit
+    sees the values."""
+    head, sep, rest = data.partition(b"\n# body: f8-le ")
+    rows, _, body = rest.partition(b"\n")
+    body = bytearray(body)
+    cells = st.integers(0, len(body) // 8 - int(rows) - 1)
+    for i in draw(st.lists(cells, min_size=1, max_size=3, unique=True)):
+        body[8 * i:8 * i + 8] = struct.pack("<d", float(draw(st.sampled_from(NUMBERS))))
+    return head + sep + rows + b"\n" + bytes(body)
 
 
 @settings(max_examples=30, deadline=None,

@@ -17,6 +17,7 @@ from alignor.instrument import (
     synthesize_record,
 )
 from alignor.recordio import (
+    DEMOD_COLUMNS,
     SCAN_COLUMNS,
     _format_value,
     parse_config,
@@ -152,12 +153,30 @@ def _line_no(path, prefix):
     return next(n for n, ln in enumerate(lines, start=1) if ln.startswith(prefix.encode()))
 
 
+def _v1_header(kind, meta):
+    return ["# alignor-record v1", f"# kind: {kind}",
+            *(f"# meta.{k} = {_format_value(meta[k])}" for k in sorted(meta))]
+
+
 def _write_v1_scan(rec, path):
     """Write ``rec`` as format v1 did: the same header under a v1 signature,
     then a text body of repr floats."""
-    header = ["# alignor-record v1", "# kind: scan",
-              *(f"# meta.{k} = {_format_value(rec.meta[k])}" for k in sorted(rec.meta))]
-    return write_table(path, header, SCAN_COLUMNS, [getattr(rec, c) for c in SCAN_COLUMNS])
+    return write_table(path, _v1_header("scan", rec.meta), SCAN_COLUMNS,
+                       [getattr(rec, c) for c in SCAN_COLUMNS])
+
+
+def _write_v1_demod(rec, path):
+    """Write ``rec`` as format v1 did: a text body of repr floats with the
+    words ``up`` and ``down`` in the branch column."""
+    columns = [np.concatenate([getattr(rec, f"{c}_up"), getattr(rec, f"{c}_down")])
+               for c in ("bx", "st", "s", "t")]
+    branch = np.array(["up"] * len(rec.bx_up) + ["down"] * len(rec.bx_down))
+    return write_table(path, _v1_header("demod", rec.meta), DEMOD_COLUMNS, [*columns, branch])
+
+
+@pytest.fixture
+def demod_record(scan_record):
+    return lockin_demodulate(scan_record)
 
 
 class TestStrictBody:
@@ -171,10 +190,10 @@ class TestStrictBody:
         assert f"{f}:{len(lines)}:" in capsys.readouterr().err
         assert not (tmp_path / "demod.txt").exists()
 
-    def test_ragged_body_with_divisible_token_count(self, scan_record, tmp_path):
+    def test_ragged_body_with_divisible_token_count(self, demod_record, tmp_path):
         # a 3-field row then a 7-field row: 10 tokens, so a reshape to five
         # columns alone would accept the body
-        f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
+        f = _write_v1_demod(demod_record, tmp_path / "dem.txt")
         lines = f.read_text().splitlines()
         n = _line_no(f, "# columns:") + 3
         tokens = (lines[n - 1] + " " + lines[n]).split()
@@ -193,8 +212,8 @@ class TestStrictBody:
         with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: bad row {lines[n - 1]!r}")):
             read_record(f)
 
-    def test_unknown_branch_rejected(self, scan_record, tmp_path):
-        f = write_record(lockin_demodulate(scan_record), tmp_path / "dem.txt")
+    def test_unknown_branch_rejected(self, demod_record, tmp_path):
+        f = _write_v1_demod(demod_record, tmp_path / "dem.txt")
         lines = f.read_text().splitlines()
         n = _line_no(f, "# columns:") + 2
         lines[n - 1] = lines[n - 1].replace(" up", " sideways")
@@ -319,11 +338,12 @@ class TestStrictHeader:
             read_record(f)
         assert err.type is ValueError
 
-    def test_demod_record_has_no_v2(self, scan_record, tmp_path):
-        f = write_record(lockin_demodulate(scan_record), tmp_path / "dem.txt")
-        assert f.read_bytes().startswith(b"# alignor-record v1\n# kind: demod\n")
-        f.write_bytes(f.read_bytes().replace(b"v1", b"v2", 1))
-        with pytest.raises(ValueError, match=re.escape(f"{f}:1: unsupported demod record")):
+    def test_v3_demod_signature_rejected(self, demod_record, tmp_path):
+        f = write_record(demod_record, tmp_path / "dem.txt")
+        assert f.read_bytes().startswith(b"# alignor-record v2\n# kind: demod\n")
+        f.write_bytes(f.read_bytes().replace(b"v2", b"v3", 1))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{f}:1: unsupported record format version 3")):
             read_record(f)
 
 
@@ -389,6 +409,35 @@ class TestBinaryBody:
         f.write_bytes(f.read_bytes().replace(b"v1", b"v2", 1))
         with pytest.raises(ValueError, match=re.escape(f"{f}: byte ")):
             read_record(f)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.5, 2.0, -1.5, math.nan, math.inf])
+    def test_bad_branch_is_data_error_naming_the_offset(self, demod_record, tmp_path,
+                                                        capsys, value):
+        # the branch column is the last len(branch) cells of the file; of
+        # two bad cells, an up one and the last (down) one, the first is named
+        f = write_record(demod_record, tmp_path / "dem.txt")
+        data = bytearray(f.read_bytes())
+        rows = len(demod_record.bx_up) + len(demod_record.bx_down)
+        at = len(data) - 8 * (rows - 7)
+        assert data[at:at + 8] == np.array(1.0, "<f8").tobytes()
+        assert data[-8:] == np.array(-1.0, "<f8").tobytes()
+        data[at:at + 8] = data[-8:] = np.array(value, "<f8").tobytes()
+        f.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(f"{f}: byte {at}: branch {value!r}")):
+            read_record(f)
+        assert main(["fit", str(f)]) == 2
+        assert f"{f}: byte {at}:" in capsys.readouterr().err
+
+    def test_v1_demod_reads_and_rewrites_as_v2(self, demod_record, tmp_path):
+        f = _write_v1_demod(demod_record, tmp_path / "dem.txt")
+        assert f.read_text().startswith("# alignor-record v1\n# kind: demod\n")
+        back = read_record(f)
+        assert back.meta == demod_record.meta
+        for name in ("bx_up", "s_up", "st_up", "t_up", "bx_down", "s_down", "st_down",
+                     "t_down"):
+            assert getattr(back, name).tobytes() == getattr(demod_record, name).tobytes()
+        assert write_record(back, tmp_path / "v2.txt").read_bytes() == \
+            write_record(demod_record, tmp_path / "ref.txt").read_bytes()
 
     def test_v1_scan_reads_and_replays(self, scan_record, tmp_path):
         f = _write_v1_scan(scan_record, tmp_path / "scan.txt")

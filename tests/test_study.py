@@ -1,3 +1,4 @@
+from dataclasses import fields
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -207,6 +208,26 @@ class TestOtherGrids:
             for name in ("c1", "c3"):
                 k = tr.param_names.index(name)
                 assert abs(tr.params[k]) < 2.0 * tr.stderr[k]
+
+    def test_point_records_read_back_bit_identical(self, tmp_path, monkeypatch):
+        # every point_XX_*.txt reads back as the record measure_point made
+        made = []
+
+        def measure(*args, records, **kw):
+            made.append(records)
+            return measure_point(*args, records=records, **kw)
+
+        monkeypatch.setattr("alignor.study.measure_point", measure)
+        out = run_study(StudyConfig(kind="single", grid=(0.25,), seed=1), tmp_path).out_dir
+        assert len(made) == 1 and sorted(made[0]) == ["env_minus", "env_plus", "loop"]
+        assert sorted(p.name for p in out.glob("point_*.txt")) == [
+            f"point_00_{name}.txt" for name in sorted(made[0])]
+        for name, rec in made[0].items():
+            back = read_record(out / f"point_00_{name}.txt")
+            assert back.meta == rec.meta
+            for f in fields(rec):
+                if f.name != "meta":
+                    assert getattr(back, f.name).tobytes() == getattr(rec, f.name).tobytes()
 
     def test_single_point_study(self, tmp_path):
         cfg = StudyConfig(kind="single", grid=(0.25,), seed=1)
