@@ -36,10 +36,13 @@ print(f"composite fit (converged={pt.fit_converged}): "
       f"symmetric a={pt.a_sym:.3f}, w={pt.w_sym:.2f} nT; "
       f"H={pt.hysteresis_h:.2f} nT")
 
-emit_plot([Series("loop up", loop.bx_up, loop.s_up),
-           Series("loop down", loop.bx_down, loop.s_down),
-           Series("envelope +", env_plus.bx_up, env_plus.s_up, dashed=True),
-           Series("envelope -", env_minus.bx_up, env_minus.s_up, dashed=True)],
+# a demod record holds both branches, the up rows (branch +1) first; the
+# envelopes sweep up only
+up, down = loop.branch > 0, loop.branch < 0
+emit_plot([Series("loop up", loop.bx[up], loop.s[up]),
+           Series("loop down", loop.bx[down], loop.s[down]),
+           Series("envelope +", env_plus.bx, env_plus.s, dashed=True),
+           Series("envelope -", env_minus.bx, env_minus.s, dashed=True)],
           OUT / "hysteresis_loop.svg", title="bistable scan contour",
           xlabel="B_x (nT)", ylabel="demodulated signal")
 print(f"wrote {OUT / 'loop.txt'} and {OUT / 'hysteresis_loop.svg'}")

@@ -131,7 +131,7 @@ def cmd_demod(args) -> int:
 
 def cmd_fit(args) -> int:
     rec = read_record(args.record)
-    if not hasattr(rec, "bx_up"):
+    if not hasattr(rec, "branch"):
         raise ValueError(f"{args.record}: expected a demodulated record")
     res = fit_record(rec)
     rows = [(n, float(v), "") for n, v in zip(res.param_names, res.params)]

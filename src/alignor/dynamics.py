@@ -60,11 +60,14 @@ class CouplingParams:
 
 
 def default_tau_flip(p: EnsembleParams, c: CouplingParams) -> float:
-    """Flip time constant making the 10-90% duration equal 1/((gamma/2pi)*B).
+    """The flip time constant: c.tau_flip when set, else the one making the
+    10-90% duration equal 1/((gamma/2pi)*B).
 
     The raised-cosine ramp spends RAISED_COS_10_90 of its half period between
     the 10% and 90% levels, so tau = 1/(frac*pi*(gamma/2pi)*B_latch).
     """
+    if c.tau_flip is not None:
+        return c.tau_flip
     b = c.latched_field
     if b == 0.0:
         return 0.01
@@ -293,8 +296,8 @@ def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
     bz = np.full_like(bx, proto.static_bz)
     b_applied = np.stack([bx, by, bz], axis=-1)
     m1 = orientation_steady_state_grid(bx, by, bz, pe)
-    tau = c.tau_flip if c.tau_flip is not None else default_tau_flip(pe, c)
-    ell, flip_idx = latch_scan(t, m1[:, 1], direction, c.my0, tau, s0=initial_sign)
+    ell, flip_idx = latch_scan(t, m1[:, 1], direction, c.my0, default_tau_flip(pe, c),
+                               s0=initial_sign)
     by_eff = by + c.kappa * c.my0 * ell
     m2 = alignment_steady_state_grid(bx, by_eff, bz, pe)
     b_eff = np.stack([bx, by_eff, bz], axis=-1)

@@ -274,6 +274,16 @@ def _lm_covariance(res, jac, x, n_points):
 # record-level fitting
 
 
+def _branch_rows(branch):
+    """The branch column as floats and the masks of its up (+1) and down
+    (-1) rows; any other value raises ValueError."""
+    sigma = np.asarray(branch, dtype=float)
+    up, down = sigma == 1.0, sigma == -1.0
+    if not np.all(up | down):
+        raise ValueError("branch must be +1.0 (up) or -1.0 (down) on every row")
+    return sigma, up, down
+
+
 def _check_branch(name, bx, **columns):
     """Reject a branch too short for a slope (np.gradient needs 2 rows) or
     with a non-finite bx or other named column."""
@@ -297,47 +307,56 @@ def _smooth(y, n):
     return np.convolve(y, k, mode="same")
 
 
-def _half_width(x, y, i_peak):
-    """Half width at half maximum of |y| around sample i_peak."""
-    half = 0.5 * abs(y[i_peak])
-    lo = i_peak
+def _half_max_run(y, i):
+    """(lo, hi), the run of samples around i where |y| stays above half of
+    |y[i]|."""
+    half = 0.5 * abs(y[i])
+    lo = i
     while lo > 0 and abs(y[lo - 1]) > half:
         lo -= 1
-    hi = i_peak
+    hi = i
     while hi < len(y) - 1 and abs(y[hi + 1]) > half:
         hi += 1
-    return 0.5 * abs(x[hi] - x[lo])
+    return lo, hi
 
 
-def _initial_guess(bx_up, s_up, bx_down, s_down):
+def _initial_guess(bx, sigma, y):
+    """Starting composite parameters from the branch sum and difference of
+    the joint (bx, sigma, y); without down rows the up rows read as both
+    branches."""
+    up, down = sigma > 0, sigma < 0
+    if not down.any():
+        down = up
+    xu, yu, xd, yd = bx[up], y[up], bx[down], y[down]
     # work on a common ascending grid so branch sum/difference separate the
     # shared antisymmetric part from the sign-flipping symmetric part
-    order = np.argsort(bx_down)
-    s_dn_i = np.interp(bx_up, bx_down[order], s_down[order])
-    n = max(bx_up.size // 50, 1)
-    avg = _smooth(0.5 * (s_up + s_dn_i), n)
-    diff = _smooth(s_up - s_dn_i, n)
+    order = np.argsort(xd)
+    yd_i = np.interp(xu, xd[order], yd[order])
+    n = max(xu.size // 50, 1)
+    avg = _smooth(0.5 * (yu + yd_i), n)
+    diff = _smooth(yu - yd_i, n)
     offset = float(np.median(avg))
 
-    i_up, _ = _transition_index(bx_up, s_up)
-    i_dn, _ = _transition_index(bx_down, s_down)
-    b_up, b_dn = float(bx_up[i_up]), float(bx_down[i_dn])
+    i_up, _ = _transition_index(xu, yu)
+    i_dn, _ = _transition_index(xd, yd)
+    b_up, b_dn = float(xu[i_up]), float(xd[i_dn])
     h = abs(b_up - b_dn)
 
     # symmetric part: up - down = 2*a_sym*L near the shared center
     j = int(np.argmax(np.abs(diff)))
-    center = float(bx_up[j]) if abs(diff[j]) > 0 else 0.5 * (b_up + b_dn)
+    center = float(xu[j]) if abs(diff[j]) > 0 else 0.5 * (b_up + b_dn)
     a_sym = 0.5 * float(diff[j])
-    w_sym = max(_half_width(bx_up, diff, j), 1e-3)
+    lo, hi = _half_max_run(diff, j)
+    w_sym = max(0.5 * abs(xu[hi] - xu[lo]), 1e-3)
 
     # antisymmetric part: the odd component of the branch average about the
     # center is a_anti*D with extrema +-3*sqrt(3)/16 at u = +-1/sqrt(3)
-    mirrored = np.interp(2.0 * center - bx_up, bx_up, avg)
+    mirrored = np.interp(2.0 * center - xu, xu, avg)
     odd = 0.5 * (avg - mirrored)
     k = int(np.argmax(np.abs(odd)))
     d_ext = 3.0 * math.sqrt(3.0) / 16.0
-    a_anti = float(odd[k]) / d_ext * math.copysign(1.0, bx_up[k] - center)
-    w_anti = max(abs(float(bx_up[k]) - center) * math.sqrt(3.0), 1e-3)
+    a_anti = float(odd[k]) / d_ext * math.copysign(1.0, xu[k] - center)
+    w_anti = max(abs(float(xu[k]) - center) * math.sqrt(3.0), 1e-3)
 
     if a_sym == 0.0:
         a_sym = 0.1 * max(np.max(np.abs(avg - offset)), 1e-6)
@@ -359,11 +378,13 @@ def _fold_signs(p):
 def fit_record(rec, init=None):
     """Joint up/down-branch fit of the composite contour to a demodulated scan.
 
-    ``rec`` must expose bx_up, s_up and (optionally) bx_down, s_down arrays.
-    All parameters are shared between branches except the fixed branch signs.
-    A single-branch record is fitted as the up branch alone, with
-    hysteresis pinned at zero and a warning flag.  A branch with fewer than
-    2 rows raises ValueError.  hysteresis_h is reported as |h|, with a
+    ``rec`` must expose the demod columns bx, branch and s (a DemodRecord
+    does): the fit's (bx, sigma, y), with sigma = +1 on the up rows and -1
+    on the down rows.  All parameters are shared between branches except
+    the fixed branch signs.  A record with no down row is fitted as the up
+    branch alone, with hysteresis pinned at zero and a warning flag.  A
+    branch with fewer than 2 rows, or a branch value other than +-1, raises
+    ValueError.  hysteresis_h is reported as |h|, with a
     warning when the winner's h < 0: that model does not reproduce the fit.
 
     Levenberg-Marquardt runs from the initial guess (or ``init``) and three
@@ -376,24 +397,14 @@ def fit_record(rec, init=None):
     the rest and then the lowest cost wins; only the winner gets its
     covariance.
     """
-    bx_up = np.asarray(rec.bx_up, dtype=float)
-    s_up = np.asarray(rec.s_up, dtype=float)
-    _check_branch("up", bx_up)
-    bx_down = getattr(rec, "bx_down", None)
-    single = bx_down is None or len(bx_down) == 0
-    if single:
-        # the up rows alone; the initial guess reads them as both branches
-        bx_down, s_down = bx_up, s_up
-        bx, sigma, y = bx_up, np.ones(bx_up.size), s_up
-    else:
-        _check_branch("down", bx_down)
-        bx_down = np.asarray(bx_down, dtype=float)
-        s_down = np.asarray(rec.s_down, dtype=float)
-        bx = np.concatenate([bx_up, bx_down])
-        sigma = np.concatenate([np.ones(bx_up.size), -np.ones(bx_down.size)])
-        y = np.concatenate([s_up, s_down])
-    p0 = np.array(init, dtype=float) if init is not None \
-        else _initial_guess(bx_up, s_up, bx_down, s_down)
+    bx = np.asarray(rec.bx, dtype=float)
+    y = np.asarray(rec.s, dtype=float)
+    sigma, up, down = _branch_rows(rec.branch)
+    _check_branch("up", bx[up])
+    single = not down.any()
+    if not single:
+        _check_branch("down", bx[down])
+    p0 = np.array(init, dtype=float) if init is not None else _initial_guess(bx, sigma, y)
     if single:
         p0[5] = 0.0
 
@@ -493,12 +504,7 @@ def _branch_transition(t, bx, s):
     if peak < TRANSITION_SLOPE_FACTOR * max(noise, 1e-300) or noise == 0.0 and peak == 0.0:
         return None
     # local extent of the jump: samples where |slope| stays above half peak
-    left = i
-    while left > 0 and abs(slope[left - 1]) > 0.5 * peak:
-        left -= 1
-    right = i
-    while right < len(s) - 1 and abs(slope[right + 1]) > 0.5 * peak:
-        right += 1
+    left, right = _half_max_run(slope, i)
     n = max(right - left + 1, 1)
     # baseline levels from side windows a few rise-widths out, extrapolated
     # back to the transition so a sloped background does not skew the step
@@ -534,26 +540,29 @@ def extract_transition(rec) -> TransitionResult:
     baseline slope noise.  The duration is the 10-90% rise time of the level
     change on the record's own time base, deconvolved (in quadrature) from
     the instrument response ``meta["response_time"]`` when the record has
-    one.  A record without transitions yields a monostable result rather
-    than an error; a branch with fewer than 2 rows or a non-finite bx, t or
-    s raises ValueError (the side-level polyfit would hand it to LAPACK).
+    one.  ``rec`` must expose the demod columns bx, branch, s and t; a
+    record with no down row has only the up transition.  A record without
+    transitions yields a monostable result rather than an error; a branch
+    with fewer than 2 rows, a non-finite bx, t or s, or a branch value other
+    than +-1 raises ValueError (the side-level polyfit would hand a
+    non-finite value to LAPACK).
     """
     meta = getattr(rec, "meta", None)
     response_time = meta.get("response_time") if isinstance(meta, dict) else None
     response_time = 0.0 if response_time is None else float(response_time)
-    _check_branch("up", rec.bx_up, t=rec.t_up, s=rec.s_up)
-    up = _branch_transition(np.asarray(rec.t_up, float), np.asarray(rec.bx_up, float),
-                            np.asarray(rec.s_up, float))
-    down = None
-    if getattr(rec, "bx_down", None) is not None and len(rec.bx_down):
-        _check_branch("down", rec.bx_down, t=rec.t_down, s=rec.s_down)
-        down = _branch_transition(np.asarray(rec.t_down, float),
-                                  np.asarray(rec.bx_down, float),
-                                  np.asarray(rec.s_down, float))
-    if up is None and down is None:
+    bx, t, s = (np.asarray(col, float) for col in (rec.bx, rec.t, rec.s))
+    _, up, down = _branch_rows(rec.branch)
+    found = []
+    for name, rows in (("up", up), ("down", down)):
+        if name == "down" and not rows.any():
+            found.append(None)
+            continue
+        _check_branch(name, bx[rows], t=t[rows], s=s[rows])
+        found.append(_branch_transition(t[rows], bx[rows], s[rows]))
+    if found == [None, None]:
         return TransitionResult(math.nan, math.nan, math.nan, math.nan, monostable=True)
-    b_up, dt_up, sl_up = up if up else (math.nan, math.nan, 0.0)
-    b_dn, dt_dn, sl_dn = down if down else (math.nan, math.nan, 0.0)
+    (b_up, dt_up, sl_up), (b_dn, dt_dn, sl_dn) = (
+        f or (math.nan, math.nan, 0.0) for f in found)
     dts = [d for d in (dt_up, dt_dn) if not math.isnan(d)]
     dt = float(np.mean(dts))
     dt = math.sqrt(max(dt * dt - response_time * response_time, 0.0))
@@ -576,14 +585,15 @@ TREND_PARAM_NAMES = {
 
 
 def _linear_lstsq(design, y, names):
+    """Closed-form least squares; the design is the Jacobian of the
+    covariance and of the unidentifiable check."""
     p, *_ = np.linalg.lstsq(design, y, rcond=None)
     r = y - design @ p
     cost = float(r @ r)
-    dof = max(y.size - p.size, 1)
-    cov = cost / dof * np.linalg.pinv(design.T @ design, rcond=1e-12)
-    return FitResult(params=p, param_names=names, covariance=0.5 * (cov + cov.T),
-                     residual_rms=math.sqrt(cost / y.size), iterations=1,
-                     converged=True, cost_history=(cost,))
+    res = FitResult(params=p, param_names=names, covariance=None,
+                    residual_rms=math.sqrt(cost / y.size), iterations=1,
+                    converged=True, cost_history=(cost,))
+    return _lm_covariance(res, lambda x, p: design, None, y.size)
 
 
 def _arctan_fn(x, p):

@@ -2,8 +2,8 @@
 
 synthesize_record produces a raw time-domain scan (ramp + sinusoidal B_x
 modulation, photodetector-like S_T/S_B signals, seeded noise, linear drift);
-lockin_demodulate turns it into the per-branch demodulated contour that the
-fitting layer consumes.
+lockin_demodulate turns it into the demodulated contour of both sweep
+branches that the fitting layer consumes.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -68,16 +68,16 @@ class ScanRecord:
 
 @dataclass(frozen=True)
 class DemodRecord:
-    """Lock-in output resampled onto the ramp, split into sweep branches."""
+    """Lock-in output resampled onto the ramp, one array per record-file
+    column in file order: ramp field, low-passed S_T, demodulated S_B,
+    time and the branch sign, +1.0 on the up rows, which come first, and
+    -1.0 on the down rows."""
 
-    bx_up: np.ndarray
-    s_up: np.ndarray
-    st_up: np.ndarray
-    t_up: np.ndarray
-    bx_down: np.ndarray
-    s_down: np.ndarray
-    st_down: np.ndarray
-    t_down: np.ndarray
+    bx: np.ndarray
+    st: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    branch: np.ndarray
     meta: dict
 
 
@@ -149,8 +149,7 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
     my_slow = np.empty(t.size)
     for b in blocks:
         my_slow[b] = orientation_steady_state_grid(bx_slow[b], by, bz, pe)[:, 1]
-    tau = c.tau_flip if c.tau_flip is not None else default_tau_flip(pe, c)
-    ell, _ = latch_scan(t, my_slow, dirs, c.my0, tau)
+    ell, _ = latch_scan(t, my_slow, dirs, c.my0, default_tau_flip(pe, c))
     by_eff = by + c.kappa * c.my0 * ell
 
     st, sb = np.empty(t.size), np.empty(t.size)
@@ -205,6 +204,9 @@ def lowpass_design(cutoff: float, sample_rate: float) -> tuple[float, float]:
     """
     w0 = 2.2989 * TWO_PI * cutoff
     k = 2.0 * sample_rate
+    if not math.isfinite(k):  # the prewarp would be inf * tan(0) = NaN
+        raise ValueError(f"sample_rate {sample_rate!r} is too large: 2 * sample_rate "
+                         "must be finite")
     if not 0.0 < w0 < 0.5 * math.pi * k:
         raise ValueError("cutoff must lie in (0, sample_rate / 4.5978)")
     # prewarp so the bilinear transform lands the pole where intended
@@ -306,8 +308,9 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
     order output filter alone leaves ~-20 dB of carrier feedthrough from the
     unmodulated signal level.  The result is decimated to about
     8 * lpf_cutoff samples per second (the exact rate goes into
-    meta["output_rate"]) and split into up/down branches by ramp slope;
-    dwell samples (zero slope) are dropped.
+    meta["output_rate"]) and laid out by ramp slope: the up rows, then the
+    down rows, with branch +1.0 and -1.0; dwell samples (zero slope) are
+    dropped.
     """
     f = rec.meta["mod_freq"]
     fs = rec.meta["sample_rate"]
@@ -325,10 +328,10 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
     idx = np.arange(0, rec.t.size, dec)
     up = idx[rec.direction[idx] > 0]
     down = idx[rec.direction[idx] < 0]
+    rows = np.concatenate([up, down])
     return DemodRecord(
-        bx_up=rec.bx_ramp[up], s_up=demod[up], st_up=st[up], t_up=rec.t[up],
-        bx_down=rec.bx_ramp[down], s_down=demod[down], st_down=st[down],
-        t_down=rec.t[down],
+        bx=rec.bx_ramp[rows], st=st[rows], s=demod[rows], t=rec.t[rows],
+        branch=np.repeat([1.0, -1.0], [up.size, down.size]),
         meta={**rec.meta, "phase_deg": phase_deg, "lpf_cutoff": lpf_cutoff,
               "gain": gain, "output_rate": fs / dec,
               "response_time": lowpass_rise_time(lpf_cutoff)})

@@ -13,16 +13,17 @@ from pathlib import Path
 import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# figure size in pixels
+_WIDTH, _HEIGHT = 640, 420
 
 
 @dataclass(frozen=True)
 class Series:
-    """One named curve."""
+    """One named curve, drawn in the next colour of the palette."""
 
     name: str
     x: np.ndarray
     y: np.ndarray
-    color: str | None = None
     dashed: bool = False
     markers: bool = False
 
@@ -57,9 +58,8 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
-def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
-              width: int = 640, height: int = 420) -> Path:
-    """Write an SVG figure of the series; returns its path."""
+def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "") -> Path:
+    """Write a 640 x 420 SVG figure of the series; returns its path."""
     if not series:
         raise ValueError("no series to plot")
     path = Path(path)
@@ -77,7 +77,7 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
     pad_y = 0.06 * (yhi - ylo)
     ylo, yhi = ylo - pad_y, yhi + pad_y
     ml, mr, mt, mb = 64, 16, 28, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def px(x):
         return ml + (x - xlo) / (xhi - xlo) * pw
@@ -85,13 +85,13 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
     def py(y):
         return mt + (yhi - y) / (yhi - ylo) * ph
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}" viewBox="0 0 {width} {height}">',
-           f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+           f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+           f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
            f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
            'stroke="black" stroke-width="1"/>']
     if title:
-        out.append(f'<text x="{width / 2}" y="{mt - 10}" text-anchor="middle" '
+        out.append(f'<text x="{_WIDTH / 2}" y="{mt - 10}" text-anchor="middle" '
                    f'font-size="14">{title}</text>')
     for tx in _ticks(xlo, xhi):
         out.append(f'<line x1="{px(tx):.1f}" y1="{mt + ph}" x2="{px(tx):.1f}" '
@@ -104,14 +104,14 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
         out.append(f'<text x="{ml - 8}" y="{py(ty) + 4:.1f}" text-anchor="end" '
                    f'font-size="11">{_fmt(ty)}</text>')
     if xlabel:
-        out.append(f'<text x="{ml + pw / 2}" y="{height - 8}" '
+        out.append(f'<text x="{ml + pw / 2}" y="{_HEIGHT - 8}" '
                    f'text-anchor="middle" font-size="12">{xlabel}</text>')
     if ylabel:
         out.append(f'<text x="14" y="{mt + ph / 2}" text-anchor="middle" '
                    f'font-size="12" transform="rotate(-90 14 {mt + ph / 2})">'
                    f'{ylabel}</text>')
     for i, s in enumerate(series):
-        color = s.color or _COLORS[i % len(_COLORS)]
+        color = _COLORS[i % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         ok = np.isfinite(s.x) & np.isfinite(s.y)
         xy = list(zip(px(s.x[ok]).tolist(), py(s.y[ok]).tolist()))

@@ -5,9 +5,11 @@ Records and the study points and trends tables share one table layout:
 study tables have a text body, one row per line of repr floats and of
 words in str columns.  Records (format v2) have a binary body: a
 ``# body: f8-le <rows>`` line, then exactly ``rows x columns x 8`` bytes
-of little-endian float64, one column after another (a demod ``branch``
-is +1.0 up, -1.0 down), so ``head scan.txt`` shows the header and nothing
-below it is text.  v1 records, with a text body (``branch`` the word
+of little-endian float64, one column after another, so ``head scan.txt``
+shows the header and nothing below it is text.  A record's columns are
+its array fields in order (a demod ``branch`` is +1.0 on the up rows,
+which come first, and -1.0 on the down rows), so a record is written and
+read as it is held.  v1 records, with a text body (``branch`` the word
 ``up`` or ``down``), still read and are rewritten as v2.  write -> read
 -> write is byte-identical, and a malformed header or body raises
 ValueError naming the file and the line (or, from the ``# body:`` line
@@ -33,9 +35,11 @@ _META_LINE = re.compile(r"# meta\.([^\s=]+) = (.*)")
 
 SCAN_COLUMNS = ("t", "bx_ramp", "st_raw", "sb_raw", "direction")
 DEMOD_COLUMNS = ("bx", "st", "sb_demod", "t", "branch")
-# record kind -> (column names, loadtxt converters of the words in a v1 text body)
-_LAYOUTS = {"scan": (SCAN_COLUMNS, None),
-            "demod": (DEMOD_COLUMNS, {4: {"up": 1.0, "down": -1.0}.__getitem__})}
+# record kind -> (record type, whose array fields are the columns in file
+# order, then meta; column names; loadtxt converters of the words in a v1
+# text body)
+_LAYOUTS = {"scan": (ScanRecord, SCAN_COLUMNS, None),
+            "demod": (DemodRecord, DEMOD_COLUMNS, {4: {"up": 1.0, "down": -1.0}.__getitem__})}
 
 
 def _column_length(path, names, columns) -> int:
@@ -199,7 +203,7 @@ def _parse_header(path, lines):
         meta[m[1]] = value
     if kind is None:
         raise ValueError(f"{path}:2: missing '# kind:' line")
-    return (kind, meta), *_LAYOUTS[kind], version == 2
+    return (kind, meta), *_LAYOUTS[kind][1:], version == 2
 
 
 def _meta_line(key, value) -> str:
@@ -217,33 +221,25 @@ def _meta_line(key, value) -> str:
 
 
 def write_record(rec, path) -> Path:
-    """Serialize a ScanRecord or a DemodRecord as format v2 (binary body)."""
-    if isinstance(rec, ScanRecord):
-        kind, columns = "scan", [getattr(rec, name) for name in SCAN_COLUMNS]
-    elif isinstance(rec, DemodRecord):
-        kind, columns = "demod", [np.concatenate(pair) for pair in (
-            (rec.bx_up, rec.bx_down), (rec.st_up, rec.st_down),
-            (rec.s_up, rec.s_down), (rec.t_up, rec.t_down))]
-        columns.append(np.repeat([1.0, -1.0], [len(rec.bx_up), len(rec.bx_down)]))
-    else:
+    """Serialize a ScanRecord or a DemodRecord as format v2 (binary body),
+    its array fields as the columns."""
+    kind = next((k for k, (cls, *_) in _LAYOUTS.items() if isinstance(rec, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot serialize {type(rec).__name__}")
     header = [f"{_MAGIC} v2", f"# kind: {kind}",
               *(_meta_line(k, rec.meta[k]) for k in sorted(rec.meta))]
-    return _write_binary_table(path, header, _LAYOUTS[kind][0], columns)
+    columns = [getattr(rec, f.name) for f in fields(rec) if f.name != "meta"]
+    return _write_binary_table(path, header, _LAYOUTS[kind][1], columns)
 
 
 def read_record(path):
     """Read a record file back into a ScanRecord or DemodRecord."""
     (kind, meta), body = read_table(path, _parse_header)
-    if kind == "scan":
-        return ScanRecord(**dict(zip(SCAN_COLUMNS, body.T)), meta=meta)
     # v1 words read as +-1.0; branch is the last column, the file's last bytes
-    if (bad := np.flatnonzero(np.abs(body[:, 4]) != 1.0)).size:
+    if kind == "demod" and (bad := np.flatnonzero(np.abs(body[:, 4]) != 1.0)).size:
         raise ValueError(f"{path}: byte {os.path.getsize(path) - 8 * (len(body) - bad[0])}: "
                          f"branch {float(body[bad[0], 4])!r} is neither 1.0 (up) nor -1.0 (down)")
-    up, down = body[body[:, 4] > 0].T, body[body[:, 4] < 0].T
-    return DemodRecord(bx_up=up[0], st_up=up[1], s_up=up[2], t_up=up[3], bx_down=down[0],
-                       st_down=down[1], s_down=down[2], t_down=down[3], meta=meta)
+    return _LAYOUTS[kind][0](*body.T, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -197,10 +197,12 @@ def measure_point(preset: StudyPreset, chi_deg: float, static_by: float,
         rec = synthesize_record(preset.scan_config(ramp, seed + i), p,
                                 CouplingParams(kappa=0.0, my0=0.0), mix)
         envelopes[sign] = lockin_demodulate(rec, lpf_cutoff=preset.lpf_cutoff)
-    pair = SimpleNamespace(
-        bx_up=envelopes[+1].bx_up, s_up=envelopes[+1].s_up,
-        bx_down=envelopes[-1].bx_up, s_down=envelopes[-1].s_up)
-    fit = fit_record(pair)
+    # the pair: the + envelope's rows as the up branch, then the - envelope's
+    # with their branch negated as the down branch
+    plus, minus = envelopes[+1], envelopes[-1]
+    fit = fit_record(SimpleNamespace(bx=np.concatenate([plus.bx, minus.bx]),
+                                     branch=np.concatenate([plus.branch, -minus.branch]),
+                                     s=np.concatenate([plus.s, minus.s])))
 
     # live-latch triangle loop for transitions and flip timing
     ramp = preset.loop_ramp(chi_deg, static_by)
@@ -419,9 +421,9 @@ def _plot_points_overview(cfg: StudyConfig, loops, out: Path):
     for i in (0, len(cfg.grid) - 1):
         rec = loops[i]
         label = f"{cfg.grid[i]:g}"
-        series.append(Series(f"up {label}", rec.bx_up, rec.s_up))
-        series.append(Series(f"down {label}", rec.bx_down, rec.s_down,
-                             dashed=True))
+        up, down = rec.branch > 0, rec.branch < 0
+        series.append(Series(f"up {label}", rec.bx[up], rec.s[up]))
+        series.append(Series(f"down {label}", rec.bx[down], rec.s[down], dashed=True))
     emit_plot(series, out / "loops.svg", title="hysteresis loops",
               xlabel="B_x (nT)", ylabel="demodulated signal")
 

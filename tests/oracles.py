@@ -20,6 +20,7 @@ import numpy as np
 from alignor.fitkit import (
     COMPOSITE_PARAM_NAMES,
     CompositeContourModel,
+    _branch_rows,
     _check_branch,
     _composite_fn,
     _composite_jac,
@@ -140,34 +141,28 @@ def fit_record_all_starts(rec, init=None):
     """``fit_record`` as four full Levenberg-Marquardt runs, one from each
     start, with no merging of starts that reach a known minimum: the oracle
     of its basin merge.  The body below is the fit before the merge,
-    verbatim but for the single-branch rows, which it fits once, as
-    ``fit_record`` does.
+    verbatim but for two changes ``fit_record`` also made: it fits the
+    single-branch rows once, and it takes the record's columns as the joint
+    (bx, sigma, y) as they are.
 
     Joint up/down-branch fit of the composite contour to a demodulated scan.
 
-    ``rec`` must expose bx_up, s_up and (optionally) bx_down, s_down arrays.
+    ``rec`` must expose the demod columns bx, branch and s: the fit's
+    (bx, sigma, y), sigma = +1 on the up rows and -1 on the down rows.
     All parameters are shared between branches except the fixed branch signs.
-    A single-branch record is fitted as the up branch alone, with
+    A record with no down row is fitted as the up branch alone, with
     hysteresis pinned at zero and a warning flag.  A branch with fewer than
     2 rows raises ValueError.
     """
-    bx_up = np.asarray(rec.bx_up, dtype=float)
-    s_up = np.asarray(rec.s_up, dtype=float)
-    _check_branch("up", bx_up)
-    bx_down = getattr(rec, "bx_down", None)
-    single = bx_down is None or len(bx_down) == 0
-    if single:
-        bx_down, s_down = bx_up, s_up
-        bx, sigma, y = bx_up, np.ones(bx_up.size), s_up
-    else:
-        _check_branch("down", bx_down)
-        bx_down = np.asarray(bx_down, dtype=float)
-        s_down = np.asarray(rec.s_down, dtype=float)
-        bx = np.concatenate([bx_up, bx_down])
-        sigma = np.concatenate([np.ones(bx_up.size), -np.ones(bx_down.size)])
-        y = np.concatenate([s_up, s_down])
+    bx = np.asarray(rec.bx, dtype=float)
+    y = np.asarray(rec.s, dtype=float)
+    sigma, up, down = _branch_rows(rec.branch)
+    _check_branch("up", bx[up])
+    single = not down.any()
+    if not single:
+        _check_branch("down", bx[down])
     p0 = np.array(init, dtype=float) if init is not None \
-        else _initial_guess(bx_up, s_up, bx_down, s_down)
+        else _initial_guess(bx, sigma, y)
     if single:
         p0[5] = 0.0
 

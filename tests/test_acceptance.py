@@ -7,7 +7,6 @@ enforces its runtime budget.
 
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +47,7 @@ from alignor.fitkit import (
     _lorentz_jac,
 )
 from oracles import ALIGNMENT_SIGNAL_CALIBRATION, alignment_signal_shape
+from records import branch_record
 
 
 def _verdict(n, ok, detail):
@@ -87,10 +87,11 @@ def _demod_derivative_error(mod_amplitude):
             / ALIGNMENT_SIGNAL_CALIBRATION
 
     h = 1e-4
-    deriv = (curve(dem.bx_up + h) - curve(dem.bx_up - h)) / (2 * h)
+    assert np.all(dem.branch == 1.0)  # an up-only ramp
+    deriv = (curve(dem.bx + h) - curve(dem.bx - h)) / (2 * h)
     expected = mod_amplitude / 2.0 * deriv
-    mid = slice(dem.bx_up.size // 8, -dem.bx_up.size // 8)
-    return float(np.max(np.abs(dem.s_up[mid] - expected[mid]))
+    mid = slice(dem.bx.size // 8, -dem.bx.size // 8)
+    return float(np.max(np.abs(dem.s[mid] - expected[mid]))
                  / np.max(np.abs(expected)))
 
 
@@ -181,8 +182,7 @@ def test_criterion_08_fit_recovery_and_jacobians():
         noise = true.a_sym / 100.0  # SNR 100 on the symmetric amplitude
         up = composite_eval(true, bx, "up") + noise * rng.standard_normal(bx.size)
         dn = composite_eval(true, bx, "down") + noise * rng.standard_normal(bx.size)
-        rec = SimpleNamespace(bx_up=bx, s_up=up,
-                              bx_down=bx[::-1], s_down=dn[::-1])
+        rec = branch_record((bx, up), (bx[::-1], dn[::-1]))
         res = fit_record(rec)
         assert res.converged
         errs.append(res.params - p_true)

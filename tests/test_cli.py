@@ -1,5 +1,4 @@
 import argparse
-from dataclasses import replace
 import json
 import os
 from pathlib import Path
@@ -12,6 +11,7 @@ import pytest
 from alignor.cli import build_parser, main
 from alignor.recordio import read_record, write_record, write_table
 from alignor.study import POINT_COLUMNS
+from records import rows_of, take_rows, with_value
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -235,14 +235,25 @@ class TestPipeline:
         assert "mod_freq" in err
         assert not (tmp_path / "demod.txt").exists()
 
+    @pytest.mark.parametrize("value", ["1e308", "inf"])
+    def test_demod_rejects_sample_rate_overflow(self, pipeline, tmp_path, capsys, value):
+        # 2 * sample_rate overflows: the filter's prewarp was inf * tan(0),
+        # a NaN that failed as "cannot convert float NaN to integer"
+        head, body = (pipeline / "scan.txt").read_bytes().split(b"\n# body: ", 1)
+        lines = [f"# meta.sample_rate = {value}" if ln.startswith("# meta.sample_rate =")
+                 else ln for ln in head.decode().splitlines()]
+        f = tmp_path / "scan.txt"
+        f.write_bytes(("\n".join(lines) + "\n# body: ").encode() + body)
+        code, _, err = run(capsys, "demod", str(f), "--out", str(tmp_path))
+        assert code == 2
+        assert "sample_rate" in err
+        assert not (tmp_path / "demod.txt").exists()
+
     @pytest.mark.parametrize("transition", [False, True])
     def test_fit_one_row_down_branch_is_data_error(self, pipeline, tmp_path,
                                                    capsys, transition):
         rec = read_record(pipeline / "demod.txt")
-        short = replace(rec, bx_up=rec.bx_up[:20], s_up=rec.s_up[:20],
-                        st_up=rec.st_up[:20], t_up=rec.t_up[:20],
-                        bx_down=rec.bx_down[:1], s_down=rec.s_down[:1],
-                        st_down=rec.st_down[:1], t_down=rec.t_down[:1])
+        short = take_rows(rec, np.concatenate([rows_of(rec, +1)[:20], rows_of(rec, -1)[:1]]))
         path = write_record(short, tmp_path / "demod.txt")
         argv = ["fit", str(path)] + (["--transition"] if transition else [])
         code, out, err = run(capsys, *argv)
@@ -255,9 +266,8 @@ class TestPipeline:
         # stopped before LAPACK: no "Eigenvalues did not converge" from eigh
         # and no OpenBLAS "DLASCL" complaint on the process's stderr
         rec = read_record(pipeline / "demod.txt")
-        bx_down = rec.bx_down.copy()
-        bx_down[5] = np.nan
-        path = write_record(replace(rec, bx_down=bx_down), tmp_path / "demod.txt")
+        broken = with_value(rec, "bx", rows_of(rec, -1)[5], np.nan)
+        path = write_record(broken, tmp_path / "demod.txt")
         argv = ["fit", str(path)] + (["--transition"] if transition else [])
         code = main(argv)
         out, err = capfd.readouterr()

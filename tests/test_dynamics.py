@@ -288,6 +288,10 @@ class TestCouplingParams:
     def test_latched_field(self):
         assert CouplingParams(kappa=11.0, my0=0.1).latched_field == pytest.approx(1.1)
 
+    def test_default_tau_flip_is_the_set_tau_flip(self):
+        c = CouplingParams(kappa=11.0, my0=0.1, tau_flip=0.2)
+        assert default_tau_flip(P, c) == 0.2
+
     def test_default_tau_flip_ties_duration_to_field(self):
         c = CouplingParams(kappa=11.0, my0=0.1)
         tau = default_tau_flip(P, c)

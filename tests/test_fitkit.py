@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from alignor.fitkit import (
     levenberg_marquardt,
 )
 from oracles import fit_record_all_starts
+from records import branch_record, rows_of, take_rows, with_value
 
 RNG = np.random.default_rng(7)
 
@@ -36,8 +36,7 @@ def make_record(model, bx=None, noise=0.0, seed=0):
     s_up = composite_eval(model, bx, "up") + noise * rng.standard_normal(bx.size)
     s_dn = composite_eval(model, bx, "down") + noise * rng.standard_normal(bx.size)
     t = np.arange(bx.size) / 100.0
-    return SimpleNamespace(bx_up=bx, s_up=s_up, t_up=t,
-                           bx_down=bx[::-1], s_down=s_dn[::-1], t_down=t)
+    return branch_record((bx, s_up, t), (bx[::-1], s_dn[::-1], t))
 
 
 class TestCompositeEval:
@@ -323,8 +322,7 @@ class TestFitRecord:
 
     def test_single_branch_fixes_hysteresis(self):
         rec = make_record(self.TRUE, noise=0.0005, seed=4)
-        one = SimpleNamespace(bx_up=rec.bx_up, s_up=rec.s_up, t_up=rec.t_up,
-                              bx_down=None, s_down=None, t_down=None)
+        one = take_rows(rec, rows_of(rec, +1))
         res = fit_record(one)
         assert res.model.hysteresis_h == 0.0
         assert any("single branch" in w for w in res.warnings)
@@ -334,9 +332,8 @@ class TestFitRecord:
                                                        (20, 1, "down branch has 1 row")])
     def test_short_branch_is_value_error(self, n_up, n_down, message):
         rec = make_record(self.TRUE)
-        short = SimpleNamespace(bx_up=rec.bx_up[:n_up], s_up=rec.s_up[:n_up],
-                                t_up=rec.t_up[:n_up], bx_down=rec.bx_down[:n_down],
-                                s_down=rec.s_down[:n_down], t_down=rec.t_down[:n_down])
+        short = take_rows(rec, np.concatenate([rows_of(rec, +1)[:n_up],
+                                               rows_of(rec, -1)[:n_down]]))
         for fn in (fit_record, extract_transition):
             with pytest.raises(ValueError, match=message):
                 fn(short)
@@ -345,9 +342,7 @@ class TestFitRecord:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_bx_is_value_error(self, branch, bad):
         rec = make_record(self.TRUE)
-        bx = getattr(rec, f"bx_{branch}").copy()
-        bx[7] = bad
-        broken = SimpleNamespace(**{**vars(rec), f"bx_{branch}": bx})
+        broken = with_value(rec, "bx", rows_of(rec, {"up": +1, "down": -1}[branch])[7], bad)
         for fn in (fit_record, extract_transition):
             with pytest.raises(ValueError, match=f"{branch} branch has a non-finite bx"):
                 fn(broken)
@@ -356,19 +351,23 @@ class TestFitRecord:
     def test_transition_rejects_nonfinite_column(self, column):
         # a NaN time or signal in a side window reached polyfit's SVD
         rec = make_record(self.TRUE)
-        values = getattr(rec, f"{column}_down").copy()
-        values[7] = math.nan
-        broken = SimpleNamespace(**{**vars(rec), f"{column}_down": values})
+        broken = with_value(rec, column, rows_of(rec, -1)[7], math.nan)
         with pytest.raises(ValueError, match=f"down branch has a non-finite {column}"):
             extract_transition(broken)
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, -2.0, math.nan])
+    def test_branch_other_than_plus_minus_one_is_value_error(self, value):
+        # a sign of 0 or 0.5 would enter the model as a scaled symmetric part
+        rec = with_value(make_record(self.TRUE), "branch", 3, value)
+        for fn in (fit_record, extract_transition):
+            with pytest.raises(ValueError, match="branch must be"):
+                fn(rec)
 
     def test_overflowing_bx_stops_before_lapack(self):
         # finite, but the contour model overflows on it: a ValueError from
         # the start of the descent, not a LinAlgError from eigh
         rec = make_record(self.TRUE)
-        bx = rec.bx_down.copy()
-        bx[7] = 1e300
-        huge = SimpleNamespace(**{**vars(rec), "bx_down": bx})
+        huge = with_value(rec, "bx", rows_of(rec, -1)[7], 1e300)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             fit_record(huge)
 
@@ -378,7 +377,7 @@ class TestFitRecord:
         m = CompositeContourModel(a_anti=0.2, w_anti=2.0, a_sym=0.15, w_sym=1.5,
                                   center=0.3, offset=0.1)
         bx = np.linspace(-12.0, 12.0, 241)
-        one = SimpleNamespace(bx_up=bx, s_up=composite_eval(m, bx, "up"), bx_down=None)
+        one = branch_record((bx, composite_eval(m, bx, "up")))
         for res in (fit_record(one), fit_record_all_starts(one)):
             assert res.converged
             assert res.residual_rms < 1e-10
@@ -391,7 +390,7 @@ class TestFitRecord:
         bx = np.linspace(-12.0, 12.0, 241)
         up, down = (composite_eval(self.TRUE, bx, b) for b in ("up", "down"))
         for s_up, s_down, folded in ((up, down, False), (down, up, True)):
-            rec = SimpleNamespace(bx_up=bx, s_up=s_up, bx_down=bx, s_down=s_down)
+            rec = branch_record((bx, s_up), (bx, s_down))
             res = fit_record(rec)
             assert res.converged and res.residual_rms < 1e-10
             assert any("folded to |h|" in w for w in res.warnings) == folded
@@ -402,7 +401,7 @@ class TestFitRecord:
 
     def test_single_branch_leaves_init_untouched(self):
         rec = make_record(self.TRUE, noise=0.0005, seed=4)
-        one = SimpleNamespace(bx_up=rec.bx_up, s_up=rec.s_up, bx_down=None)
+        one = take_rows(rec, rows_of(rec, +1))
         init = np.array([0.1, 3.2, 0.15, 2.5, 0.2, 1.8, 6.0])
         res = fit_record(one, init=init)
         assert res.model.hysteresis_h == 0.0
@@ -425,8 +424,7 @@ class TestExtractTransition:
 
         s_up = ramp(bx_up, t, +b_flip, -0.1, 0.1)
         s_dn = ramp(bx_dn, t, -b_flip, 0.1, -0.1)
-        return SimpleNamespace(bx_up=bx_up, s_up=s_up, t_up=t,
-                               bx_down=bx_dn, s_down=s_dn, t_down=t)
+        return branch_record((bx_up, s_up, t), (bx_dn, s_dn, t))
 
     def test_raised_cosine_duration(self):
         tau = 0.05
@@ -450,8 +448,7 @@ class TestExtractTransition:
         t = np.arange(bx.size) / 100.0
         rng = np.random.default_rng(0)
         s = 0.02 * bx + 0.001 * rng.standard_normal(bx.size)
-        rec = SimpleNamespace(bx_up=bx, s_up=s, t_up=t,
-                              bx_down=bx[::-1], s_down=s[::-1], t_down=t)
+        rec = branch_record((bx, s, t), (bx[::-1], s[::-1], t))
         res = extract_transition(rec)
         assert res.monostable
         assert math.isnan(res.bx_up)
@@ -463,6 +460,27 @@ class TestFitTrend:
         res = fit_trend(x, 2.0 * x + 1.0, "linear")
         assert res.params == pytest.approx([2.0, 1.0], abs=1e-10)
         assert res.residual_rms < 1e-12
+
+    def test_linear_covariance_is_the_lm_formula(self):
+        # sigma^2 (A^T A)^+ of the design A, symmetrized, bit for bit
+        rng = np.random.default_rng(3)
+        x = np.linspace(-2.0, 3.0, 9)
+        y = 0.7 * x - 0.2 + 0.01 * rng.standard_normal(x.size)
+        for kind, design in (("linear", np.column_stack([x, np.ones_like(x)])),
+                             ("polynomial", np.column_stack([x ** k for k in range(4)]))):
+            res = fit_trend(x, y, kind)
+            r = y - design @ res.params
+            cov = float(r @ r) / (x.size - design.shape[1]) * np.linalg.pinv(
+                design.T @ design, rcond=1e-12)
+            assert res.covariance.tobytes() == (0.5 * (cov + cov.T)).tobytes()
+            assert res.unidentifiable == ()
+
+    def test_linear_trend_flags_unidentifiable(self):
+        # three distinct x values cannot fix four cubic coefficients
+        x = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+        res = fit_trend(x, x ** 2, "polynomial")
+        assert res.unidentifiable != ()
+        assert any(w.startswith("unidentifiable parameters") for w in res.warnings)
 
     def test_broadening_budget_slope(self):
         from alignor.estimators import BroadeningBudget, broadening_rate, circular_power

@@ -264,25 +264,27 @@ def test_blocked_synthesis_equals_straight_line_chain(setup):
 
 
 class TestLockin:
+    # tone_record and the ramps below sweep up only: every demod row is on
+    # the up branch
     def test_pure_tone_with_gain_two(self):
         rec = tone_record(amp=0.4)
         dem = lockin_demodulate(rec, gain=2.0)
-        mid = slice(dem.s_up.size // 4, 3 * dem.s_up.size // 4)
-        assert np.max(np.abs(dem.s_up[mid] - 0.4)) < 0.001 * 0.4
+        mid = slice(dem.s.size // 4, 3 * dem.s.size // 4)
+        assert np.max(np.abs(dem.s[mid] - 0.4)) < 0.001 * 0.4
 
     def test_quadrature_rejection(self):
         rec = tone_record(amp=0.4, phase=90.0)
         dem = lockin_demodulate(rec, gain=2.0)
-        mid = slice(dem.s_up.size // 4, 3 * dem.s_up.size // 4)
-        assert np.max(np.abs(dem.s_up[mid])) < 0.001 * 0.4
+        mid = slice(dem.s.size // 4, 3 * dem.s.size // 4)
+        assert np.max(np.abs(dem.s[mid])) < 0.001 * 0.4
 
     def test_linearity(self):
         r1 = tone_record(amp=0.3)
         r2 = tone_record(amp=0.0, extra=lambda t: 0.2 * np.sin(2 * math.pi * 5 * t)**3)
         both = tone_record(amp=0.3, extra=lambda t: 0.2 * np.sin(2 * math.pi * 5 * t)**3)
-        d1 = lockin_demodulate(r1).s_up
-        d2 = lockin_demodulate(r2).s_up
-        d12 = lockin_demodulate(both).s_up
+        d1 = lockin_demodulate(r1).s
+        d2 = lockin_demodulate(r2).s
+        d12 = lockin_demodulate(both).s
         assert np.max(np.abs(d12 - (d1 + d2))) < 1e-10
 
     @pytest.mark.parametrize("kwargs", [{"phase_deg": math.nan}, {"phase_deg": math.inf},
@@ -311,10 +313,10 @@ class TestLockin:
             return alignment_signal_shape(bx * f, 0.6 * f, 0.0) / ALIGNMENT_SIGNAL_CALIBRATION
 
         h = 1e-4
-        deriv = (curve(dem.bx_up + h) - curve(dem.bx_up - h)) / (2 * h)
+        deriv = (curve(dem.bx + h) - curve(dem.bx - h)) / (2 * h)
         expected = mod_amplitude / 2.0 * deriv
-        mid = slice(dem.bx_up.size // 8, -dem.bx_up.size // 8)
-        return np.max(np.abs(dem.s_up[mid] - expected[mid])) / np.max(np.abs(expected))
+        mid = slice(dem.bx.size // 8, -dem.bx.size // 8)
+        return np.max(np.abs(dem.s[mid] - expected[mid])) / np.max(np.abs(expected))
 
     def test_small_modulation_derivative(self):
         # mod amplitude below 0.1 * resonance width (2.73 nT)
@@ -333,8 +335,8 @@ class TestLockin:
             rec = synthesize_record(cfg, EnsembleParams(m0=0.0, a0=0.0),
                                     CouplingParams(kappa=0.0, my0=0.0))
             dem = lockin_demodulate(rec)
-            mid = slice(dem.s_up.size // 4, 3 * dem.s_up.size // 4)
-            rms.append(float(np.std(dem.s_up[mid])))
+            mid = slice(dem.s.size // 4, 3 * dem.s.size // 4)
+            rms.append(float(np.std(dem.s[mid])))
         assert rms[1] / rms[0] == pytest.approx(2.0, rel=0.1)
 
 
@@ -480,8 +482,11 @@ class TestDemodRecord:
         cfg = ScanConfig(ramp=ramp)
         rec = synthesize_record(cfg, P, C)
         dem = lockin_demodulate(rec)
-        assert np.all(np.diff(dem.bx_up) > 0)
-        assert np.all(np.diff(dem.bx_down) < 0)
-        assert dem.bx_up.size > 0 and dem.bx_down.size > 0
-        assert dem.bx_up.size == dem.s_up.size == dem.st_up.size == dem.t_up.size
-        assert dem.bx_down.size == dem.s_down.size == dem.st_down.size == dem.t_down.size
+        n_up = int(np.sum(dem.branch == 1.0))
+        assert 0 < n_up < dem.branch.size
+        # the up rows first, then the down rows, and no other branch value
+        assert np.all(dem.branch[:n_up] == 1.0) and np.all(dem.branch[n_up:] == -1.0)
+        assert np.all(np.diff(dem.bx[:n_up]) > 0)
+        assert np.all(np.diff(dem.bx[n_up:]) < 0)
+        assert np.all(np.diff(dem.t[:n_up]) > 0) and np.all(np.diff(dem.t[n_up:]) > 0)
+        assert dem.bx.size == dem.s.size == dem.st.size == dem.t.size == dem.branch.size

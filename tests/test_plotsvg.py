@@ -9,7 +9,7 @@ from alignor.plotsvg import _COLORS, Series, _fmt, _ticks, emit_plot
 
 
 def emit_plot_per_sample(series, path, title: str = "", xlabel: str = "",
-                         ylabel: str = "", width: int = 640, height: int = 420) -> Path:
+                         ylabel: str = "") -> Path:
     """emit_plot with a per-sample loop for the points and markers: the
     oracle for its array-wise form."""
     if not series:
@@ -29,6 +29,7 @@ def emit_plot_per_sample(series, path, title: str = "", xlabel: str = "",
     pad_y = 0.06 * (yhi - ylo)
     ylo, yhi = ylo - pad_y, yhi + pad_y
     ml, mr, mt, mb = 64, 16, 28, 46
+    width, height = 640, 420
     pw, ph = width - ml - mr, height - mt - mb
 
     def px(x):
@@ -63,7 +64,7 @@ def emit_plot_per_sample(series, path, title: str = "", xlabel: str = "",
                    f'font-size="12" transform="rotate(-90 14 {mt + ph / 2})">'
                    f'{ylabel}</text>')
     for i, s in enumerate(series):
-        color = s.color or _COLORS[i % len(_COLORS)]
+        color = _COLORS[i % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         ok = np.isfinite(s.x) & np.isfinite(s.y)
         pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(s.x[ok], s.y[ok]))
@@ -123,9 +124,9 @@ class TestEmitPlot:
 
     def test_two_branch_styling(self, tmp_path):
         x = np.linspace(-1, 1, 20)
-        up = Series("up", x, np.tanh(3 * x), color="#1f77b4")
-        down = Series("down", x[::-1], np.tanh(3 * x[::-1]) - 0.2,
-                      color="#d62728", dashed=True)
+        # the palette's first two colours, the second series dashed
+        up = Series("up", x, np.tanh(3 * x))
+        down = Series("down", x[::-1], np.tanh(3 * x[::-1]) - 0.2, dashed=True)
         out = emit_plot([up, down], tmp_path / "b.svg")
         text = out.read_text()
         assert text.count("<polyline") == 2

@@ -61,6 +61,7 @@ from oracles import (
     fit_record_all_starts,
     orientation_steady_state,
 )
+from records import branch_record
 
 SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
 FLOATS = st.one_of(SPECIAL_FLOATS, st.floats())
@@ -94,14 +95,10 @@ def scan_records(draw):
 
 @st.composite
 def demod_records(draw):
-    branches = []
-    for _ in range(2):
-        n = draw(st.integers(0, 8))
-        branches += [draw(arrays(np.float64, n, elements=RECORD_FLOATS)) for _ in range(4)]
-    bx_up, s_up, st_up, t_up, bx_down, s_down, st_down, t_down = branches
-    return DemodRecord(bx_up=bx_up, s_up=s_up, st_up=st_up, t_up=t_up,
-                       bx_down=bx_down, s_down=s_down, st_down=st_down,
-                       t_down=t_down,
+    n_up, n_down = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    cols = [draw(arrays(np.float64, n_up + n_down, elements=RECORD_FLOATS))
+            for _ in range(4)]
+    return DemodRecord(*cols, branch=np.repeat([1.0, -1.0], [n_up, n_down]),
                        meta=draw(st.dictionaries(KEYS, SCALARS, max_size=6)))
 
 
@@ -134,8 +131,7 @@ def test_scan_record_round_trip(rec):
 def test_demod_record_round_trip(rec):
     back, signature = _round_trip(rec)
     assert signature == b"# alignor-record v2"
-    for name in ("bx_up", "s_up", "st_up", "t_up",
-                 "bx_down", "s_down", "st_down", "t_down"):
+    for name in ("bx", "st", "s", "t", "branch"):
         assert getattr(back, name).tobytes() == getattr(rec, name).tobytes()
 
 
@@ -361,12 +357,7 @@ def identifiable_contours(draw):
 @settings(max_examples=25, deadline=None)
 @given(identifiable_contours())
 def test_fit_record_recovers_noiseless_contour(model):
-    bx = np.linspace(-12.0, 12.0, 241)
-    rec = DemodRecord(bx_up=bx, s_up=composite_eval(model, bx, "up"),
-                      st_up=np.zeros(bx.size), t_up=np.zeros(bx.size),
-                      bx_down=bx[::-1], s_down=composite_eval(model, bx[::-1], "down"),
-                      st_down=np.zeros(bx.size), t_down=np.zeros(bx.size), meta={})
-    res = fit_record(rec)
+    res = fit_record(_noiseless_record(model))
     assert res.converged
     true = model.free_params()
     # amplitudes and widths to 1e-6 relative; center, hysteresis and
@@ -377,10 +368,8 @@ def test_fit_record_recovers_noiseless_contour(model):
 
 def _noiseless_record(model):
     bx = np.linspace(-12.0, 12.0, 241)
-    return DemodRecord(bx_up=bx, s_up=composite_eval(model, bx, "up"),
-                       st_up=np.zeros(bx.size), t_up=np.zeros(bx.size),
-                       bx_down=bx[::-1], s_down=composite_eval(model, bx[::-1], "down"),
-                       st_down=np.zeros(bx.size), t_down=np.zeros(bx.size), meta={})
+    return branch_record((bx, composite_eval(model, bx, "up")),
+                         (bx[::-1], composite_eval(model, bx[::-1], "down")))
 
 
 @st.composite
@@ -416,7 +405,7 @@ def test_fit_record_merge_keeps_the_best_minimum(model):
     res = fit_record(rec)
     ref = fit_record_all_starts(rec)
     assert res.converged == ref.converged
-    floor = 1e-9 * max(np.max(np.abs(rec.s_up)), np.max(np.abs(rec.s_down)))
+    floor = 1e-9 * np.max(np.abs(rec.s))
     assert res.residual_rms <= ref.residual_rms * (1.0 + 1e-6) + floor
 
 

@@ -53,8 +53,8 @@ class TestRecordFile:
         write_record(dem, f)
         back = read_record(f)
         assert isinstance(back, DemodRecord)
-        assert back.s_up.tobytes() == dem.s_up.tobytes()
-        assert back.bx_down.tobytes() == dem.bx_down.tobytes()
+        for name in ("bx", "st", "s", "t", "branch"):
+            assert getattr(back, name).tobytes() == getattr(dem, name).tobytes()
         assert back.meta == dem.meta
         f2 = tmp_path / "dem2.txt"
         write_record(back, f2)
@@ -168,10 +168,9 @@ def _write_v1_scan(rec, path):
 def _write_v1_demod(rec, path):
     """Write ``rec`` as format v1 did: a text body of repr floats with the
     words ``up`` and ``down`` in the branch column."""
-    columns = [np.concatenate([getattr(rec, f"{c}_up"), getattr(rec, f"{c}_down")])
-               for c in ("bx", "st", "s", "t")]
-    branch = np.array(["up"] * len(rec.bx_up) + ["down"] * len(rec.bx_down))
-    return write_table(path, _v1_header("demod", rec.meta), DEMOD_COLUMNS, [*columns, branch])
+    branch = np.where(rec.branch > 0, "up", "down")
+    return write_table(path, _v1_header("demod", rec.meta), DEMOD_COLUMNS,
+                       [rec.bx, rec.st, rec.s, rec.t, branch])
 
 
 @pytest.fixture
@@ -417,7 +416,7 @@ class TestBinaryBody:
         # two bad cells, an up one and the last (down) one, the first is named
         f = write_record(demod_record, tmp_path / "dem.txt")
         data = bytearray(f.read_bytes())
-        rows = len(demod_record.bx_up) + len(demod_record.bx_down)
+        rows = len(demod_record.branch)
         at = len(data) - 8 * (rows - 7)
         assert data[at:at + 8] == np.array(1.0, "<f8").tobytes()
         assert data[-8:] == np.array(-1.0, "<f8").tobytes()
@@ -433,8 +432,7 @@ class TestBinaryBody:
         assert f.read_text().startswith("# alignor-record v1\n# kind: demod\n")
         back = read_record(f)
         assert back.meta == demod_record.meta
-        for name in ("bx_up", "s_up", "st_up", "t_up", "bx_down", "s_down", "st_down",
-                     "t_down"):
+        for name in ("bx", "st", "s", "t", "branch"):
             assert getattr(back, name).tobytes() == getattr(demod_record, name).tobytes()
         assert write_record(back, tmp_path / "v2.txt").read_bytes() == \
             write_record(demod_record, tmp_path / "ref.txt").read_bytes()

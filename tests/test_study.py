@@ -1,7 +1,6 @@
 from dataclasses import fields
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from alignor.study import (
     run_study,
     study_config_from_dict,
 )
+from records import branch_record
 
 PRESET = StudyPreset()
 
@@ -106,15 +106,13 @@ class TestMeasurePoint:
                       records=records)
         plus, minus = records["env_plus"], records["env_minus"]
         for up, down, folded in ((plus, minus, True), (minus, plus, False)):
-            pair = SimpleNamespace(bx_up=up.bx_up, s_up=up.s_up,
-                                   bx_down=down.bx_up, s_down=down.s_up)
-            res = fit_record(pair)
+            res = fit_record(branch_record((up.bx, up.s), (down.bx, down.s)))
             assert res.converged
             assert res.model.hysteresis_h == pytest.approx(8.981, abs=1e-3)
             assert any("hysteresis_h = -8.98" in w for w in res.warnings) == folded
             model_rms = math.sqrt(np.mean(np.concatenate([
-                composite_eval(res.model, pair.bx_up, "up") - pair.s_up,
-                composite_eval(res.model, pair.bx_down, "down") - pair.s_down]) ** 2))
+                composite_eval(res.model, up.bx, "up") - up.s,
+                composite_eval(res.model, down.bx, "down") - down.s]) ** 2))
             if folded:
                 assert model_rms > 3.0 * res.residual_rms
             else:
@@ -149,9 +147,9 @@ class TestChiGridStudy:
         assert (out / "loops.svg").exists()
         assert list(out.glob("*.dat")) == []
         rec = read_record(out / "point_00_loop.txt")
-        assert rec.bx_up.size > 0 and rec.bx_down.size > 0
+        assert np.any(rec.branch == 1.0) and np.any(rec.branch == -1.0)
         env = read_record(out / "point_00_env_plus.txt")
-        assert env.bx_up.size > 0
+        assert env.bx.size > 0 and np.all(env.branch == 1.0)
 
     def test_points_table_round_trip(self, chi_study):
         cfg, res = chi_study
