@@ -9,15 +9,12 @@ back-of-the-envelope estimators that accompany them.
 
 from .dynamics import (
     CouplingParams,
-    FlipEvent,
     SweepProtocol,
-    Trajectory,
     UnreachableThresholdError,
     default_tau_flip,
     effective_field_from_transient,
     effective_params,
     predict_flip_field,
-    run_sweep,
     sweep_profile,
 )
 from .estimators import (
@@ -44,11 +41,14 @@ from .fitkit import (
 )
 from .instrument import (
     DemodRecord,
+    FlipEvent,
     ScanConfig,
     ScanRecord,
+    Trajectory,
     lockin_demodulate,
     lowpass_filter,
     lowpass_rise_time,
+    run_sweep,
     synthesize_record,
 )
 from .plotsvg import Series, emit_plot

@@ -1,10 +1,10 @@
-"""Sweep protocols and the hysteresis latch.
+"""Sweep protocols and the hysteresis latch rule.
 
-One simulation model, the latch, implements the threshold hypothesis
-directly: the orientation moment follows its quasi-static steady state, and
-the sign of the alignment-driving effective transverse field is a latched
-variable that flips only when M_y crosses +/-my0, ramping through zero as a
-raised cosine of duration pi*tau_flip.
+The latch implements the threshold hypothesis directly: the sign of the
+alignment-driving effective transverse field is a latched variable that
+flips only when the orientation's M_y crosses +/-my0, ramping through zero
+as a raised cosine of duration pi*tau_flip.  The chain that feeds it the
+steady-state M_y, and the sweeps built on it, live in ``instrument``.
 """
 
 import bisect
@@ -13,12 +13,7 @@ import math
 
 import numpy as np
 
-from .spincore import (
-    EnsembleParams,
-    alignment_steady_state_grid,
-    orientation_steady_state_grid,
-    reject_nonfinite,
-)
+from .spincore import EnsembleParams, reject_nonfinite
 
 # 10-90% fraction of the half-period of a raised-cosine step
 RAISED_COS_10_90 = (math.acos(-0.8) - math.acos(0.8)) / math.pi
@@ -100,37 +95,6 @@ class SweepProtocol:
             raise ValueError("|ellipticity_deg| must be <= 45")
         if self.hold_time < 0:
             raise ValueError("hold_time must be >= 0")
-
-
-@dataclass(frozen=True)
-class FlipEvent:
-    """A threshold crossing of the latch."""
-
-    t: float
-    bx: float
-    direction: int        # +1 for - -> +, -1 for + -> -
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniformly sampled sweep output.
-
-    latch holds the continuous latch variable in [-1, 1];
-    b_eff is the field the alignment moment actually evolved under.
-    """
-
-    t: np.ndarray              # (N,)
-    b_applied: np.ndarray      # (N, 3)
-    b_eff: np.ndarray          # (N, 3)
-    m1: np.ndarray             # (N, 3)
-    m2: np.ndarray             # (N, 5)
-    latch: np.ndarray          # (N,)
-    direction: np.ndarray      # (N,) ramp slope sign
-    flips: tuple = ()
-
-    @property
-    def bx(self) -> np.ndarray:
-        return self.b_applied[:, 0]
 
 
 def predict_flip_field(p: EnsembleParams, c: CouplingParams) -> float:
@@ -262,45 +226,3 @@ def effective_params(p: EnsembleParams, proto: SweepProtocol) -> EnsembleParams:
     if proto.ellipticity_deg is None:
         return p
     return p.with_m0(p.m0 * math.sin(abs(2.0 * proto.ellipticity_deg) * math.pi / 180.0))
-
-
-def _flip_events(t, bx, my, flips, my0, ell):
-    """The threshold crossing before each flip start, interpolated between
-    it and the sample before."""
-    events = []
-    for i in flips:
-        d = 1 if ell[i] < 0 else -1     # the trigger sample holds the old state
-        k = max(i - 1, 0)
-        frac = 0.0
-        if my[i] != my[k]:
-            frac = min(max((my0 * d - my[k]) / (my[i] - my[k]), 0.0), 1.0)
-        events.append(FlipEvent(t=float(t[k] + frac * (t[i] - t[k])),
-                                bx=float(bx[k] + frac * (bx[i] - bx[k])), direction=d))
-    return tuple(events)
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-
-
-def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
-              sample_rate: float = 100.0, initial_sign: int | None = None) -> Trajectory:
-    """Run a field scan sampled at sample_rate (Hz) and return the trajectory.
-
-    Both moments follow their quasi-static steady states; the alignment sees
-    static_by plus the latched effective field kappa*my0*latch(t).
-    """
-    t, bx, direction = sweep_profile(proto, sample_rate)
-    pe = effective_params(p, proto)
-    by = np.full_like(bx, proto.static_by)
-    bz = np.full_like(bx, proto.static_bz)
-    b_applied = np.stack([bx, by, bz], axis=-1)
-    m1 = orientation_steady_state_grid(bx, by, bz, pe)
-    ell, flip_idx = latch_scan(t, m1[:, 1], direction, c.my0, default_tau_flip(pe, c),
-                               s0=initial_sign)
-    by_eff = by + c.kappa * c.my0 * ell
-    m2 = alignment_steady_state_grid(bx, by_eff, bz, pe)
-    b_eff = np.stack([bx, by_eff, bz], axis=-1)
-    flips = _flip_events(t, bx, m1[:, 1], flip_idx, c.my0, ell)
-    return Trajectory(t=t, b_applied=b_applied, b_eff=b_eff, m1=m1, m2=m2,
-                      latch=ell, direction=direction, flips=flips)

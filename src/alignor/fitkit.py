@@ -16,7 +16,7 @@ linkage: no local search inside the basin of a known minimum); one start is
 polished to the end instead of four, and the covariance is formed once.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 import math
 
 import numpy as np
@@ -55,12 +55,10 @@ class CompositeContourModel:
             raise ValueError("hysteresis_h must be >= 0")
 
     def free_params(self):
-        return np.array([self.a_anti, self.w_anti, self.a_sym, self.w_sym,
-                         self.center, self.hysteresis_h, self.offset])
+        return np.array(astuple(self))
 
 
-COMPOSITE_PARAM_NAMES = ("a_anti", "w_anti", "a_sym", "w_sym",
-                         "center", "hysteresis_h", "offset")
+COMPOSITE_PARAM_NAMES = tuple(f.name for f in fields(CompositeContourModel))
 
 
 def _lorentz_sq(v):
@@ -71,12 +69,12 @@ def _disp_sq(u):
     return u / (1.0 + u * u) ** 2
 
 
-def composite_eval(m: CompositeContourModel, bx, branch: str = "up"):
-    """Evaluate the composite contour on one sweep branch."""
-    if branch not in ("up", "down"):
-        raise ValueError("branch must be 'up' or 'down'")
+def composite_eval(m: CompositeContourModel, bx, branch=1.0):
+    """Evaluate the composite contour at bx on the branch of sign +1 (up)
+    or -1 (down): one sign, or one per bx, as a demod record's branch
+    column holds them; any other value raises ValueError."""
     bx = np.asarray(bx, dtype=float)
-    sigma = np.full(bx.shape, 1.0 if branch == "up" else -1.0)
+    sigma = np.broadcast_to(_branch_rows(branch)[0], bx.shape)
     return _composite_fn((bx, sigma), m.free_params())
 
 
@@ -456,9 +454,7 @@ def fit_record(rec, init=None):
         warnings = warnings + (f"hysteresis_h = {p[5]:.6g} folded to |h|: the model "
                                "does not reproduce the fit (branch labels swapped?)",)
     p[5] = abs(p[5]) if not single else 0.0
-    model = CompositeContourModel(a_anti=p[0], w_anti=p[1], a_sym=p[2],
-                                  w_sym=p[3], center=p[4], hysteresis_h=p[5],
-                                  offset=p[6])
+    model = CompositeContourModel(*p)
     return replace(res, params=p, warnings=warnings, model=model)
 
 

@@ -1,9 +1,10 @@
-"""Measurement-chain synthesis: modulation, noise, lock-in, filtering.
+"""Scan simulation and the measurement chain: latch, noise, lock-in.
 
-synthesize_record produces a raw time-domain scan (ramp + sinusoidal B_x
-modulation, photodetector-like S_T/S_B signals, seeded noise, linear drift);
-lockin_demodulate turns it into the demodulated contour of both sweep
-branches that the fitting layer consumes.
+_latch_chain feeds the orientation's M_y into the latch and returns the
+transverse field the alignment sees.  run_sweep runs it on the plain ramp;
+synthesize_record on the slow field of a raw scan (ramp + sinusoidal B_x
+modulation, S_T/S_B signals, seeded noise, linear drift), which
+lockin_demodulate turns into the contour of both sweep branches.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -26,6 +27,7 @@ from .spincore import (
     alignment_steady_state_grid,
     orientation_steady_state_grid,
     reject_nonfinite,
+    reject_nonint,
     signals_from_state,
 )
 
@@ -44,6 +46,9 @@ class ScanConfig:
 
     def __post_init__(self):
         reject_nonfinite(self)
+        reject_nonint(self, "seed")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.mod_amplitude < 0:
             raise ValueError("mod_amplitude must be >= 0")
         if self.mod_freq <= 0:
@@ -111,13 +116,27 @@ def config_from_meta(meta: dict):
     return cfg, build(EnsembleParams), build(CouplingParams), build(SignalMix)
 
 
-# Samples per block of the steady-state -> signal chain in synthesize_record.
+# Samples per block of the grids in _latch_chain and synthesize_record.
 # Full-length (50k-sample) grid calls spent much of their time in minor page
 # faults: their (n, 5)/(n, 3) outputs and dozens of 400 KB temporaries were
 # mapped, first-touched and released again on every call, about 36k faults
 # per study_chi pass; in blocks the grids fault about 2k times.  Of
 # 2,048-16,384 samples, 4,096 gave the lowest median study time (CHANGES.md).
 SYNTH_BLOCK = 4096
+
+
+def _latch_chain(t, bx_slow, direction, by, bz, pe: EnsembleParams,
+                 c: CouplingParams, s0: int | None = None):
+    """The orientation -> latch -> field step: (M_y, latch, flip starts,
+    by_eff).  M_y is the orientation steady state at (bx_slow, by, bz), by
+    and bz scalars, in SYNTH_BLOCK-sample blocks; the latch starts in state
+    s0, and by_eff = by + kappa*my0*latch is the field the alignment sees."""
+    my = np.empty(t.size)
+    for i in range(0, t.size, SYNTH_BLOCK):
+        b = slice(i, i + SYNTH_BLOCK)
+        my[b] = orientation_steady_state_grid(bx_slow[b], by, bz, pe)[:, 1]
+    ell, flips = latch_scan(t, my, direction, c.my0, default_tau_flip(pe, c), s0=s0)
+    return my, ell, flips, by + c.kappa * c.my0 * ell
 
 
 def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
@@ -144,16 +163,10 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
     bx_slow = bx_ramp + drift
     bx_mod = bx_slow + cfg.mod_amplitude * np.sin(TWO_PI * cfg.mod_freq * t)
     by, bz = cfg.ramp.static_by, cfg.ramp.static_bz
-    blocks = [slice(i, i + SYNTH_BLOCK) for i in range(0, t.size, SYNTH_BLOCK)]
-
-    my_slow = np.empty(t.size)
-    for b in blocks:
-        my_slow[b] = orientation_steady_state_grid(bx_slow[b], by, bz, pe)[:, 1]
-    ell, _ = latch_scan(t, my_slow, dirs, c.my0, default_tau_flip(pe, c))
-    by_eff = by + c.kappa * c.my0 * ell
+    *_, by_eff = _latch_chain(t, bx_slow, dirs, by, bz, pe, c)
 
     st, sb = np.empty(t.size), np.empty(t.size)
-    for b in blocks:
+    for b in (slice(i, i + SYNTH_BLOCK) for i in range(0, t.size, SYNTH_BLOCK)):
         m1 = orientation_steady_state_grid(bx_mod[b], by, bz, pe)
         m2 = alignment_steady_state_grid(bx_mod[b], by_eff[b], bz, pe)
         st[b], sb[b] = signals_from_state(m1, m2, mix)
@@ -168,6 +181,64 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
 def synthesize_from_meta(meta: dict) -> ScanRecord:
     """Regenerate a record from its own metadata (deterministic replay)."""
     return synthesize_record(*config_from_meta(meta))
+
+
+@dataclass(frozen=True)
+class FlipEvent:
+    """A threshold crossing of the latch."""
+
+    t: float
+    bx: float
+    direction: int        # +1 for - -> +, -1 for + -> -
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Uniformly sampled sweep output: the ramp bx, the transverse field
+    by_eff the alignment evolved under and the latch variable in [-1, 1]."""
+
+    t: np.ndarray              # (N,)
+    bx: np.ndarray             # (N,)
+    by_eff: np.ndarray         # (N,)
+    m1: np.ndarray             # (N, 3)
+    m2: np.ndarray             # (N, 5)
+    latch: np.ndarray          # (N,)
+    direction: np.ndarray      # (N,) ramp slope sign
+    flips: tuple = ()
+
+
+def _flip_events(t, bx, my, flips, my0, ell):
+    """The threshold crossing before each flip start, interpolated between
+    it and the sample before."""
+    events = []
+    for i in flips:
+        d = 1 if ell[i] < 0 else -1     # the trigger sample holds the old state
+        k = max(i - 1, 0)
+        frac = 0.0
+        if my[i] != my[k]:
+            frac = min(max((my0 * d - my[k]) / (my[i] - my[k]), 0.0), 1.0)
+        events.append(FlipEvent(t=float(t[k] + frac * (t[i] - t[k])),
+                                bx=float(bx[k] + frac * (bx[i] - bx[k])), direction=d))
+    return tuple(events)
+
+
+def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
+              sample_rate: float = 100.0, initial_sign: int | None = None) -> Trajectory:
+    """Run a field scan sampled at sample_rate (Hz) and return the trajectory.
+
+    Both moments follow their quasi-static steady states at the plain ramp;
+    the alignment sees static_by plus the latched field kappa*my0*latch(t).
+    """
+    t, bx, direction = sweep_profile(proto, sample_rate)
+    pe = effective_params(p, proto)
+    by, bz = proto.static_by, proto.static_bz
+    my, ell, flip_idx, by_eff = _latch_chain(t, bx, direction, by, bz, pe, c,
+                                             s0=initial_sign)
+    return Trajectory(t=t, bx=bx, by_eff=by_eff,
+                      m1=orientation_steady_state_grid(bx, by, bz, pe),
+                      m2=alignment_steady_state_grid(bx, by_eff, bz, pe),
+                      latch=ell, direction=direction,
+                      flips=_flip_events(t, bx, my, flip_idx, c.my0, ell))
 
 
 # 10-90% step-response time of lowpass_filter, in units of 1/cutoff

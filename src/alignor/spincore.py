@@ -35,6 +35,13 @@ def reject_nonfinite(obj):
             raise ValueError(f"{f.name} must be finite, got {v!r}")
 
 
+def reject_nonint(obj, name: str):
+    """Raise ValueError unless field ``name`` of ``obj`` is an int, not a bool."""
+    v = getattr(obj, name)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Ensemble constants: gyromagnetic slope, relaxation, pump equilibria.

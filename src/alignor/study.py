@@ -34,7 +34,7 @@ from .fitkit import TREND_EVAL, extract_transition, fit_record, fit_trend
 from .instrument import ScanConfig, lockin_demodulate, synthesize_record
 from .plotsvg import Series, emit_plot
 from .recordio import config_section, read_table, write_record, write_table
-from .spincore import STRONG_PUMP_GAMMA_HZ_PER_NT, EnsembleParams, SignalMix
+from .spincore import STRONG_PUMP_GAMMA_HZ_PER_NT, EnsembleParams, SignalMix, reject_nonint
 
 STUDY_KINDS = ("chi_grid", "bz_grid", "by_grid", "single")
 
@@ -116,6 +116,7 @@ class StudyConfig:
     preset: StudyPreset = field(default_factory=StudyPreset)
 
     def __post_init__(self):
+        reject_nonint(self, "seed")
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"kind must be one of {STUDY_KINDS}, got {self.kind!r}")
         grid = tuple(float(g) for g in self.grid)
@@ -144,7 +145,7 @@ def study_config_from_dict(flat: dict) -> StudyConfig:
     if not isinstance(grid, (list, tuple)):
         grid = (grid,)
     return StudyConfig(kind=kind, grid=tuple(grid),
-                       seed=int(flat.get("study.seed", 0)), preset=preset)
+                       seed=flat.get("study.seed", 0), preset=preset)
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,8 @@ def test_criterion_08_fit_recovery_and_jacobians():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         noise = true.a_sym / 100.0  # SNR 100 on the symmetric amplitude
-        up = composite_eval(true, bx, "up") + noise * rng.standard_normal(bx.size)
-        dn = composite_eval(true, bx, "down") + noise * rng.standard_normal(bx.size)
+        up = composite_eval(true, bx, 1.0) + noise * rng.standard_normal(bx.size)
+        dn = composite_eval(true, bx, -1.0) + noise * rng.standard_normal(bx.size)
         rec = branch_record((bx, up), (bx[::-1], dn[::-1]))
         res = fit_record(rec)
         assert res.converged

@@ -323,6 +323,22 @@ class TestPipeline:
         assert f"{field} must be finite" in err
         assert not (tmp_path / "scan.txt").exists()
 
+    @pytest.mark.parametrize("value, message", [
+        ("3.7", "seed must be an integer, got 3.7"),
+        ("3.0", "seed must be an integer, got 3.0"),
+        ("True", "seed must be an integer, got True"),
+        ("-1", "seed must be >= 0"),
+    ])
+    def test_simulate_rejects_bad_seed(self, tmp_path, capsys, value, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SMALL_CONFIG + f"instrument.seed = {value}\n")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not (tmp_path / "run").exists()
+
     def test_simulate_rejects_unbounded_scan(self, tmp_path):
         # a finite but huge ramp: the scan length overflows to inf samples
         cfg = tmp_path / "sim.cfg"
@@ -390,6 +406,18 @@ class TestStudyAndReport:
                            "--out", str(tmp_path / "study"))
         assert code == 2
         assert message in err
+        assert not (tmp_path / "study").exists()
+
+    @pytest.mark.parametrize("value", ["3.7", "True"])
+    def test_study_rejects_noninteger_seed(self, tmp_path, capsys, value):
+        # a float seed used to be truncated and a bool run as seed 1
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"study.seed = {value}\n")
+        code, out, err = run(capsys, "study", "--config", str(cfg),
+                             "--out", str(tmp_path / "study"))
+        assert code == 2
+        assert out == ""
+        assert f"seed must be an integer, got {value}" in err
         assert not (tmp_path / "study").exists()
 
     def test_study_data_error_leaves_no_directory(self, tmp_path, capsys):

@@ -7,18 +7,16 @@ import pytest
 from alignor.dynamics import (
     RAISED_COS_10_90,
     CouplingParams,
-    FlipEvent,
     SweepProtocol,
-    Trajectory,
     UnreachableThresholdError,
     _segments,
     default_tau_flip,
     effective_field_from_transient,
     latch_scan,
     predict_flip_field,
-    run_sweep,
     sweep_profile,
 )
+from alignor.instrument import run_sweep
 from alignor.spincore import EnsembleParams
 
 P = EnsembleParams(gamma_over_2pi=3.5, relax_rate=60.0, m0=1.0, a0=1.0)
@@ -244,7 +242,7 @@ class TestRunSweepLatch:
         proto = triangle(rate=0.5, static_by=0.3)
         traj = run_sweep(proto, P, self.C, FS)
         expect = 0.3 + self.C.kappa * self.C.my0 * traj.latch
-        assert np.max(np.abs(traj.b_eff[:, 1] - expect)) < 1e-12
+        assert np.max(np.abs(traj.by_eff - expect)) < 1e-12
 
     def test_kappa_zero_matches_uncoupled_alignment(self):
         c0 = CouplingParams(kappa=0.0, my0=0.1)

@@ -33,8 +33,8 @@ def make_record(model, bx=None, noise=0.0, seed=0):
     if bx is None:
         bx = np.linspace(-12.0, 12.0, 241)
     rng = np.random.default_rng(seed)
-    s_up = composite_eval(model, bx, "up") + noise * rng.standard_normal(bx.size)
-    s_dn = composite_eval(model, bx, "down") + noise * rng.standard_normal(bx.size)
+    s_up = composite_eval(model, bx, 1.0) + noise * rng.standard_normal(bx.size)
+    s_dn = composite_eval(model, bx, -1.0) + noise * rng.standard_normal(bx.size)
     t = np.arange(bx.size) / 100.0
     return branch_record((bx, s_up, t), (bx[::-1], s_dn[::-1], t))
 
@@ -43,13 +43,13 @@ class TestCompositeEval:
     def test_symmetric_peak_value(self):
         m = CompositeContourModel(a_anti=0.0, w_anti=1.0, a_sym=1.0, w_sym=2.0,
                                   center=0.3)
-        assert composite_eval(m, 0.3, "up") == pytest.approx(1.0)
+        assert composite_eval(m, 0.3, 1.0) == pytest.approx(1.0)
 
     def test_antisymmetric_zero_at_center_and_extremum(self):
         m = CompositeContourModel(a_anti=1.0, w_anti=2.0, a_sym=0.0, w_sym=1.0)
-        assert composite_eval(m, 0.0, "up") == pytest.approx(0.0)
+        assert composite_eval(m, 0.0, 1.0) == pytest.approx(0.0)
         bx = np.linspace(-20, 20, 200001)
-        vals = composite_eval(m, bx, "up")
+        vals = composite_eval(m, bx, 1.0)
         assert np.max(np.abs(vals)) == pytest.approx(3 * math.sqrt(3) / 16, abs=1e-6)
         assert bx[np.argmax(vals)] == pytest.approx(2.0 / math.sqrt(3), abs=1e-3)
 
@@ -57,15 +57,15 @@ class TestCompositeEval:
         m = CompositeContourModel(a_anti=0.7, w_anti=1.5, a_sym=0.4, w_sym=2.0,
                                   offset=0.2)
         bx = np.linspace(-8, 8, 101)
-        diff = composite_eval(m, bx, "up") - composite_eval(m, bx, "down")
+        diff = composite_eval(m, bx, 1.0) - composite_eval(m, bx, -1.0)
         v = bx / m.w_sym
         assert diff == pytest.approx(2 * 0.4 / (1 + v**2) ** 2)
 
     def test_parity_branch_sign_flips_only_symmetric_part(self):
         m = CompositeContourModel(a_anti=0.7, w_anti=1.5, a_sym=0.4, w_sym=2.0)
         bx = np.linspace(-8, 8, 101)
-        up = composite_eval(m, bx, "up")
-        dn = composite_eval(m, bx, "down")
+        up = composite_eval(m, bx, 1.0)
+        dn = composite_eval(m, bx, -1.0)
         anti = bx / m.w_anti / (1 + (bx / m.w_anti) ** 2) ** 2 * m.a_anti
         assert up + dn == pytest.approx(2 * anti, abs=1e-12)
 
@@ -76,7 +76,19 @@ class TestCompositeEval:
             CompositeContourModel(1, 1, 1, 1, hysteresis_h=-0.5)
         m = CompositeContourModel(1, 1, 1, 1)
         with pytest.raises(ValueError):
-            composite_eval(m, 0.0, "sideways")
+            composite_eval(m, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            composite_eval(m, [0.0, 1.0], [1.0, 0.0])
+
+    def test_branch_column_evaluates_a_whole_record(self):
+        m = CompositeContourModel(a_anti=0.7, w_anti=1.5, a_sym=0.4, w_sym=2.0,
+                                  center=0.1, hysteresis_h=1.2, offset=0.2)
+        rec = make_record(m)
+        up, down = rows_of(rec, 1.0), rows_of(rec, -1.0)
+        whole = composite_eval(m, rec.bx, rec.branch)
+        assert whole.tobytes() == np.concatenate(
+            [composite_eval(m, rec.bx[up], 1.0), composite_eval(m, rec.bx[down], -1.0)]).tobytes()
+        assert np.array_equal(whole, rec.s)
 
 
 class TestJacobians:
@@ -157,8 +169,8 @@ class TestLevenbergMarquardt:
     def joint_data(self, noise=0.0, seed=0):
         bx = np.linspace(-12, 12, 961)
         rng = np.random.default_rng(seed)
-        up = composite_eval(self.TRUE, bx, "up")
-        dn = composite_eval(self.TRUE, bx, "down")
+        up = composite_eval(self.TRUE, bx, 1.0)
+        dn = composite_eval(self.TRUE, bx, -1.0)
         x = (np.concatenate([bx, bx]),
              np.concatenate([np.ones(bx.size), -np.ones(bx.size)]))
         y = np.concatenate([up, dn]) + noise * rng.standard_normal(2 * bx.size)
@@ -377,7 +389,7 @@ class TestFitRecord:
         m = CompositeContourModel(a_anti=0.2, w_anti=2.0, a_sym=0.15, w_sym=1.5,
                                   center=0.3, offset=0.1)
         bx = np.linspace(-12.0, 12.0, 241)
-        one = branch_record((bx, composite_eval(m, bx, "up")))
+        one = branch_record((bx, composite_eval(m, bx, 1.0)))
         for res in (fit_record(one), fit_record_all_starts(one)):
             assert res.converged
             assert res.residual_rms < 1e-10
@@ -388,15 +400,14 @@ class TestFitRecord:
         # with the branch labels swapped the best fit has h < 0; the model
         # reported with |h| then misses the data, and the fit says so
         bx = np.linspace(-12.0, 12.0, 241)
-        up, down = (composite_eval(self.TRUE, bx, b) for b in ("up", "down"))
+        up, down = (composite_eval(self.TRUE, bx, b) for b in (1.0, -1.0))
         for s_up, s_down, folded in ((up, down, False), (down, up, True)):
             rec = branch_record((bx, s_up), (bx, s_down))
             res = fit_record(rec)
             assert res.converged and res.residual_rms < 1e-10
             assert any("folded to |h|" in w for w in res.warnings) == folded
-            model_rms = math.sqrt(np.mean(np.concatenate([
-                composite_eval(res.model, bx, "up") - s_up,
-                composite_eval(res.model, bx, "down") - s_down]) ** 2))
+            model_rms = math.sqrt(np.mean(
+                (composite_eval(res.model, rec.bx, rec.branch) - rec.s) ** 2))
             assert (model_rms > 1e-3) == folded
 
     def test_single_branch_leaves_init_untouched(self):

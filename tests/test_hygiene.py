@@ -2,7 +2,8 @@
 constant that nothing reads, no top-level function or class that nothing
 references, the shared constants each defined in exactly one place, no
 name of the test oracles (tests/oracles.py) defined in or imported by the
-package, the signal mix written once, LAPACK solves only in the
+package, the signal mix and the latch chain each written once (and no
+steady-state grid in dynamics), LAPACK solves only in the
 Levenberg-Marquardt normal equations, no run-time filter design by
 scipy's bilinear transform, the table format (its column-names line, its
 text body parser and its binary body decoder) kept in recordio, one
@@ -163,6 +164,15 @@ def test_signal_mix_written_once():
     uses = _enclosing_functions(
         lambda node: isinstance(node, ast.Attribute) and node.attr == "c_al")
     assert set(uses) == {("spincore", "signals_from_state")}
+
+
+def test_one_latch_chain():
+    # the orientation -> latch -> field step is written once and both
+    # sweeps run on it; dynamics keeps the protocol and the latch rule
+    assert set(_enclosing_functions(_is_call_to("latch_scan"))) == {
+        ("instrument", "_latch_chain")}
+    grids = {"orientation_steady_state_grid", "alignment_steady_state_grid"}
+    assert grids.isdisjoint(_imported_names(_tree(SRC / "dynamics.py")))
 
 
 def test_loadtxt_only_in_read_table():

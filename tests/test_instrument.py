@@ -25,6 +25,7 @@ from alignor.instrument import (
     lockin_demodulate,
     lowpass_design,
     lowpass_filter,
+    run_sweep,
     synthesize_from_meta,
     synthesize_record,
 )
@@ -61,6 +62,15 @@ class TestScanConfig:
             ScanConfig(ramp=ramp, mod_amplitude=-1.0)
         with pytest.raises(ValueError):
             ScanConfig(ramp=ramp, noise_rms=-0.1)
+
+    def test_seed_must_be_an_integer(self):
+        ramp = SweepProtocol(bx_start=-5.0, bx_end=5.0, rate=1.0)
+        assert ScanConfig(ramp=ramp, seed=np.uint32(7)).seed == 7
+        for bad in (3.7, 3.0, True, None):
+            with pytest.raises(ValueError, match="^seed must be an integer"):
+                ScanConfig(ramp=ramp, seed=bad)
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            ScanConfig(ramp=ramp, seed=-1)
 
 
 RAMP = SweepProtocol(bx_start=-5.0, bx_end=5.0, rate=1.0)
@@ -232,6 +242,23 @@ class TestBlockedSynthesis:
         assert max(sizes["orientation"] + sizes["alignment"]) <= SYNTH_BLOCK
         assert sum(sizes["orientation"]) == 2 * n
         assert sum(sizes["alignment"]) == n
+
+
+@pytest.mark.parametrize("proto", [
+    SweepProtocol(bx_start=-15.0, bx_end=15.0, rate=0.5, static_by=0.2, static_bz=0.1),
+    SweepProtocol(bx_start=-15.0, bx_end=15.0, rate=1.0, hold_on_zero=True, hold_time=20.0),
+], ids=["triangle", "hold_on_zero"])
+def test_run_sweep_is_the_unmodulated_synthesized_scan(proto):
+    # both run the one latch chain: without modulation, drift or noise the
+    # synthesized S_B is the sweep's alignment m2s and S_T its m0c, bit for bit
+    fs = 128.0
+    traj = run_sweep(proto, P, C, fs)
+    rec = synthesize_record(ScanConfig(ramp=proto, mod_amplitude=0.0, sample_rate=fs), P, C,
+                            SignalMix(c_al=1.0, c_or=0.0, c_t=1.0))
+    assert len(traj.flips) == 2 and traj.t.size > 2 * SYNTH_BLOCK
+    assert np.array_equal(rec.t, traj.t)
+    assert np.array_equal(rec.sb_raw, traj.m2[:, 4])
+    assert np.array_equal(rec.st_raw, traj.m2[:, 0])
 
 
 @st.composite

@@ -368,8 +368,8 @@ def test_fit_record_recovers_noiseless_contour(model):
 
 def _noiseless_record(model):
     bx = np.linspace(-12.0, 12.0, 241)
-    return branch_record((bx, composite_eval(model, bx, "up")),
-                         (bx[::-1], composite_eval(model, bx[::-1], "down")))
+    return branch_record((bx, composite_eval(model, bx, 1.0)),
+                         (bx[::-1], composite_eval(model, bx[::-1], -1.0)))
 
 
 @st.composite

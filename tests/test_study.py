@@ -44,6 +44,14 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="single"):
             StudyConfig(kind="single", grid=(0.1, 0.2))
 
+    def test_seed_must_be_an_integer(self):
+        assert StudyConfig(kind="single", grid=(0.25,), seed=np.int64(4)).seed == 4
+        for bad in (3.7, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="^seed must be an integer"):
+                StudyConfig(kind="single", grid=(0.25,), seed=bad)
+            with pytest.raises(ValueError, match="^seed must be an integer"):
+                study_config_from_dict({"study.seed": bad})
+
     def test_from_flat_dict(self):
         cfg = study_config_from_dict({
             "study.kind": "chi_grid",
@@ -106,13 +114,13 @@ class TestMeasurePoint:
                       records=records)
         plus, minus = records["env_plus"], records["env_minus"]
         for up, down, folded in ((plus, minus, True), (minus, plus, False)):
-            res = fit_record(branch_record((up.bx, up.s), (down.bx, down.s)))
+            rec = branch_record((up.bx, up.s), (down.bx, down.s))
+            res = fit_record(rec)
             assert res.converged
             assert res.model.hysteresis_h == pytest.approx(8.981, abs=1e-3)
             assert any("hysteresis_h = -8.98" in w for w in res.warnings) == folded
-            model_rms = math.sqrt(np.mean(np.concatenate([
-                composite_eval(res.model, up.bx, "up") - up.s,
-                composite_eval(res.model, down.bx, "down") - down.s]) ** 2))
+            model_rms = math.sqrt(np.mean(
+                (composite_eval(res.model, rec.bx, rec.branch) - rec.s) ** 2))
             if folded:
                 assert model_rms > 3.0 * res.residual_rms
             else:
