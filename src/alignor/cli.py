@@ -134,7 +134,10 @@ def cmd_fit(args) -> int:
     if not hasattr(rec, "branch"):
         raise ValueError(f"{args.record}: expected a demodulated record")
     res = fit_record(rec)
-    rows = [(n, float(v), "") for n, v in zip(res.param_names, res.params)]
+    for w in res.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    rows = [(n, float(v), "nT" if n in ("w_anti", "w_sym", "center", "hysteresis_h") else "")
+            for n, v in zip(res.param_names, res.params)]
     rows.append(("residual_rms", float(res.residual_rms), ""))
     rows.append(("converged", bool(res.converged), ""))
     if args.transition:

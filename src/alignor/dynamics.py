@@ -8,11 +8,12 @@ steady-state M_y, and the sweeps built on it, live in ``instrument``.
 """
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
 
+from .estimators import circular_power
 from .spincore import EnsembleParams, reject_nonfinite
 
 # 10-90% fraction of the half-period of a raised-cosine step
@@ -222,7 +223,7 @@ def latch_scan(t, my, direction, my0: float, tau_flip: float, s0: int | None = N
 
 
 def effective_params(p: EnsembleParams, proto: SweepProtocol) -> EnsembleParams:
-    """Scale m0 by sin|2*chi| when the protocol specifies a pump ellipticity."""
+    """p, its m0 scaled by circular_power's sin|2*chi| if proto sets an ellipticity."""
     if proto.ellipticity_deg is None:
         return p
-    return p.with_m0(p.m0 * math.sin(abs(2.0 * proto.ellipticity_deg) * math.pi / 180.0))
+    return replace(p, m0=circular_power(p.m0, proto.ellipticity_deg))

@@ -4,7 +4,7 @@ The central object is the composite scan-contour model: an antisymmetric
 (dispersion-like) part from the orientation moment plus a branch-dependent
 symmetric peak from the alignment coherence, offset by half the hysteresis
 width per sweep direction.  A small hand-rolled Levenberg-Marquardt driver
-with analytic Jacobians does all the fitting; trend models (linear, cubic
+with analytic Jacobians fits it; the TRENDS table's models (linear, cubic
 polynomial, hyperbola, arctangent, Lorentzian) cover the parameter-vs-knob
 analyses.
 
@@ -201,7 +201,6 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
             break
         scale = np.diag(jtj).copy()
         scale[scale < 1e-12 * max(scale.max(), 1.0)] = 1e-12 * max(scale.max(), 1.0)
-        accepted = False
         solvable = False
         while lam <= LM_LAMBDA_MAX:
             try:
@@ -219,7 +218,6 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
                 p, r, cost = p_try, r_try, cost_try
                 history.append(cost)
                 lam = max(lam / 10.0, 1e-15)
-                accepted = True
                 if rel_drop < LM_COST_TOL and rel_step < LM_STEP_TOL:
                     converged = True
                 break
@@ -231,8 +229,6 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
                     f"lambda={lam:.1e} after {it} iterations (cost {cost:.3e})")
             converged = True  # no damped step can lower the cost any further
         if converged:
-            break
-        if not accepted:
             break
         if stop is not None and stop(p):
             return None
@@ -569,16 +565,6 @@ def extract_transition(rec) -> TransitionResult:
 # ---------------------------------------------------------------------------
 # trend models
 
-TREND_KINDS = ("linear", "polynomial", "hyperbola", "arctan", "lorentzian")
-
-TREND_PARAM_NAMES = {
-    "linear": ("slope", "intercept"),
-    "polynomial": ("c0", "c1", "c2", "c3"),
-    "hyperbola": ("a", "b"),
-    "arctan": ("a", "c", "d"),
-    "lorentzian": ("amplitude", "width", "offset"),
-}
-
 
 def _linear_lstsq(design, y, names):
     """Closed-form least squares; the design is the Jacobian of the
@@ -606,6 +592,11 @@ def _arctan_jac(x, p):
     return j
 
 
+def _arctan_start(x, y):
+    a0 = (y.max() - y.min()) / math.pi or 1.0
+    return a0, float(np.std(x)) or 1.0, float(np.mean(y))
+
+
 def _lorentz_fn(x, p):
     amp, w, d = p
     return amp / (1.0 + (x / w) ** 2) + d
@@ -622,60 +613,62 @@ def _lorentz_jac(x, p):
     return j
 
 
-# trend kind -> model f(x, params), the curve each fit_trend kind fits
-TREND_EVAL = {
-    "linear": lambda x, p: p[0] * x + p[1],
-    "polynomial": lambda x, p: np.polyval(list(p)[::-1], x),
-    "hyperbola": lambda x, p: p[0] + p[1] / x,
-    "arctan": _arctan_fn,
-    "lorentzian": _lorentz_fn,
+def _lorentz_start(x, y):
+    d0 = float(np.median(np.concatenate([y[:2], y[-2:]])))
+    i = int(np.argmax(np.abs(y - d0)))
+    a0 = float(y[i] - d0) or 1.0
+    half = np.abs(y - d0) > abs(a0) / 2.0
+    w0 = 0.5 * (x[half].max() - x[half].min()) if half.sum() > 1 else float(np.std(x)) or 1.0
+    return a0, abs(w0) or 1.0, d0
+
+
+def _unit_design(fn, n, x):
+    """Design of a model fn(x, p) linear in its n parameters: column k is
+    fn(x, e_k) at the k-th unit vector e_k, non-finite where fn is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.column_stack([fn(x, e) for e in np.eye(n)])
+
+
+# trend kind -> (parameter names, model f(x, p), Jacobian, start heuristic);
+# a kind with no Jacobian is linear in its parameters
+TRENDS = {
+    "linear": (("slope", "intercept"), lambda x, p: p[0] * x + p[1], None, None),
+    "polynomial": (("c0", "c1", "c2", "c3"),
+                   lambda x, p: sum(c * x ** k for k, c in enumerate(p)), None, None),
+    "hyperbola": (("a", "b"), lambda x, p: p[0] + p[1] / x, None, None),
+    "arctan": (("a", "c", "d"), _arctan_fn, _arctan_jac, _arctan_start),
+    "lorentzian": (("amplitude", "width", "offset"), _lorentz_fn, _lorentz_jac,
+                   _lorentz_start),
 }
 
 
 def fit_trend(x, y, kind: str) -> FitResult:
-    """Fit a named trend model to (x, y) points.
+    """Fit the TRENDS model ``kind`` to (x, y) points.
 
-    linear and the cubic polynomial are closed-form least squares; hyperbola
-    a + b/x is linear in its parameters; arctan a*atan(x/c)+d and lorentzian
-    A/(1+(x/w)^2)+d go through Levenberg-Marquardt with analytic Jacobians.
+    A kind linear in its parameters (linear, the cubic polynomial, the
+    hyperbola a + b/x) is closed-form least squares on its design, whose
+    column k is the model at the k-th unit vector; arctan a*atan(x/c)+d and
+    lorentzian A/(1+(x/w)^2)+d go through Levenberg-Marquardt from their
+    start heuristics with analytic Jacobians.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be matching 1-d arrays")
-    if kind == "linear":
-        if x.size < 2:
-            raise ValueError("linear fit needs at least 2 points")
-        return _linear_lstsq(np.column_stack([x, np.ones_like(x)]), y,
-                             TREND_PARAM_NAMES["linear"])
-    if kind == "polynomial":
-        if x.size < 4:
-            raise ValueError("underdetermined polynomial fit")
-        design = np.column_stack([x ** k for k in range(4)])
-        return _linear_lstsq(design, y, TREND_PARAM_NAMES["polynomial"])
-    if kind == "hyperbola":
-        if np.any(x == 0.0):
-            raise ValueError("hyperbola fit undefined at x = 0")
-        if x.size < 2:
-            raise ValueError("hyperbola fit needs at least 2 points")
-        return _linear_lstsq(np.column_stack([np.ones_like(x), 1.0 / x]), y,
-                             TREND_PARAM_NAMES["hyperbola"])
-    if kind == "arctan":
-        d0 = float(np.mean(y))
-        a0 = (y.max() - y.min()) / math.pi or 1.0
-        c0 = float(np.std(x)) or 1.0
-        return levenberg_marquardt(_arctan_fn, _arctan_jac, x, y, (a0, c0, d0),
-                                   param_names=TREND_PARAM_NAMES["arctan"])
+    if kind not in TRENDS:
+        raise ValueError(f"unknown trend kind {kind!r}; expected one of {tuple(TRENDS)}")
+    names, fn, jac, start = TRENDS[kind]
+    if jac is None:
+        if x.size < len(names):
+            raise ValueError(f"{kind} fit needs at least {len(names)} points")
+        design = _unit_design(fn, len(names), x)
+        bad = ~np.isfinite(design).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{kind} fit undefined at x = {float(x[bad][0])!r}")
+        return _linear_lstsq(design, y, names)
+    res = levenberg_marquardt(fn, jac, x, y, start(x, y), param_names=names)
     if kind == "lorentzian":
-        d0 = float(np.median(np.concatenate([y[:2], y[-2:]])))
-        i = int(np.argmax(np.abs(y - d0)))
-        a0 = float(y[i] - d0) or 1.0
-        half = np.abs(y - d0) > abs(a0) / 2.0
-        w0 = 0.5 * (x[half].max() - x[half].min()) if half.sum() > 1 else float(np.std(x)) or 1.0
-        init = (a0, abs(w0) or 1.0, d0)
-        res = levenberg_marquardt(_lorentz_fn, _lorentz_jac, x, y, init,
-                                  param_names=TREND_PARAM_NAMES["lorentzian"])
         p = res.params.copy()
         p[1] = abs(p[1])
-        return replace(res, params=p)
-    raise ValueError(f"unknown trend kind {kind!r}; expected one of {TREND_KINDS}")
+        res = replace(res, params=p)
+    return res

@@ -7,7 +7,7 @@ modulation, S_T/S_B signals, seeded noise, linear drift), which
 lockin_demodulate turns into the contour of both sweep branches.
 """
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -28,8 +28,17 @@ from .spincore import (
     orientation_steady_state_grid,
     reject_nonfinite,
     reject_nonint,
+    settings_fields,
     signals_from_state,
 )
+
+
+def _check_sampling(mod_freq, sample_rate):
+    """The sampling rule of a modulated scan, 0 < 20 * mod_freq <= sample_rate;
+    NaN and inf fail it too."""
+    if not 0.0 < 20.0 * mod_freq <= sample_rate:
+        raise ValueError(f"mod_freq must be > 0 and at most sample_rate / 20, got "
+                         f"mod_freq={mod_freq!r}, sample_rate={sample_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +60,7 @@ class ScanConfig:
             raise ValueError("seed must be >= 0")
         if self.mod_amplitude < 0:
             raise ValueError("mod_amplitude must be >= 0")
-        if self.mod_freq <= 0:
-            raise ValueError("mod_freq must be > 0")
-        if self.sample_rate < 20.0 * self.mod_freq:
-            raise ValueError("sample_rate must be >= 20 * mod_freq")
+        _check_sampling(self.mod_freq, self.sample_rate)
         if self.noise_rms < 0:
             raise ValueError("noise_rms must be >= 0")
 
@@ -86,18 +92,13 @@ class DemodRecord:
     meta: dict
 
 
-def _meta_fields(cls):
-    """Fields a record's meta holds by name: all but a nested dataclass."""
-    return [f.name for f in fields(cls) if not is_dataclass(f.type)]
-
-
 def record_meta(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
                 mix: SignalMix) -> dict:
     """Flat metadata dict sufficient to regenerate the record bit-for-bit:
     every field of the five settings objects, by name."""
     meta = {}
     for obj in (cfg, cfg.ramp, p, c, mix):
-        meta.update((name, getattr(obj, name)) for name in _meta_fields(type(obj)))
+        meta.update((name, getattr(obj, name)) for name in settings_fields(obj))
     return meta
 
 
@@ -110,7 +111,7 @@ def config_from_meta(meta: dict):
     meta = {"relax_ratio_alignment": 1.0, **meta}
 
     def build(cls, **given):
-        return cls(**{name: meta[name] for name in _meta_fields(cls)}, **given)
+        return cls(**{name: meta[name] for name in settings_fields(cls)}, **given)
 
     cfg = build(ScanConfig, ramp=build(SweepProtocol))
     return cfg, build(EnsembleParams), build(CouplingParams), build(SignalMix)
@@ -385,8 +386,7 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
     """
     f = rec.meta["mod_freq"]
     fs = rec.meta["sample_rate"]
-    if not 0.0 < 20.0 * f <= fs:  # the ScanConfig rule; NaN and inf fail it too
-        raise ValueError("meta mod_freq must be > 0 and at most sample_rate / 20")
+    _check_sampling(f, fs)
     if lpf_cutoff >= f / 2.0:
         raise ValueError("lpf_cutoff must be below mod_freq/2")
     if not (math.isfinite(phase_deg) and math.isfinite(gain)):

@@ -17,7 +17,7 @@ on, the byte offset).  Configs are flat ``section.key = value`` files.
 """
 
 import ast
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 import os
 from pathlib import Path
 import re
@@ -25,6 +25,7 @@ import re
 import numpy as np
 
 from .instrument import DemodRecord, ScanRecord
+from .spincore import settings_fields
 
 _MAGIC = "# alignor-record"
 _COLUMNS = "# columns: "
@@ -289,7 +290,7 @@ def config_section(flat: dict, prefix: str, base):
     """``base``, a dataclass instance, with the ``prefix.*`` keys of a flat
     config applied by ``dataclasses.replace``.  A key naming no field, or a
     field that holds a nested dataclass, raises ValueError."""
-    names = {f.name for f in fields(base) if not is_dataclass(getattr(base, f.name))}
+    names = set(settings_fields(base))
     changes = {}
     for key, value in flat.items():
         if key.startswith(prefix + "."):

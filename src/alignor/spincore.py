@@ -14,7 +14,7 @@ photodetector signals.  Their slow references (LAPACK solves, the spin-2
 generators, the m2s lineshape) live in the test suite's ``tests/oracles.py``.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass
 import math
 
 import numpy as np
@@ -33,6 +33,11 @@ def reject_nonfinite(obj):
         v = getattr(obj, f.name)
         if isinstance(v, (float, np.floating)) and not math.isfinite(v):
             raise ValueError(f"{f.name} must be finite, got {v!r}")
+
+
+def settings_fields(cls):
+    """The flat fields of a settings dataclass or instance: all but nested dataclasses."""
+    return [f.name for f in fields(cls) if not is_dataclass(f.type)]
 
 
 def reject_nonint(obj, name: str):
@@ -83,9 +88,6 @@ class EnsembleParams:
     def alignment_relax_rate(self) -> float:
         """Relaxation rate of the rank-2 moment, s^-1."""
         return self.relax_ratio_alignment * self.relax_rate
-
-    def with_m0(self, m0: float) -> "EnsembleParams":
-        return replace(self, m0=m0)
 
 
 def orientation_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:

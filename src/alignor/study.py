@@ -30,11 +30,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dynamics import CouplingParams, SweepProtocol, effective_field_from_transient
-from .fitkit import TREND_EVAL, extract_transition, fit_record, fit_trend
+from .estimators import circular_power
+from .fitkit import TRENDS, extract_transition, fit_record, fit_trend
 from .instrument import ScanConfig, lockin_demodulate, synthesize_record
 from .plotsvg import Series, emit_plot
 from .recordio import config_section, read_table, write_record, write_table
-from .spincore import STRONG_PUMP_GAMMA_HZ_PER_NT, EnsembleParams, SignalMix, reject_nonint
+from .spincore import (STRONG_PUMP_GAMMA_HZ_PER_NT, TWO_PI, EnsembleParams, SignalMix,
+                       reject_nonint)
 
 STUDY_KINDS = ("chi_grid", "bz_grid", "by_grid", "single")
 
@@ -54,7 +56,7 @@ class StudyPreset:
     base_width_nt: float = 8.0           # zero-ellipticity resonance HWHM
     broadening_nt_per_deg: float = 4.0   # simulated width growth with chi
     relax_ratio_alignment: float = 2.2   # rank-2 vs rank-1 relaxation
-    latch_threshold: float = 0.49 * math.sin(math.radians(0.2))
+    latch_threshold: float = 0.49 * circular_power(1.0, 0.1)
     latch_field_nt: float = 1.1          # kappa * my0
     residual_by_nt: float = 0.4
     residual_bz_nt: float = 0.5
@@ -76,7 +78,7 @@ class StudyPreset:
         width = self.base_width_nt + self.broadening_nt_per_deg * chi_deg
         return EnsembleParams(
             gamma_over_2pi=self.gamma_over_2pi,
-            relax_rate=width * 2.0 * math.pi * self.gamma_over_2pi,
+            relax_rate=width * TWO_PI * self.gamma_over_2pi,
             relax_ratio_alignment=self.relax_ratio_alignment)
 
     def coupling(self, bz_pump_nt: float = 0.0) -> CouplingParams:
@@ -382,7 +384,7 @@ def _trend_outputs(kind: str, points, out: Path) -> tuple:
         xs = np.linspace(x.min(), x.max(), 200)
         if tr.kind == "hyperbola":
             xs = xs[np.abs(xs) > 1e-12]
-        fitted = TREND_EVAL[tr.kind](xs, np.array(tr.params))
+        fitted = TRENDS[tr.kind][1](xs, np.array(tr.params))
         emit_plot([Series("measured", x, y, markers=True),
                    Series(f"{tr.kind} fit", xs, fitted, dashed=True)],
                   out / f"trend_{tr.quantity}_{tr.kind}.svg",

@@ -166,6 +166,26 @@ class TestPipeline:
         else:
             assert code == 3  # partial output still printed above
 
+    def test_fit_units(self, pipeline, capsys):
+        # the widths, center and hysteresis are fields; amplitudes and the
+        # offset are in signal units
+        fields = {"w_anti", "w_sym", "center", "hysteresis_h"}
+        _, out, _ = run(capsys, "fit", str(pipeline / "demod.txt"), "--format", "json")
+        units = {name: v["unit"] for name, v in json.loads(out).items()}
+        assert {name for name, unit in units.items() if unit == "nT"} == fields
+        assert set(units.values()) == {"", "nT"}
+        _, out, _ = run(capsys, "fit", str(pipeline / "demod.txt"))
+        assert {row.split(",")[0] for row in out.splitlines()[1:] if row.endswith(",nT")} == fields
+
+    def test_fit_prints_each_warning_to_stderr(self, pipeline, tmp_path, capsys):
+        rec = read_record(pipeline / "demod.txt")
+        path = write_record(take_rows(rec, rows_of(rec, +1)), tmp_path / "demod.txt")
+        code, out, err = run(capsys, "fit", str(path))
+        assert "warning: single branch: hysteresis fixed at 0" in err.splitlines()
+        assert all(line.startswith("warning: ") for line in err.splitlines())
+        assert csv_values(out)["hysteresis_h"] == "0"
+        assert code == (0 if csv_values(out)["converged"] == "True" else 3)
+
     def test_fit_rejects_scan_record(self, pipeline, capsys):
         code, _, err = run(capsys, "fit", str(pipeline / "scan.txt"))
         assert code == 2

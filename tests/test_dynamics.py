@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 from hypothesis import assume, given, settings, strategies as st
@@ -37,7 +38,7 @@ class TestPredictFlipField:
         assert b0 == pytest.approx(60.0 * 0.1 / (2 * math.pi * 3.5))
         p2 = EnsembleParams(gamma_over_2pi=3.5, relax_rate=120.0)
         assert predict_flip_field(p2, c) == pytest.approx(2 * b0)
-        assert predict_flip_field(P.with_m0(2.0), c) == pytest.approx(b0 / 2)
+        assert predict_flip_field(replace(P, m0=2.0), c) == pytest.approx(b0 / 2)
 
     def test_hyperbolic_chi_trend(self):
         # Gamma(chi) linear, m0 = sin(2 chi): B_x0(chi) follows ~ a + b/chi
@@ -58,7 +59,7 @@ class TestPredictFlipField:
 
     def test_unreachable_threshold(self):
         with pytest.raises(UnreachableThresholdError):
-            predict_flip_field(P.with_m0(0.05), CouplingParams(kappa=5.0, my0=0.1))
+            predict_flip_field(replace(P, m0=0.05), CouplingParams(kappa=5.0, my0=0.1))
 
 
 class TestEffectiveFieldFromTransient:
@@ -235,7 +236,7 @@ class TestRunSweepLatch:
 
         by_eff = np.full_like(traj.bx, self.C.latched_field)
         ref = alignment_steady_state_grid(traj.bx, by_eff, np.zeros_like(traj.bx),
-                                          P.with_m0(0.0))
+                                          replace(P, m0=0.0))
         assert np.max(np.abs(traj.m2 - ref)) < 1e-9
 
     def test_latch_effective_field_bookkeeping(self):

@@ -3,11 +3,12 @@ constant that nothing reads, no top-level function or class that nothing
 references, the shared constants each defined in exactly one place, no
 name of the test oracles (tests/oracles.py) defined in or imported by the
 package, the signal mix and the latch chain each written once (and no
-steady-state grid in dynamics), LAPACK solves only in the
-Levenberg-Marquardt normal equations, no run-time filter design by
-scipy's bilinear transform, the table format (its column-names line, its
-text body parser and its binary body decoder) kept in recordio, one
-writer per file format, no scipy at run time (numpy is the only
+steady-state grid in dynamics), one trend table, one circular pump
+fraction, one sampling rule, one settings-field helper and one 2*pi, LAPACK
+solves only in the Levenberg-Marquardt normal equations, no run-time filter
+design by scipy's bilinear transform, the table format (its column-names
+line, its text body parser and its binary body decoder) kept in recordio,
+one writer per file format, no scipy at run time (numpy is the only
 dependency; scipy is a test oracle), and no command-line option that its
 command's handler does not read."""
 
@@ -173,6 +174,65 @@ def test_one_latch_chain():
         ("instrument", "_latch_chain")}
     grids = {"orientation_steady_state_grid", "alignment_steady_state_grid"}
     assert grids.isdisjoint(_imported_names(_tree(SRC / "dynamics.py")))
+
+
+def _is_dict_keyed_by(key):
+    return lambda node: isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.Constant) and k.value == key for k in node.keys)
+
+
+def test_one_trend_table():
+    # each trend kind's names, model, Jacobian and start live in TRENDS, and
+    # a linear kind's design is built from its model, not written by hand
+    names = set(_top_level_names(_tree(SRC / "fitkit.py")))
+    assert "TRENDS" in names
+    assert names.isdisjoint({"TREND_KINDS", "TREND_PARAM_NAMES", "TREND_EVAL"})
+    assert _enclosing_functions(_is_dict_keyed_by("hyperbola")) == [("fitkit", None)]
+    assert _enclosing_functions(_is_call_to("column_stack")) == [("fitkit", "_unit_design")]
+
+
+def _is_math_call(name):
+    return lambda node: _is_call_to(name)(node) and isinstance(node.func, ast.Attribute) \
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "math"
+
+
+def test_circular_pump_fraction_written_once():
+    # sin|2 chi| is circular_power's; the simulation's m0 scaling and the
+    # preset's latch threshold call it
+    assert _enclosing_functions(_is_math_call("sin")) == [("estimators", "circular_power")]
+
+
+def _is_product_with(factor):
+    return lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+        isinstance(side, ast.Constant) and side.value == factor
+        for side in (node.left, node.right))
+
+
+def test_one_sampling_rule():
+    # 20 samples per modulation period: one check for ScanConfig and for
+    # the meta of a record that lockin_demodulate reads
+    assert _enclosing_functions(_is_product_with(20.0)) == [("instrument", "_check_sampling")]
+    assert set(_enclosing_functions(_is_call_to("_check_sampling"))) == {
+        ("instrument", "__post_init__"), ("instrument", "lockin_demodulate")}
+
+
+def _is_two_pi(node):
+    """2.0 * math.pi, also as the tail of a product: x * 2.0 * math.pi."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.right, ast.Attribute) and node.right.attr == "pi"):
+        return False
+    left = node.left.right if _is_product_with(2.0)(node.left) else node.left
+    return isinstance(left, ast.Constant) and left.value == 2.0
+
+
+def test_two_pi_written_once():
+    assert _enclosing_functions(_is_two_pi) == [("spincore", None)]
+
+
+def test_settings_fields_named_once():
+    # record meta, its replay and the config sections name the flat fields
+    # of a settings dataclass through one helper
+    assert _enclosing_functions(_is_call_to("is_dataclass")) == [("spincore", "settings_fields")]
 
 
 def test_loadtxt_only_in_read_table():

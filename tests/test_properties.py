@@ -1,8 +1,9 @@
 """Property tests: record, points-table, trends-table and config round
 trips, replay of a scan from the meta of its file, scalar oracles vs grids,
-latch invariants, the closed-form grid solver and the per-flip latch against
-their slow oracles (the batched LAPACK solve and the per-sample loop), and
-composite-contour recovery by fit_record."""
+latch invariants, the closed-form grid solver, the per-flip latch and the
+unit-vector trend designs against their slow or hand-written oracles (the
+batched LAPACK solve, the per-sample loop, the explicit design matrices),
+and composite-contour recovery by fit_record."""
 
 from dataclasses import fields
 import math
@@ -16,9 +17,9 @@ from hypothesis.extra.numpy import arrays
 
 from alignor.dynamics import CouplingParams, SweepProtocol, latch_scan
 from alignor.fitkit import (
-    TREND_KINDS,
-    TREND_PARAM_NAMES,
+    TRENDS,
     CompositeContourModel,
+    _unit_design,
     composite_eval,
     fit_record,
 )
@@ -159,21 +160,22 @@ def test_points_table_round_trip(points, kind, seed):
 
 # the words of the trend table's three text columns; the test's header
 # parser reads each one as its index here
-TREND_WORDS = sorted({*POINT_COLUMNS, *TREND_KINDS,
-                      *(n for names in TREND_PARAM_NAMES.values() for n in names)})
+TREND_WORDS = sorted({*POINT_COLUMNS, *TRENDS,
+                      *(n for names, *_ in TRENDS.values() for n in names)})
 
 
 @st.composite
 def trend_fits(draw):
     fits = []
     for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(TREND_KINDS))
-        n = len(TREND_PARAM_NAMES[kind])
+        kind = draw(st.sampled_from(tuple(TRENDS)))
+        names = TRENDS[kind][0]
+        n = len(names)
         fits.append(TrendFit(
             quantity=draw(st.sampled_from(POINT_COLUMNS)), kind=kind,
             params=tuple(draw(st.lists(FLOATS, min_size=n, max_size=n))),
             stderr=tuple(draw(st.lists(FLOATS, min_size=n, max_size=n))),
-            param_names=TREND_PARAM_NAMES[kind], residual_rms=draw(FLOATS),
+            param_names=names, residual_rms=draw(FLOATS),
             converged=draw(st.booleans()), n_points=draw(st.integers(0, 10**6))))
     return tuple(fits)
 
@@ -190,7 +192,7 @@ def _trends_from_rows(rows):
     fits, i = [], 0
     while i < len(rows):
         kind = TREND_WORDS[int(rows[i][1])]
-        block = rows[i:i + len(TREND_PARAM_NAMES[kind])]
+        block = rows[i:i + len(TRENDS[kind][0])]
         i += len(block)
         quantity, _, _, _, _, n_points, rms, converged = block[0]
         fits.append(TrendFit(
@@ -216,6 +218,24 @@ def test_trends_table_round_trip(trends, kind):
         [(t.quantity, t.kind, t.param_names, t.n_points, t.converged) for t in trends]
     assert [_float_reprs((*t.params, *t.stderr, t.residual_rms)) for t in back] == \
         [_float_reprs((*t.params, *t.stderr, t.residual_rms)) for t in trends]
+
+
+# finite, nonzero x whose cube neither overflows nor underflows
+NONZERO_X = arrays(float, st.integers(1, 40), elements=st.one_of(
+    st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)))
+
+
+@given(NONZERO_X)
+def test_unit_vector_design_is_the_hand_written_design(x):
+    # fit_trend's design of a kind linear in its parameters is its model at
+    # the unit vectors; it must be the explicit design matrix bit for bit
+    oracles = {"linear": np.column_stack([x, np.ones_like(x)]),
+               "polynomial": np.column_stack([x ** k for k in range(4)]),
+               "hyperbola": np.column_stack([np.ones_like(x), 1.0 / x])}
+    assert sorted(oracles) == sorted(k for k, (*_, jac, _) in TRENDS.items() if jac is None)
+    for kind, design in oracles.items():
+        names, fn, *_ = TRENDS[kind]
+        assert _unit_design(fn, len(names), x).tobytes() == design.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -136,7 +137,7 @@ class TestOrientationSteadyState:
     def test_linear_in_m0(self):
         B = (3.0, -1.0, 2.0)
         m1 = orientation_steady_state(*B, self.P)
-        m2 = orientation_steady_state(*B, self.P.with_m0(2 * self.P.m0))
+        m2 = orientation_steady_state(*B, replace(self.P, m0=2 * self.P.m0))
         assert np.allclose(m2, 2 * m1, rtol=1e-13)
 
     def test_grid_matches_pointwise(self):
