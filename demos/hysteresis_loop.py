@@ -3,7 +3,8 @@
 Measures the reference operating point with ``measure_point`` -- a
 live-latch triangle loop plus the two prepared-state envelope scans,
 demodulated, fitted with the composite contour and timed at the flip --
-then plots the overlaid branches.  Outputs land in demos/output/.
+which returns the point and its three demod records, then plots the
+overlaid branches.  Outputs land in demos/output/.
 """
 
 from pathlib import Path
@@ -21,10 +22,8 @@ print(f"operating point: chi = {preset.chi_deg} deg, "
       f"latched field = {c.latched_field:.2f} nT, "
       f"resonance width = {p.width_nt:.2f} nT")
 
-rec = {}
-pt = measure_point(preset, preset.chi_deg, preset.residual_by_nt, 0.0, seed=0,
-                   records=rec)
-loop, env_plus, env_minus = rec["loop"], rec["env_plus"], rec["env_minus"]
+pt, recs = measure_point(preset, preset.chi_deg, preset.residual_by_nt, 0.0, seed=0)
+loop, env_plus, env_minus = recs["loop"], recs["env_plus"], recs["env_minus"]
 write_record(loop, OUT / "loop.txt")
 
 print(f"transitions at B_x = {pt.bx_up:+.2f} / {pt.bx_down:+.2f} nT, "

@@ -167,7 +167,7 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
     Covariance is sigma^2 (J^T J)^+ at the optimum.
     """
     res = _lm_descend(fn, jac, x, y, init, param_names)
-    return _lm_covariance(res, jac, x, np.size(y))
+    return _lm_covariance(res, jac, x, np.size(y), ())
 
 
 def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
@@ -241,10 +241,11 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
                      cost_history=tuple(history), warnings=tuple(warnings))
 
 
-def _lm_covariance(res, jac, x, n_points):
+def _lm_covariance(res, jac, x, n_points, pinned):
     """``res`` with the covariance sigma^2 (J^T J)^+ at its parameters, and
     the parameters of the negligible J^T J eigenvectors flagged
-    unidentifiable."""
+    unidentifiable, except the ``pinned`` ones whose Jacobian column the
+    caller zeroed to hold them fixed."""
     p, names = res.params, res.param_names
     j = jac(x, p)
     jtj = j.T @ j
@@ -252,16 +253,14 @@ def _lm_covariance(res, jac, x, n_points):
     sigma2 = res.cost_history[-1] / dof
     eigval, eigvec = np.linalg.eigh(jtj)
     tiny = eigval < 1e-10 * max(eigval.max(), 1e-300)
-    warnings = list(res.warnings)
-    unident = []
-    if np.any(tiny):
-        for k in np.nonzero(tiny)[0]:
-            unident.append(names[int(np.argmax(np.abs(eigvec[:, k])))])
-        warnings.append("unidentifiable parameters: " + ", ".join(sorted(set(unident))))
+    unident = tuple(sorted({names[int(np.argmax(np.abs(eigvec[:, k])))]
+                            for k in np.nonzero(tiny)[0]} - set(pinned)))
+    warnings = res.warnings
+    if unident:
+        warnings = warnings + ("unidentifiable parameters: " + ", ".join(unident),)
     cov = sigma2 * np.linalg.pinv(jtj, rcond=1e-12)
     cov = 0.5 * (cov + cov.T)
-    return replace(res, covariance=cov, warnings=tuple(warnings),
-                   unidentifiable=tuple(sorted(set(unident))))
+    return replace(res, covariance=cov, warnings=warnings, unidentifiable=unident)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +440,7 @@ def fit_record(rec, init=None):
         if res is None or (sane(cand) and not sane(res)) \
                 or (sane(cand) == sane(res) and cand.residual_rms < res.residual_rms):
             res = cand
-    res = _lm_covariance(res, jc, (bx, sigma), y.size)
+    res = _lm_covariance(res, jc, (bx, sigma), y.size, ("hysteresis_h",) if single else ())
     p = _fold_signs(res.params)
     warnings = res.warnings
     if single:
@@ -575,7 +574,7 @@ def _linear_lstsq(design, y, names):
     res = FitResult(params=p, param_names=names, covariance=None,
                     residual_rms=math.sqrt(cost / y.size), iterations=1,
                     converged=True, cost_history=(cost,))
-    return _lm_covariance(res, lambda x, p: design, None, y.size)
+    return _lm_covariance(res, lambda x, p: design, None, y.size, ())
 
 
 def _arctan_fn(x, p):
@@ -649,7 +648,8 @@ def fit_trend(x, y, kind: str) -> FitResult:
     hyperbola a + b/x) is closed-form least squares on its design, whose
     column k is the model at the k-th unit vector; arctan a*atan(x/c)+d and
     lorentzian A/(1+(x/w)^2)+d go through Levenberg-Marquardt from their
-    start heuristics with analytic Jacobians.
+    start heuristics with analytic Jacobians.  A non-finite x or y raises
+    ValueError for every kind.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -657,6 +657,8 @@ def fit_trend(x, y, kind: str) -> FitResult:
         raise ValueError("x and y must be matching 1-d arrays")
     if kind not in TRENDS:
         raise ValueError(f"unknown trend kind {kind!r}; expected one of {tuple(TRENDS)}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("data must be finite")
     names, fn, jac, start = TRENDS[kind]
     if jac is None:
         if x.size < len(names):

@@ -1,6 +1,8 @@
 """Parameter-sweep studies over the simulated hysteresis pipeline.
 
-A study point runs the full measurement chain three times at one setting:
+A study point, ``measure_point``, runs the full measurement chain three
+times at one setting and returns the reduced ``StudyPoint`` together with
+its three demod records (``env_plus``, ``env_minus``, ``loop``):
 
 * two prepared-state envelope scans with the latch pinned in each state
   (the bistability curves), jointly fitted with the composite contour to
@@ -9,8 +11,11 @@ A study point runs the full measurement chain three times at one setting:
   fields, the loop hysteresis, the flip duration and the recovered
   effective transverse field are extracted.
 
+A study kind is one row of ``KINDS``: the ``measure_point`` setting its
+grid value takes, its x label and the trends fitted against it.
 ``run_study`` sweeps a grid (pump ellipticity, pump-axis field, or
-transverse offset) and writes into an output directory: the points table
+transverse offset), measures every point, then writes into an output
+directory: the points table
 ``points.txt``, per point three demod records (binary body, format v2),
 the trend table ``trends.txt`` and SVG plots (no data sidecars).
 ``trends.txt`` is a ``write_table`` table in long format, one row per
@@ -21,7 +26,7 @@ within two standard errors.  ``report`` rebuilds the trend table and
 plots from a saved points table without re-simulation.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 import math
 from pathlib import Path
 import re
@@ -38,7 +43,28 @@ from .recordio import config_section, read_table, write_record, write_table
 from .spincore import (STRONG_PUMP_GAMMA_HZ_PER_NT, TWO_PI, EnsembleParams, SignalMix,
                        reject_nonint)
 
-STUDY_KINDS = ("chi_grid", "bz_grid", "by_grid", "single")
+# study kind -> (the measure_point setting its grid value takes, x label,
+# (quantity, trend kinds) pairs fitted against the grid value)
+KINDS = {
+    "chi_grid": ("chi_deg", "ellipticity (deg)", (
+        ("w_anti", ("linear",)),
+        ("w_sym", ("linear",)),
+        ("a_anti", ("linear", "lorentzian")),
+        ("a_sym", ("linear", "lorentzian")),
+        ("loop_hysteresis", ("hyperbola",)),
+        ("max_slope", ("arctan",)),
+    )),
+    "bz_grid": ("bz_pump", "pump-axis field (nT)", (
+        ("loop_hysteresis", ("lorentzian",)),
+        ("b_yeff", ("lorentzian",)),
+    )),
+    "by_grid": ("static_by", "transverse offset (nT)", (
+        ("a_anti", ("polynomial",)),
+        ("a_sym", ("polynomial",)),
+    )),
+    "single": ("chi_deg", "x", ()),
+}
+STUDY_KINDS = tuple(KINDS)
 
 
 @dataclass(frozen=True)
@@ -184,77 +210,49 @@ POINT_COLUMNS = tuple(f.name for f in fields(StudyPoint))
 
 
 def measure_point(preset: StudyPreset, chi_deg: float, static_by: float,
-                  bz_pump: float, seed: int, x: float | None = None,
-                  records: dict | None = None) -> StudyPoint:
-    """Run envelope-pair and loop scans at one setting and reduce them."""
+                  bz_pump: float, seed: int, x: float | None = None) -> tuple:
+    """Run envelope-pair and loop scans at one setting and reduce them.
+
+    Returns the StudyPoint and its demod records by name: ``env_plus``,
+    ``env_minus`` and ``loop``."""
     p = preset.ensemble(chi_deg)
     c = preset.coupling(bz_pump)
     mix = preset.signal_mix()
 
+    def scan(ramp, k, coupling):
+        """Synthesize and demodulate the scan with noise seed ``seed + k``."""
+        rec = synthesize_record(preset.scan_config(ramp, seed + k), p, coupling, mix)
+        return lockin_demodulate(rec, lpf_cutoff=preset.lpf_cutoff)
+
     # prepared-state envelopes: latch pinned, so the transverse offset is
     # the static residual plus the latched field of each state
-    envelopes = {}
-    for i, sign in enumerate((+1, -1)):
-        ramp = replace(preset.loop_ramp(chi_deg, static_by + sign * c.latched_field),
-                       direction_pattern="up")
-        rec = synthesize_record(preset.scan_config(ramp, seed + i), p,
-                                CouplingParams(kappa=0.0, my0=0.0), mix)
-        envelopes[sign] = lockin_demodulate(rec, lpf_cutoff=preset.lpf_cutoff)
+    plus, minus = (scan(replace(preset.loop_ramp(chi_deg, static_by + sign * c.latched_field),
+                                direction_pattern="up"),
+                        i, CouplingParams(kappa=0.0, my0=0.0))
+                   for i, sign in enumerate((+1, -1)))
     # the pair: the + envelope's rows as the up branch, then the - envelope's
     # with their branch negated as the down branch
-    plus, minus = envelopes[+1], envelopes[-1]
     fit = fit_record(SimpleNamespace(bx=np.concatenate([plus.bx, minus.bx]),
                                      branch=np.concatenate([plus.branch, -minus.branch]),
                                      s=np.concatenate([plus.s, minus.s])))
 
     # live-latch triangle loop for transitions and flip timing
-    ramp = preset.loop_ramp(chi_deg, static_by)
-    rec = synthesize_record(preset.scan_config(ramp, seed + 2), p, c, mix)
-    loop = lockin_demodulate(rec, lpf_cutoff=preset.lpf_cutoff)
+    loop = scan(preset.loop_ramp(chi_deg, static_by), 2, c)
     tr = extract_transition(loop)
     b_yeff = effective_field_from_transient(tr.dt, p) if tr.dt and tr.dt > 0 \
         else math.nan
 
-    if records is not None:
-        records["env_plus"] = envelopes[+1]
-        records["env_minus"] = envelopes[-1]
-        records["loop"] = loop
-
-    m = fit.model
-    return StudyPoint(
+    point = StudyPoint(
         x=float(x if x is not None else chi_deg), chi_deg=chi_deg,
-        static_by=static_by, bz_pump=bz_pump,
-        a_anti=m.a_anti, w_anti=m.w_anti, a_sym=m.a_sym, w_sym=m.w_sym,
-        center=m.center, hysteresis_h=m.hysteresis_h, offset=m.offset,
+        static_by=static_by, bz_pump=bz_pump, **asdict(fit.model),
         bx_up=tr.bx_up, bx_down=tr.bx_down, loop_hysteresis=tr.hysteresis,
         dt=tr.dt, max_slope=tr.max_slope, b_yeff=b_yeff,
         fit_converged=fit.converged)
+    return point, {"env_plus": plus, "env_minus": minus, "loop": loop}
 
 
 # ---------------------------------------------------------------------------
-# trend mapping
-
-# quantity -> trend kinds fitted against the grid variable
-TREND_MAP = {
-    "chi_grid": (
-        ("w_anti", ("linear",)),
-        ("w_sym", ("linear",)),
-        ("a_anti", ("linear", "lorentzian")),
-        ("a_sym", ("linear", "lorentzian")),
-        ("loop_hysteresis", ("hyperbola",)),
-        ("max_slope", ("arctan",)),
-    ),
-    "bz_grid": (
-        ("loop_hysteresis", ("lorentzian",)),
-        ("b_yeff", ("lorentzian",)),
-    ),
-    "by_grid": (
-        ("a_anti", ("polynomial",)),
-        ("a_sym", ("polynomial",)),
-    ),
-    "single": (),
-}
-
+# trend fits
 
 @dataclass(frozen=True)
 class TrendFit:
@@ -288,7 +286,7 @@ def _trend_data(points, quantity: str):
 
 def _fit_trends(kind: str, points) -> tuple:
     trends = []
-    for quantity, trend_kinds in TREND_MAP[kind]:
+    for quantity, trend_kinds in KINDS[kind][2]:
         x, y = _trend_data(points, quantity)
         for tk in trend_kinds:
             try:
@@ -307,8 +305,6 @@ def _fit_trends(kind: str, points) -> tuple:
 # ---------------------------------------------------------------------------
 # tables and figures
 
-_X_LABEL = {"chi_grid": "ellipticity (deg)", "bz_grid": "pump-axis field (nT)",
-            "by_grid": "transverse offset (nT)", "single": "x"}
 _POINTS_SIGNATURE = "# alignor-study points"
 _TRENDS_SIGNATURE = "# alignor-study trends"
 TREND_COLUMNS = ("quantity", "kind", "name", "value", "stderr", "n_points",
@@ -361,24 +357,12 @@ def _write_trends(kind: str, trends, path: Path):
     write_table(path, [_TRENDS_SIGNATURE, f"# kind: {kind}"], TREND_COLUMNS, columns)
 
 
-def _point_settings(cfg: StudyConfig, value: float):
-    preset = cfg.preset
-    chi, by, bz = preset.chi_deg, preset.residual_by_nt, 0.0
-    if cfg.kind in ("chi_grid", "single"):
-        chi = value
-    elif cfg.kind == "bz_grid":
-        bz = value
-    elif cfg.kind == "by_grid":
-        by = value
-    return chi, by, bz
-
-
 def _trend_outputs(kind: str, points, out: Path) -> tuple:
     """Fit the trends of a study kind; write trends.txt and one SVG per
     trend, the measured points and the fitted curve."""
     trends = _fit_trends(kind, points)
     _write_trends(kind, trends, out / "trends.txt")
-    xlabel = _X_LABEL[kind]
+    xlabel = KINDS[kind][1]
     for tr in trends:
         x, y = _trend_data(points, tr.quantity)
         xs = np.linspace(x.min(), x.max(), 200)
@@ -397,32 +381,27 @@ def run_study(cfg: StudyConfig, out_dir) -> StudyResult:
 
     Every point is measured before ``out_dir`` is created, so a point that
     raises leaves no directory behind."""
-    points = []
-    records = []
-    for i, value in enumerate(cfg.grid):
-        chi, by, bz = _point_settings(cfg, value)
-        recs = {}
-        points.append(measure_point(cfg.preset, chi, by, bz, seed=cfg.seed + 10 * i,
-                                    x=value, records=recs))
-        records.append(recs)
+    preset, setting = cfg.preset, KINDS[cfg.kind][0]
+    base = {"chi_deg": preset.chi_deg, "static_by": preset.residual_by_nt, "bz_pump": 0.0}
+    points, records = zip(*(measure_point(preset, **{**base, setting: value},
+                                          seed=cfg.seed + 10 * i, x=value)
+                            for i, value in enumerate(cfg.grid)))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, recs in enumerate(records):
         for name, rec in recs.items():
             write_record(rec, out / f"point_{i:02d}_{name}.txt")
-    loops = [recs["loop"] for recs in records]
-    points = tuple(points)
     _write_points_table(cfg, points, out / "points.txt")
     trends = _trend_outputs(cfg.kind, points, out)
-    _plot_points_overview(cfg, loops, out)
+    _plot_points_overview(cfg, records, out)
     return StudyResult(config=cfg, points=points, trends=trends, out_dir=out)
 
 
-def _plot_points_overview(cfg: StudyConfig, loops, out: Path):
+def _plot_points_overview(cfg: StudyConfig, records, out: Path):
     """Overlay the loop contours of the first and last grid point."""
     series = []
     for i in (0, len(cfg.grid) - 1):
-        rec = loops[i]
+        rec = records[i]["loop"]
         label = f"{cfg.grid[i]:g}"
         up, down = rec.branch > 0, rec.branch < 0
         series.append(Series(f"up {label}", rec.bx[up], rec.s[up]))

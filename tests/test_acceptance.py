@@ -158,8 +158,8 @@ def test_criterion_06_hysteresis_mechanics():
 def test_criterion_07_effective_field_recovery():
     start = time.monotonic()
     preset = StudyPreset()
-    pt = measure_point(preset, preset.chi_deg, preset.residual_by_nt, 0.0,
-                       seed=3)
+    pt, _ = measure_point(preset, preset.chi_deg, preset.residual_by_nt, 0.0,
+                          seed=3)
     configured = preset.latch_field_nt
     elapsed = time.monotonic() - start
     ok = abs(pt.b_yeff / configured - 1.0) <= 0.10 \

@@ -186,6 +186,28 @@ class TestPipeline:
         assert csv_values(out)["hysteresis_h"] == "0"
         assert code == (0 if csv_values(out)["converged"] == "True" else 3)
 
+    def test_single_branch_fit_warns_once(self, tmp_path, capsys):
+        # the seed-3 loop record cut to its up rows: hysteresis_h is fixed,
+        # not unidentified, so stderr is the one single-branch warning
+        run(capsys, "simulate", "--seed", "3", "--out", str(tmp_path))
+        run(capsys, "demod", str(tmp_path / "scan.txt"), "--out", str(tmp_path))
+        rec = read_record(tmp_path / "demod.txt")
+        path = write_record(take_rows(rec, rows_of(rec, +1)), tmp_path / "up.txt")
+        code, out, err = run(capsys, "fit", str(path))
+        assert code == 0
+        assert err == "warning: single branch: hysteresis fixed at 0\n"
+        rows = [ln.split(",") for ln in out.splitlines()]
+        expected = [("a_anti", 0.0596501, ""), ("w_anti", 9.49709, "nT"),
+                    ("a_sym", 0.0313593, ""), ("w_sym", 3.24375, "nT"),
+                    ("center", 3.65792, "nT"), ("hysteresis_h", 0.0, "nT"),
+                    ("offset", -0.00152351, ""), ("residual_rms", 0.0024373, "")]
+        assert rows[0] == ["quantity", "value", "unit"]
+        assert [(n, u) for n, _, u in rows[1:]] == [(n, u) for n, _, u in expected] + [
+            ("converged", "")]
+        assert [float(v) for _, v, _ in rows[1:-1]] == pytest.approx(
+            [v for _, v, _ in expected], rel=1e-5)
+        assert rows[-1][1] == "True"
+
     def test_fit_rejects_scan_record(self, pipeline, capsys):
         code, _, err = run(capsys, "fit", str(pipeline / "scan.txt"))
         assert code == 2

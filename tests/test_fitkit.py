@@ -336,7 +336,20 @@ class TestFitRecord:
         one = take_rows(rec, rows_of(rec, +1))
         res = fit_record(one)
         assert res.model.hysteresis_h == 0.0
-        assert any("single branch" in w for w in res.warnings)
+        # pinned, so neither unidentifiable nor in that warning
+        assert "hysteresis_h" not in res.unidentifiable
+        assert [w for w in res.warnings if "hysteresis" in w] == [
+            "single branch: hysteresis fixed at 0"]
+
+    def test_single_branch_keeps_other_unidentifiable_parameters(self):
+        m = CompositeContourModel(a_anti=0.1, w_anti=3.0, a_sym=0.0, w_sym=2.5,
+                                  hysteresis_h=0.0, offset=6.0)
+        rec = make_record(m, noise=0.0, seed=3)
+        one = take_rows(rec, rows_of(rec, +1))
+        res = fit_record(one, init=np.array([0.1, 3.0, 0.0, 2.5, 0.0, 0.0, 6.0]))
+        assert "w_sym" in res.unidentifiable
+        assert "hysteresis_h" not in res.unidentifiable
+        assert f"unidentifiable parameters: {', '.join(res.unidentifiable)}" in res.warnings
 
     @pytest.mark.parametrize("n_up, n_down, message", [(1, 0, "up branch has 1 row"),
                                                        (0, 0, "up branch has 0 row"),
@@ -561,3 +574,14 @@ class TestFitTrend:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             fit_trend(np.arange(5.0), np.arange(5.0), "spline")
+
+    @pytest.mark.parametrize("kind", tuple(TRENDS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_data_is_value_error(self, kind, bad):
+        # a linear kind's least squares would return NaN parameters marked
+        # converged
+        x = np.linspace(0.25, 5.0, 25)
+        y = 1.5 + 0.8 / x
+        y[7] = bad
+        with pytest.raises(ValueError, match="data must be finite"):
+            fit_trend(x, y, kind)

@@ -3,8 +3,8 @@ constant that nothing reads, no top-level function or class that nothing
 references, the shared constants each defined in exactly one place, no
 name of the test oracles (tests/oracles.py) defined in or imported by the
 package, the signal mix and the latch chain each written once (and no
-steady-state grid in dynamics), one trend table, one circular pump
-fraction, one sampling rule, one settings-field helper and one 2*pi, LAPACK
+steady-state grid in dynamics), one trend table, one study-kind table,
+one circular pump fraction, one sampling rule, one settings-field helper and one 2*pi, LAPACK
 solves only in the Levenberg-Marquardt normal equations, no run-time filter
 design by scipy's bilinear transform, the table format (its column-names
 line, its text body parser and its binary body decoder) kept in recordio,
@@ -189,6 +189,15 @@ def test_one_trend_table():
     assert names.isdisjoint({"TREND_KINDS", "TREND_PARAM_NAMES", "TREND_EVAL"})
     assert _enclosing_functions(_is_dict_keyed_by("hyperbola")) == [("fitkit", None)]
     assert _enclosing_functions(_is_call_to("column_stack")) == [("fitkit", "_unit_design")]
+
+
+def test_one_study_kind_table():
+    # a study kind's grid setting, x label and trends are one row of
+    # study.KINDS
+    names = set(_top_level_names(_tree(SRC / "study.py")))
+    assert "KINDS" in names
+    assert names.isdisjoint({"TREND_MAP", "_X_LABEL", "_point_settings"})
+    assert _enclosing_functions(_is_dict_keyed_by("single")) == [("study", None)]
 
 
 def _is_math_call(name):

@@ -93,8 +93,9 @@ class TestPreset:
 
 class TestMeasurePoint:
     def test_reference_point(self):
-        pt = measure_point(PRESET, PRESET.chi_deg, PRESET.residual_by_nt, 0.0,
-                           seed=3)
+        pt, records = measure_point(PRESET, PRESET.chi_deg, PRESET.residual_by_nt, 0.0,
+                                    seed=3)
+        assert sorted(records) == ["env_minus", "env_plus", "loop"]
         assert pt.fit_converged
         assert pt.bx_up > 0 > pt.bx_down
         assert pt.loop_hysteresis == pytest.approx(3.9, abs=0.8)
@@ -109,9 +110,8 @@ class TestMeasurePoint:
         # fit warns that the model with |h| misses the data.  With the
         # labels swapped the same minimum has h > 0 and the model
         # reproduces the fit
-        records = {}
-        measure_point(PRESET, PRESET.chi_deg, PRESET.residual_by_nt, 0.0, seed=3,
-                      records=records)
+        _, records = measure_point(PRESET, PRESET.chi_deg, PRESET.residual_by_nt, 0.0,
+                                   seed=3)
         plus, minus = records["env_plus"], records["env_minus"]
         for up, down, folded in ((plus, minus, True), (minus, plus, False)):
             rec = branch_record((up.bx, up.s), (down.bx, down.s))
@@ -219,21 +219,47 @@ class TestOtherGrids:
         # every point_XX_*.txt reads back as the record measure_point made
         made = []
 
-        def measure(*args, records, **kw):
-            made.append(records)
-            return measure_point(*args, records=records, **kw)
+        def measure(*args, **kw):
+            made.append(measure_point(*args, **kw))
+            return made[-1]
 
         monkeypatch.setattr("alignor.study.measure_point", measure)
         out = run_study(StudyConfig(kind="single", grid=(0.25,), seed=1), tmp_path).out_dir
-        assert len(made) == 1 and sorted(made[0]) == ["env_minus", "env_plus", "loop"]
+        assert len(made) == 1
+        _, records = made[0]
+        assert sorted(records) == ["env_minus", "env_plus", "loop"]
         assert sorted(p.name for p in out.glob("point_*.txt")) == [
-            f"point_00_{name}.txt" for name in sorted(made[0])]
-        for name, rec in made[0].items():
+            f"point_00_{name}.txt" for name in sorted(records)]
+        for name, rec in records.items():
             back = read_record(out / f"point_00_{name}.txt")
             assert back.meta == rec.meta
             for f in fields(rec):
                 if f.name != "meta":
                     assert getattr(back, f.name).tobytes() == getattr(rec, f.name).tobytes()
+
+    @pytest.mark.parametrize("kind, setting", [("chi_grid", "chi_deg"), ("bz_grid", "bz_pump"),
+                                               ("by_grid", "static_by"), ("single", "chi_deg")])
+    def test_grid_value_sets_the_kinds_setting(self, kind, setting, tmp_path, monkeypatch):
+        # measure_point stubbed: each grid value lands in its kind's setting
+        # and is the point's x; the other settings stay at the preset's
+        grid = (0.7,) if kind == "single" else (0.7, 3.0)
+        calls = []
+
+        class Measured(Exception):
+            pass
+
+        def measure(preset, chi_deg, static_by, bz_pump, seed, x):
+            calls.append(({"chi_deg": chi_deg, "static_by": static_by, "bz_pump": bz_pump}, x))
+            if len(calls) == len(grid):
+                raise Measured
+            return None, None
+
+        monkeypatch.setattr("alignor.study.measure_point", measure)
+        with pytest.raises(Measured):
+            run_study(StudyConfig(kind=kind, grid=grid), tmp_path / "out")
+        base = {"chi_deg": PRESET.chi_deg, "static_by": PRESET.residual_by_nt, "bz_pump": 0.0}
+        assert calls == [({**base, setting: value}, value) for value in grid]
+        assert not (tmp_path / "out").exists()
 
     def test_single_point_study(self, tmp_path):
         cfg = StudyConfig(kind="single", grid=(0.25,), seed=1)
