@@ -186,15 +186,18 @@ def latch_scan(t, my, direction, my0: float, tau_flip: float, s0: int | None = N
     resume after it.  The scan loops once per flip, so its Python work is
     linear in the number of flips; the tests hold it bit for bit to a
     per-sample reference loop.  Precondition: t is non-decreasing, so the
-    phase is too.
+    phase is too.  The starting state s0 is -1 or +1, or None to start on
+    the sign of my[0] (+1 at zero); any other value raises ValueError.
     """
+    if s0 not in (None, -1, 1):
+        raise ValueError(f"s0 must be None, -1 or +1, got {s0!r}")
     t = np.asarray(t, float)
     my = np.asarray(my, float)
     direction = np.asarray(direction)
     n = t.size
     up = (direction > 0) & (my >= my0)
     down = (direction < 0) & (my <= -my0)
-    rising, falling, never = np.flatnonzero(up), np.flatnonzero(down), np.empty(0, int)
+    rising, falling = np.flatnonzero(up), np.flatnonzero(down)
     ell = np.empty(n)
     flips = []
     if s0 is None:
@@ -202,7 +205,7 @@ def latch_scan(t, my, direction, my0: float, tau_flip: float, s0: int | None = N
     s = float(s0)
     i = 0
     while i < n:
-        idx = rising if s < 0 else falling if s > 0 else never
+        idx = rising if s < 0 else falling
         k = np.searchsorted(idx, i)
         if k == idx.size:
             ell[i:] = s

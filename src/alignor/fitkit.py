@@ -69,7 +69,7 @@ def _disp_sq(u):
     return u / (1.0 + u * u) ** 2
 
 
-def composite_eval(m: CompositeContourModel, bx, branch=1.0):
+def composite_eval(m: CompositeContourModel, bx, branch):
     """Evaluate the composite contour at bx on the branch of sign +1 (up)
     or -1 (down): one sign, or one per bx, as a demod record's branch
     column holds them; any other value raises ValueError."""
@@ -136,13 +136,12 @@ class FitResult:
 
 
 # Levenberg-Marquardt settings: iteration cap, starting and largest damping,
-# relative cost-drop and step tolerances, gradient infinity-norm tolerance
+# relative cost-drop and step tolerances
 LM_MAX_ITER = 200
 LM_LAMBDA0 = 1e-3
 LM_LAMBDA_MAX = 1e12
 LM_COST_TOL = 1e-10
 LM_STEP_TOL = 1e-9
-LM_GRAD_TOL = 1e-12
 # fit_record stops a start at its first accepted iterate within this
 # distance, max|p - p*| / (1 + |p*|) after the sign fold, of a minimum p*
 # that an earlier start converged to.  LM converges about linearly here:
@@ -160,11 +159,13 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
     """Damped Gauss-Newton with multiplicative damping (x10 reject, /10 accept).
 
     fn(x, p) evaluates the model, jac(x, p) its (N, P) Jacobian; x is passed
-    through opaquely.  Converges when an accepted step both drops the cost by
-    less than LM_COST_TOL (relative) and moves the parameters by less than
-    LM_STEP_TOL (relative), or when the gradient infinity-norm falls below
-    LM_GRAD_TOL, or when no damped step can lower the cost at all.
-    Covariance is sigma^2 (J^T J)^+ at the optimum.
+    through opaquely.  The iteration has two exits: it converges when an
+    accepted step both drops the cost by less than LM_COST_TOL of the cost
+    and moves every parameter by less than LM_STEP_TOL of 1 + |p|, or when
+    no damped step can lower the cost at all.  Neither compares a cost or
+    gradient in the units of y, so scaling y scales the fitted amplitudes
+    and leaves the other parameters; the 1 + |p| is a floor of 1 in each
+    parameter's own units.  Covariance is sigma^2 (J^T J)^+ at the optimum.
     """
     res = _lm_descend(fn, jac, x, y, init, param_names)
     return _lm_covariance(res, jac, x, np.size(y), ())
@@ -196,11 +197,8 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
     for it in range(1, LM_MAX_ITER + 1):
         jtj = j.T @ j
         jtr = j.T @ r
-        if np.max(np.abs(jtr)) < LM_GRAD_TOL:
-            converged = True
-            break
-        scale = np.diag(jtj).copy()
-        scale[scale < 1e-12 * max(scale.max(), 1.0)] = 1e-12 * max(scale.max(), 1.0)
+        scale = np.diag(jtj)
+        scale = np.maximum(scale, 1e-12 * scale.max())
         solvable = False
         while lam <= LM_LAMBDA_MAX:
             try:
@@ -213,7 +211,7 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
             r_try = y - fn(x, p_try)
             cost_try = float(r_try @ r_try)
             if np.isfinite(cost_try) and cost_try < cost:
-                rel_drop = (cost - cost_try) / max(cost, 1e-300)
+                rel_drop = (cost - cost_try) / cost
                 rel_step = np.max(np.abs(step) / (1.0 + np.abs(p)))
                 p, r, cost = p_try, r_try, cost_try
                 history.append(cost)
@@ -488,11 +486,11 @@ def _branch_transition(t, bx, s):
     edge = max(3, len(s) // 100)
     if len(s) <= 2 * edge + 1:
         edge = 0
-    interior = slice(edge, len(s) - edge if edge else len(s))
+    interior = slice(edge, len(s) - edge)
     i = int(np.argmax(np.abs(slope[interior]))) + edge
     noise = 1.4826 * np.median(np.abs(slope - np.median(slope)))
     peak = abs(slope[i])
-    if peak < TRANSITION_SLOPE_FACTOR * max(noise, 1e-300) or noise == 0.0 and peak == 0.0:
+    if peak < TRANSITION_SLOPE_FACTOR * max(noise, 1e-300):
         return None
     # local extent of the jump: samples where |slope| stays above half peak
     left, right = _half_max_run(slope, i)

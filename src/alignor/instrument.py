@@ -224,7 +224,7 @@ def _flip_events(t, bx, my, flips, my0, ell):
 
 
 def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
-              sample_rate: float = 100.0, initial_sign: int | None = None) -> Trajectory:
+              sample_rate: float, initial_sign: int | None = None) -> Trajectory:
     """Run a field scan sampled at sample_rate (Hz) and return the trajectory.
 
     Both moments follow their quasi-static steady states at the plain ramp;
@@ -395,7 +395,8 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
     sb_ac = rec.sb_raw - lowpass_filter(rec.sb_raw, lpf_cutoff / 2.0, fs)
     demod = gain * lowpass_filter(sb_ac * ref, lpf_cutoff, fs)
     st = lowpass_filter(rec.st_raw, lpf_cutoff, fs)
-    dec = max(1, int(round(fs / (8.0 * lpf_cutoff))))
+    # fs >= 20 f and 0 < lpf_cutoff < f / 2 put fs / (8 * lpf_cutoff) above 5
+    dec = int(round(fs / (8.0 * lpf_cutoff)))
     idx = np.arange(0, rec.t.size, dec)
     up = idx[rec.direction[idx] > 0]
     down = idx[rec.direction[idx] < 0]

@@ -36,9 +36,10 @@ class Series:
             raise ValueError(f"series {self.name!r}: empty series")
 
 
-def _ticks(lo, hi, n=5):
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
+def _ticks(lo, hi):
+    """Round tick values on [lo, hi], lo < hi: the step is a power of ten
+    times 1, 2, 5 or 10 and fits at most n + 1 = 6 times in the span."""
+    n = 5
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / n))
     for mult in (1.0, 2.0, 5.0, 10.0):

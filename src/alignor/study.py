@@ -96,6 +96,12 @@ class StudyPreset:
     noise_rms: float = 0.002
     lpf_cutoff: float = 2.0
 
+    def __post_init__(self):
+        # kappa and coupling divide by these two
+        for name in ("latch_threshold", "serf_width_nt"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+
     @property
     def kappa(self) -> float:
         return self.latch_field_nt / self.latch_threshold
@@ -239,8 +245,7 @@ def measure_point(preset: StudyPreset, chi_deg: float, static_by: float,
     # live-latch triangle loop for transitions and flip timing
     loop = scan(preset.loop_ramp(chi_deg, static_by), 2, c)
     tr = extract_transition(loop)
-    b_yeff = effective_field_from_transient(tr.dt, p) if tr.dt and tr.dt > 0 \
-        else math.nan
+    b_yeff = effective_field_from_transient(tr.dt, p) if tr.dt > 0 else math.nan
 
     point = StudyPoint(
         x=float(x if x is not None else chi_deg), chi_deg=chi_deg,
@@ -398,9 +403,10 @@ def run_study(cfg: StudyConfig, out_dir) -> StudyResult:
 
 
 def _plot_points_overview(cfg: StudyConfig, records, out: Path):
-    """Overlay the loop contours of the first and last grid point."""
+    """Overlay the loop contours of the first and last grid point (one
+    loop for a one-point study)."""
     series = []
-    for i in (0, len(cfg.grid) - 1):
+    for i in sorted({0, len(cfg.grid) - 1}):
         rec = records[i]["loop"]
         label = f"{cfg.grid[i]:g}"
         up, down = rec.branch > 0, rec.branch < 0

@@ -462,6 +462,18 @@ class TestStudyAndReport:
         assert f"seed must be an integer, got {value}" in err
         assert not (tmp_path / "study").exists()
 
+    @pytest.mark.parametrize("key", ["serf_width_nt", "latch_threshold"])
+    def test_study_rejects_preset_divisor_of_zero(self, tmp_path, capsys, key):
+        # the preset's coupling divides by both, so a zero is a config error
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"preset.{key} = 0.0\n")
+        code, out, err = run(capsys, "study", "--kind", "single", "--config", str(cfg),
+                             "--out", str(tmp_path / "study"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"{key} must be > 0, got 0.0" in err
+        assert not (tmp_path / "study").exists()
+
     def test_study_data_error_leaves_no_directory(self, tmp_path, capsys):
         # the scan length is refused while measuring the first point, before
         # anything is written

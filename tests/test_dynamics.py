@@ -193,6 +193,15 @@ class TestLatchScan:
         assert flips == []
         assert np.all(ell == -1.0)
 
+    @pytest.mark.parametrize("s0", [0, 2, 0.5, -0.5, math.nan])
+    def test_start_state_other_than_plus_minus_one_is_value_error(self, s0):
+        # the latch holds -1 or +1: any other start would run it outside
+        # [-1, 1] or, at 0, never let it flip
+        t = np.linspace(0.0, 5.0, 500)
+        my = np.linspace(-0.5, 0.5, t.size)
+        with pytest.raises(ValueError, match="s0 must be None, -1 or \\+1"):
+            latch_scan(t, my, np.ones(t.size), 0.2, 0.1, s0=s0)
+
 
 class TestRunSweepLatch:
     C = CouplingParams(kappa=11.0, my0=0.1)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -286,6 +287,23 @@ class TestFitRecord:
         assert res.model.hysteresis_h == pytest.approx(1.8, rel=0.05)
         assert res.model.w_sym == pytest.approx(2.5, rel=0.05)
         assert res.model.a_anti == pytest.approx(0.1, rel=0.05)
+
+    @pytest.mark.parametrize("scale, shift", [(1e-3, 0.0), (1e3, 0.0), (1.0, 40.0),
+                                              (1.0, -40.0), (10.0, -100.0)])
+    def test_fit_does_not_depend_on_field_units_or_origin(self, scale, shift):
+        # bx -> scale * bx + shift scales the widths and hysteresis, maps the
+        # center, and leaves the amplitudes and offset; the center is
+        # compared against the width scale, since it can sit near zero
+        rec = make_record(self.TRUE, noise=0.01, seed=2)
+        res = fit_record(rec)
+        moved = fit_record(replace(rec, bx=scale * rec.bx + shift))
+        assert res.converged and moved.converged
+        a_a, w_a, a_s, w_s, c, h, off = res.params
+        want = np.array([a_a, scale * w_a, a_s, scale * w_s, scale * c + shift,
+                         scale * h, off])
+        amp, width = max(abs(a_a), abs(a_s)), scale * max(w_a, w_s)
+        floor = np.array([amp, width, amp, width, width, width, amp])
+        assert np.all(np.abs(moved.params - want) <= 1e-6 * np.maximum(np.abs(want), floor))
 
     def test_later_starts_merge_and_covariance_formed_once(self, monkeypatch):
         # the second start converges to another minimum (negative w_sym and

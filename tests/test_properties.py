@@ -3,16 +3,17 @@ trips, replay of a scan from the meta of its file, scalar oracles vs grids,
 latch invariants, the closed-form grid solver, the per-flip latch and the
 unit-vector trend designs against their slow or hand-written oracles (the
 batched LAPACK solve, the per-sample loop, the explicit design matrices),
-and composite-contour recovery by fit_record."""
+composite-contour recovery by fit_record, and fits that do not depend on
+the units of the signal."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 import math
 from pathlib import Path
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from alignor.dynamics import CouplingParams, SweepProtocol, latch_scan
@@ -22,6 +23,7 @@ from alignor.fitkit import (
     _unit_design,
     composite_eval,
     fit_record,
+    fit_trend,
 )
 from alignor.instrument import (
     DemodRecord,
@@ -427,6 +429,58 @@ def test_fit_record_merge_keeps_the_best_minimum(model):
     assert res.converged == ref.converged
     floor = 1e-9 * np.max(np.abs(rec.s))
     assert res.residual_rms <= ref.residual_rms * (1.0 + 1e-6) + floor
+
+
+
+def _unit_gap(got, want, floor):
+    """Largest |got - want| relative to max(|want|, floor), elementwise."""
+    return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), floor)))
+
+
+# the signal units: k = 1e-6 turns the study's uA into A, and a lock-in gain
+# is another such factor
+unit_factors = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=20, deadline=None)
+@given(identifiable_contours(), st.floats(1e-3, 2e-2), st.integers(0, 2 ** 32 - 1),
+       unit_factors)
+def test_fit_record_does_not_depend_on_signal_units(model, noise, seed, k):
+    # k * s fits to the widths, center and hysteresis of s, with a_anti,
+    # a_sym and offset scaled by k; center and offset can sit near zero, so
+    # each parameter is compared relative to its own size or, if larger,
+    # the fit's width or amplitude scale
+    rng = np.random.default_rng(seed)
+    rec = _noiseless_record(model)
+    rec = replace(rec, s=rec.s + noise * rng.standard_normal(rec.s.size))
+    res = fit_record(rec)
+    assume(res.converged)
+    scaled = fit_record(replace(rec, s=k * rec.s))
+    assert scaled.converged
+    want = res.params * np.array([k, 1.0, k, 1.0, 1.0, 1.0, k])
+    amp = k * max(abs(res.params[0]), abs(res.params[2]))
+    width = max(res.params[1], res.params[3])
+    floor = np.array([amp, width, amp, width, width, width, amp])
+    assert _unit_gap(scaled.params, want, floor) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["arctan", "lorentzian"]), st.floats(1.0, 3.0), st.floats(0.2, 0.8),
+       st.floats(-1.0, 1.0), st.integers(0, 2 ** 32 - 1), unit_factors)
+def test_fit_trend_does_not_depend_on_signal_units(kind, amplitude, width, offset, seed, k):
+    # a trend over the 7-point ellipticity grid: k * y fits to the width of
+    # y, with the amplitude and the offset scaled by k
+    x = np.linspace(0.1, 1.0, 7)
+    rng = np.random.default_rng(seed)
+    y = TRENDS[kind][1](x, np.array([amplitude, width, offset])) \
+        + 0.02 * rng.standard_normal(x.size)
+    res = fit_trend(x, y, kind)
+    assume(res.converged)
+    scaled = fit_trend(x, k * y, kind)
+    assert scaled.converged
+    want = res.params * np.array([k, 1.0, k])
+    floor = np.array([abs(want[0]), abs(want[1]), abs(want[0])])
+    assert _unit_gap(scaled.params, want, floor) <= 1e-6
 
 
 @st.composite

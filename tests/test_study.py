@@ -9,7 +9,9 @@ from alignor.fitkit import composite_eval, fit_record
 from alignor.recordio import read_record
 from alignor.study import (
     DEFAULT_GRIDS,
+    POINT_COLUMNS,
     StudyConfig,
+    StudyPoint,
     StudyPreset,
     measure_point,
     read_points_table,
@@ -260,6 +262,22 @@ class TestOtherGrids:
         base = {"chi_deg": PRESET.chi_deg, "static_by": PRESET.residual_by_nt, "bz_pump": 0.0}
         assert calls == [({**base, setting: value}, value) for value in grid]
         assert not (tmp_path / "out").exists()
+
+    def test_single_point_study_plots_its_loop_once(self, tmp_path, monkeypatch):
+        # measure_point stubbed with a small loop record: a one-point grid's
+        # overview draws its loop once, one up and one down curve
+        bx = np.linspace(-3.0, 3.0, 13)
+        loop = branch_record((bx, np.tanh(bx - 1.0)), (bx[::-1], np.tanh(bx[::-1] + 1.0)))
+        point = StudyPoint(**{name: 0.25 if name == "x" else 1.0 for name in POINT_COLUMNS})
+
+        def measure(preset, chi_deg, static_by, bz_pump, seed, x):
+            return point, {"env_plus": loop, "env_minus": loop, "loop": loop}
+
+        monkeypatch.setattr("alignor.study.measure_point", measure)
+        out = run_study(StudyConfig(kind="single", grid=(0.25,)), tmp_path).out_dir
+        svg = (out / "loops.svg").read_text()
+        assert svg.count("<polyline") == 2
+        assert svg.count(">up 0.25</text>") == svg.count(">down 0.25</text>") == 1
 
     def test_single_point_study(self, tmp_path):
         cfg = StudyConfig(kind="single", grid=(0.25,), seed=1)
