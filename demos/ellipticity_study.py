@@ -13,8 +13,7 @@ from alignor.study import DEFAULT_GRIDS
 
 OUT = Path(__file__).parent / "output" / "chi_study"
 
-# the study runs only as a script: a process pool's workers re-import
-# __main__, and a top-level study would run again in each of them
+# the study runs only as a script: importing the demo must not run a study
 if __name__ == "__main__":
     cfg = StudyConfig(kind="chi_grid", grid=DEFAULT_GRIDS["chi_grid"], seed=3)
     res = run_study(cfg, OUT)

@@ -37,8 +37,9 @@ class Series:
 
 
 def _ticks(lo, hi):
-    """Round tick values on [lo, hi], lo < hi: the step is a power of ten
-    times 1, 2, 5 or 10 and fits at most n + 1 = 6 times in the span."""
+    """Round tick values on [lo, hi], lo < hi: the distinct i * step within 1e-12 of the span for
+    the n + 2 = 7 integers i from ceil(lo / step); the step is a power of ten times 1, 2, 5 or 10
+    and fits at most n + 1 = 6 times in the span."""
     n = 5
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / n))
@@ -46,13 +47,9 @@ def _ticks(lo, hi):
         if span / (step * mult) <= n + 1:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-12 * span:
-        ticks.append(0.0 if abs(v) < 1e-12 * span else v)
-        v += step
-    return ticks
+    first = math.ceil(lo / step)
+    ticks = (i * step for i in range(first, first + n + 2))
+    return sorted({v for v in ticks if max(lo - v, v - hi) <= 1e-12 * span})
 
 
 def _fmt(v):

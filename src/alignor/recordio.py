@@ -174,7 +174,8 @@ def _parse_literal(text: str):
 
 def _parse_header(path, lines):
     """Check a record header: the signature, exactly one ``# kind:`` line and
-    ``# meta.<key> = <literal>`` lines with distinct keys, nothing else."""
+    ``# meta.<key> = <literal>`` lines with distinct keys, each exactly as
+    ``write_record`` writes its item, nothing else."""
     sig = re.fullmatch(_MAGIC + " v([0-9]+)", lines[0]) if lines else None
     if sig is None:
         raise ValueError(f"{path}:1: not a record file: missing signature line")
@@ -201,6 +202,12 @@ def _parse_header(path, lines):
                              f"'# meta.<key> = <literal>', got {ln!r}") from None
         if m[1] in meta:
             raise ValueError(f"{path}:{n}: duplicate meta key {m[1]!r}")
+        try:
+            written = _meta_line(m[1], value)
+        except ValueError:
+            written = None
+        if written != ln:
+            raise ValueError(f"{path}:{n}: {ln!r} would not be written back as itself")
         meta[m[1]] = value
     if kind is None:
         raise ValueError(f"{path}:2: missing '# kind:' line")

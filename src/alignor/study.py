@@ -170,16 +170,12 @@ def study_config_from_dict(flat: dict) -> StudyConfig:
 
     Without ``study.grid`` the grid is the kind's DEFAULT_GRIDS entry, or
     the preset's reference ellipticity for a single point."""
-    if unknown := sorted(set(k for k in flat if k.startswith("study."))
-                         - {"study.kind", "study.grid", "study.seed"}):
-        raise ValueError(f"unknown study keys {unknown}")
     kind = flat.get("study.kind", "single")
     preset = config_section(flat, "preset", StudyPreset())
-    grid = flat.get("study.grid", DEFAULT_GRIDS.get(kind, (preset.chi_deg,)))
-    if not isinstance(grid, (list, tuple)):
-        grid = (grid,)
-    return StudyConfig(kind=kind, grid=tuple(grid),
-                       seed=flat.get("study.seed", 0), preset=preset)
+    if not isinstance(grid := flat.get("study.grid", ()), (list, tuple)):
+        flat = {**flat, "study.grid": (grid,)}
+    base = StudyConfig(kind, DEFAULT_GRIDS.get(kind, (preset.chi_deg,)), preset=preset)
+    return config_section(flat, "study", base)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +338,15 @@ def _parse_points_header(path, lines):
         info[m[1]] = m[2]
     if "kind" not in info:
         raise ValueError(f"{path}:2: missing '# kind:' line")
-    return (info["kind"], int(info.get("seed", 0))), POINT_COLUMNS, None, False
+    return ((info["kind"], int(info.get("seed", 0))), POINT_COLUMNS,
+            {POINT_COLUMNS.index("fit_converged"): _converged_cell}, False)
+
+
+def _converged_cell(text: str) -> float:
+    """A ``fit_converged`` cell, 0.0 or 1.0; any other value raises ValueError."""
+    if (v := float(text)) not in (0.0, 1.0):
+        raise ValueError(f"fit_converged {text!r} is neither 0.0 nor 1.0")
+    return v
 
 
 def read_points_table(path) -> tuple:

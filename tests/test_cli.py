@@ -1,7 +1,9 @@
 import argparse
 import json
+import math
 import os
 from pathlib import Path
+import resource
 import subprocess
 import sys
 
@@ -268,7 +270,7 @@ class TestPipeline:
     def test_demod_rejects_mod_freq_out_of_range(self, pipeline, tmp_path, capsys, value):
         # each used to demodulate into a record whose s is all NaN, exit 0
         head, body = (pipeline / "scan.txt").read_bytes().split(b"\n# body: ", 1)
-        lines = [f"# meta.mod_freq = {value}" if ln.startswith("# meta.mod_freq =")
+        lines = [f"# meta.mod_freq = {float(value)!r}" if ln.startswith("# meta.mod_freq =")
                  else ln for ln in head.decode().splitlines()]
         f = tmp_path / "scan.txt"
         f.write_bytes(("\n".join(lines) + "\n# body: ").encode() + body)
@@ -282,7 +284,7 @@ class TestPipeline:
         # 2 * sample_rate overflows: the filter's prewarp was inf * tan(0),
         # a NaN that failed as "cannot convert float NaN to integer"
         head, body = (pipeline / "scan.txt").read_bytes().split(b"\n# body: ", 1)
-        lines = [f"# meta.sample_rate = {value}" if ln.startswith("# meta.sample_rate =")
+        lines = [f"# meta.sample_rate = {float(value)!r}" if ln.startswith("# meta.sample_rate =")
                  else ln for ln in head.decode().splitlines()]
         f = tmp_path / "scan.txt"
         f.write_bytes(("\n".join(lines) + "\n# body: ").encode() + body)
@@ -436,7 +438,7 @@ class TestStudyAndReport:
         assert (out / "trends.txt").exists()
 
     @pytest.mark.parametrize("line, message", [
-        ("study.grids = 0.25", "study.grids"),
+        ("study.grids = 0.25", "study field 'grids'"),
         ("ramp.rate = 2.0", "ramp.rate"),
         ("preset.pump_axis = 1.0", "unknown preset field 'pump_axis'"),
     ])
@@ -502,6 +504,41 @@ class TestStudyAndReport:
         assert code == 2
         assert out == "" and "grid" in err
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("cell", [0.5, math.nan, math.inf, 2.0, -1.0])
+    def test_report_rejects_fit_converged_other_than_zero_or_one(self, tmp_path, capsys,
+                                                                 cell):
+        # each used to read as True and be rewritten as 1.0
+        columns = np.full((len(POINT_COLUMNS), 1), 0.25)
+        columns[POINT_COLUMNS.index("fit_converged")] = cell
+        f = write_table(tmp_path / "points.txt",
+                        ["# alignor-study points", "# kind: single", "# seed: 0"],
+                        POINT_COLUMNS, columns)
+        code, out, err = run(capsys, "report", str(tmp_path))
+        assert code == 2
+        assert out == "" and f"{f}:5: bad row" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["points.txt"]
+
+    def test_report_on_flat_trends_ends(self, tmp_path):
+        # every quantity 0.25: a flat linear trend's curve spans about 1e-16,
+        # and an axis tick loop that adds its step to a running value never
+        # passed the end of that span; the address-space cap turns such a
+        # loop into a MemoryError instead of filling the machine's memory
+        columns = np.full((len(POINT_COLUMNS), 3), 0.25)
+        columns[0] = [0.1, 0.25, 0.4]
+        columns[POINT_COLUMNS.index("fit_converged")] = 1.0
+        write_table(tmp_path / "points.txt",
+                    ["# alignor-study points", "# kind: chi_grid", "# seed: 0"],
+                    POINT_COLUMNS, columns)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "alignor.cli", "report", str(tmp_path)], env=env,
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "trends.txt").exists()
 
     def test_report_on_empty_dir_is_data_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "report", str(tmp_path))

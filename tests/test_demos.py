@@ -39,8 +39,7 @@ def test_demo_runs(tmp_path, demo, written):
 
 
 def test_importing_the_study_demo_runs_no_study(tmp_path):
-    # a process pool's workers re-import __main__ under forkserver or
-    # spawn, so the study must run only when the demo runs as a script
+    # the study runs only when the demo runs as a script, not on import
     proc = _run_copy(tmp_path, "ellipticity_study.py", ["-B", "-c", "import ellipticity_study"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""

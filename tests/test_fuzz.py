@@ -56,7 +56,9 @@ def originals() -> dict:
     cfg = ScanConfig(ramp=ramp, sample_rate=200.0, noise_rms=0.001, seed=3)
     scan = synthesize_record(cfg, EnsembleParams(gamma_over_2pi=3.5, relax_rate=200.0),
                              CouplingParams(kappa=100.0, my0=0.001))
-    points = [StudyPoint(**{name: float(i + k) for k, name in enumerate(POINT_COLUMNS)})
+    # fit_converged is a flag, 0.0 or 1.0; the other columns count up
+    points = [StudyPoint(**{name: float(i % 2 if name == "fit_converged" else i + k)
+                            for k, name in enumerate(POINT_COLUMNS)})
               for i in range(3)]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -125,9 +127,9 @@ def _cli(*argv):
 
 # values a mutated meta line may take: out-of-range, non-finite, huge,
 # tiny and wrongly typed literals
-META_VALUES = ("0", "0.0", "-1.0", "1e-300", "1e308", "-1e308", "nan", "inf", "-inf",
+META_VALUES = ("0", "0.0", "-1.0", "1e-300", "1e+308", "-1e+308", "nan", "inf", "-inf",
                "10**3", "1" + "0" * 400, "None", "True", "'x'", "[]", "[1.0, 2.0]",
-               "{}", "(1,)", "-5", "1e6")
+               "{}", "(1,)", "-5", "1000000.0")
 
 
 @st.composite

@@ -1,7 +1,12 @@
 import math
+import os
 from pathlib import Path
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -82,6 +87,26 @@ def emit_plot_per_sample(series, path, title: str = "", xlabel: str = "",
     return path
 
 
+def ticks_accumulated(lo, hi):
+    """_ticks as a running value plus the step, with values within 1e-12 of
+    the span of zero snapped to 0.0: the oracle of its ticks by index on
+    ordinary spans.  The loop is bounded at 8 ticks, because on a span near
+    the float spacing of lo the running value stops moving."""
+    n = 5
+    span = hi - lo
+    step = 10.0 ** math.floor(math.log10(span / n))
+    for mult in (1.0, 2.0, 5.0, 10.0):
+        if span / (step * mult) <= n + 1:
+            step *= mult
+            break
+    ticks = []
+    v = math.ceil(lo / step) * step
+    while v <= hi + 1e-12 * span and len(ticks) < 8:
+        ticks.append(0.0 if abs(v) < 1e-12 * span else v)
+        v += step
+    return ticks
+
+
 def nonfinite_series():
     x = np.linspace(-3.0, 3.0, 41)
     y = np.sin(x) / 3.0
@@ -159,3 +184,61 @@ class TestEmitPlot:
             if not any(np.any(np.isfinite(s.x) & np.isfinite(s.y)) for s in series):
                 continue
             assert_same_files(series, tmp_path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False) | st.integers(1, 8))
+def ticks_property(a, b):
+    """At most seven strictly increasing ticks, each within 1e-12 of the span
+    of [lo, hi].  An integer b stands for a + b ulps of a: a span at the float
+    spacing of its ends."""
+    lo, hi = sorted((a, a + b * math.ulp(a) if isinstance(b, int) else b))
+    span = hi - lo
+    assume(lo < hi and math.isfinite(span) and span / 5 >= sys.float_info.min)
+    ticks = _ticks(lo, hi)
+    assert len(ticks) <= 7
+    assert all(u < v for u, v in zip(ticks, ticks[1:]))
+    assert all(lo - 1e-12 * span <= v <= hi + 1e-12 * span for v in ticks)
+
+
+class TestTicks:
+    def test_at_most_seven_increasing_ticks_within_the_span(self):
+        # in a child process with a 1 GiB address-space cap: on a span near
+        # the float spacing of lo, a tick loop that adds its step to a running
+        # value never ends, and the cap turns its growing list into a
+        # MemoryError instead of filling the machine's memory
+        here = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))}
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-c", "from test_plotsvg import ticks_property; ticks_property()"],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_labels_match_the_accumulating_oracle_on_ordinary_spans(self):
+        # the figures' tick labels and positions: spans from 1e-9 to 1e9,
+        # centred up to 1000 spans from zero
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            span = 10.0 ** rng.uniform(-9.0, 9.0)
+            lo = span * rng.uniform(-1000.0, 1000.0) * rng.choice([1.0, 1e-3])
+            hi = lo + span * rng.uniform(0.5, 1.0)
+            want, got = ticks_accumulated(lo, hi), _ticks(lo, hi)
+            assert [_fmt(v) for v in got] == [_fmt(v) for v in want]
+            # emit_plot's px with its 64-pixel margin and 560-pixel plot width
+            assert ([f"{64 + (v - lo) / (hi - lo) * 560:.1f}" for v in got]
+                    == [f"{64 + (v - lo) / (hi - lo) * 560:.1f}" for v in want])
+
+    @pytest.mark.parametrize("lo, hi, labels", [
+        (0.0, 1.0, ["0", "0.2", "0.4", "0.6", "0.8", "1"]),
+        # -0.6 + 3 * 0.2 is -1.1e-16 when summed, but the tick at index 0 is 0.0
+        (-0.7, 0.3, ["-0.6", "-0.4", "-0.2", "0", "0.2"]),
+        (-37.0, 112.0, ["0", "50", "100"]),
+    ])
+    def test_round_labels_and_an_exact_zero(self, lo, hi, labels):
+        ticks = _ticks(lo, hi)
+        assert [_fmt(v) for v in ticks] == labels
+        assert all(math.copysign(1.0, v) == 1.0 for v in ticks if v == 0.0)

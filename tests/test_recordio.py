@@ -1,3 +1,4 @@
+import ast
 from dataclasses import replace
 import math
 import re
@@ -322,6 +323,23 @@ class TestStrictHeader:
         assert main(["demod", str(f), "--out", str(tmp_path / "out")]) == 2
         assert f"{f}:{n}:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "demod.txt").exists()
+
+    @pytest.mark.parametrize("line", [
+        "# meta.a0 = 1.00", "# meta.a0 = +1.0", "# meta.a0 = (1.0)", "# meta.a0 = 1e0",
+        "# meta.seed = 0x0", "# meta.seed = 0_0"])
+    def test_meta_line_not_written_as_itself_is_data_error(self, scan_record, tmp_path,
+                                                           line):
+        # each reads as the value written, but a rewrite would change its
+        # bytes, so write -> read -> write would not be byte-identical
+        rec = replace(scan_record, meta={**scan_record.meta, "seed": 0})
+        key, text = line.removeprefix("# meta.").split(" = ")
+        assert ast.literal_eval(text) == rec.meta[key]
+        f = write_record(rec, tmp_path / "scan.txt")
+        n = _line_no(f, f"# meta.{key} =")
+        f.write_bytes(f.read_bytes().replace(f"# meta.{key} = {rec.meta[key]!r}\n".encode(),
+                                             f"{line}\n".encode(), 1))
+        with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: {line!r}")):
+            read_record(f)
 
     def test_missing_kind_line_rejected(self, scan_record, tmp_path):
         f = write_record(scan_record, tmp_path / "scan.txt")
