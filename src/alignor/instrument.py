@@ -119,7 +119,7 @@ def config_from_meta(meta: dict):
 
 # Samples per block of the grids in _latch_chain and synthesize_record.
 # Full-length (50k-sample) grid calls spent much of their time in minor page
-# faults: their (n, 5)/(n, 3) outputs and dozens of 400 KB temporaries were
+# faults: their full-length outputs and dozens of 400 KB temporaries were
 # mapped, first-touched and released again on every call, about 36k faults
 # per study_chi pass; in blocks the grids fault about 2k times.  Of
 # 2,048-16,384 samples, 4,096 gave the lowest median study time (CHANGES.md).
@@ -135,7 +135,7 @@ def _latch_chain(t, bx_slow, direction, by, bz, pe: EnsembleParams,
     my = np.empty(t.size)
     for i in range(0, t.size, SYNTH_BLOCK):
         b = slice(i, i + SYNTH_BLOCK)
-        my[b] = orientation_steady_state_grid(bx_slow[b], by, bz, pe)[:, 1]
+        my[b] = orientation_steady_state_grid(bx_slow[b], by, bz, pe, components=(1,))[:, 0]
     ell, flips = latch_scan(t, my, direction, c.my0, default_tau_flip(pe, c), s0=s0)
     return my, ell, flips, by + c.kappa * c.my0 * ell
 
@@ -152,9 +152,12 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
 
     The steady-state grids and the signal mix run over SYNTH_BLOCK-sample
     blocks written into full-length arrays, so their temporaries stay small
-    enough to be reused instead of page-faulted in on every call.  Every
-    blocked step is elementwise, so the record is bit-identical to one
-    full-length pass; the latch, the ramp and the noise draws stay full-length.
+    enough to be reused instead of page-faulted in on every call.  The grids
+    evaluate only the components read downstream: M_y for the latch, and
+    the m0c, m2s and mz of the signal mix.  Every blocked step is
+    elementwise and each component is computed by the same operations as in
+    a full grid, so the record is bit-identical to one full-length pass of
+    the full grids; the latch, the ramp and the noise draws stay full-length.
     """
     if mix is None:
         mix = SignalMix()
@@ -168,9 +171,10 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
 
     st, sb = np.empty(t.size), np.empty(t.size)
     for b in (slice(i, i + SYNTH_BLOCK) for i in range(0, t.size, SYNTH_BLOCK)):
-        m1 = orientation_steady_state_grid(bx_mod[b], by, bz, pe)
-        m2 = alignment_steady_state_grid(bx_mod[b], by_eff[b], bz, pe)
-        st[b], sb[b] = signals_from_state(m1, m2, mix)
+        mz = orientation_steady_state_grid(bx_mod[b], by, bz, pe, components=(2,))[:, 0]
+        m0c, m2s = alignment_steady_state_grid(bx_mod[b], by_eff[b], bz, pe,
+                                               components=(0, 4)).T
+        st[b], sb[b] = signals_from_state(m0c, m2s, mz, mix)
     rng = np.random.default_rng(cfg.seed)
     if cfg.noise_rms > 0:
         st = st + cfg.noise_rms * rng.standard_normal(t.size)

@@ -57,7 +57,11 @@ def _fmt(v):
 
 
 def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "") -> Path:
-    """Write a 640 x 420 SVG figure of the series; returns its path."""
+    """Write a 640 x 420 SVG figure of the series; returns its path.
+
+    Raises ValueError, naming the axis and the path, when the finite values
+    on an axis (the y axis padded by 6% at each end) span more than the
+    largest float."""
     if not series:
         raise ValueError("no series to plot")
     path = Path(path)
@@ -74,6 +78,10 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
         ylo, yhi = ylo - 1.0, yhi + 1.0
     pad_y = 0.06 * (yhi - ylo)
     ylo, yhi = ylo - pad_y, yhi + pad_y
+    for axis, label, lo, hi in (("x", xlabel, xlo, xhi), ("y", ylabel, ylo, yhi)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"{path}: the {axis} axis ({label or 'unlabelled'}) spans "
+                             f"{lo!r} to {hi!r}, which is not a finite float span")
     ml, mr, mt, mb = 64, 16, 28, 46
     pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 

@@ -10,8 +10,11 @@ m0c = rho_0, m_qc = sqrt(2)*Re rho_q and m_qs = -sqrt(2)*Im rho_q for q > 0.
 This module holds the validated ensemble constants (EnsembleParams), the
 closed-form grid solvers (the orientation inverse and the adjugate of the
 5x5 alignment system), and the one signal mix that turns moments into
-photodetector signals.  Their slow references (LAPACK solves, the spin-2
-generators, the m2s lineshape) live in the test suite's ``tests/oracles.py``.
+photodetector signals.  A grid's keyword-only ``components`` names the
+components it evaluates, so a caller that reads only M_y, or only the m0c,
+m2s and mz the signal mix reads, pays for no others.  Their slow references
+(LAPACK solves, the spin-2 generators, the m2s lineshape) live in the test
+suite's ``tests/oracles.py``.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -90,28 +93,49 @@ class EnsembleParams:
         return self.relax_ratio_alignment * self.relax_rate
 
 
-def orientation_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
-    """Vectorized orientation steady state; returns shape (..., 3).
+def _check_components(components, n):
+    """Raise ValueError unless ``components`` holds distinct indices in range(n)."""
+    if not components or len(set(components)) != len(components) or \
+            not all(k in range(n) for k in components):
+        raise ValueError(f"components must be distinct indices in 0..{n - 1}, "
+                         f"got {components!r}")
 
-    Uses the closed inverse of (Gamma I + [w]_x), w = gamma B, on the pump
-    direction z: M = m0 (wz wx - Gamma wy, Gamma wx + wz wy, Gamma^2 + wz^2)
-    / (Gamma^2 + |w|^2).  Matches the LAPACK solve of ``tests/oracles.py``
-    to 1e-12 relative for field components within +-100 nT and Gamma in
-    [10, 500] s^-1.
+
+def orientation_steady_state_grid(bx, by, bz, p: EnsembleParams, *,
+                                  components=(0, 1, 2)) -> np.ndarray:
+    """Vectorized orientation steady state; returns shape (..., len(components)).
+
+    Column j holds component ``components[j]`` of (mx, my, mz); the default
+    is all three.  Uses the closed inverse of (Gamma I + [w]_x), w = gamma B,
+    on the pump direction z: M = m0 (wz wx - Gamma wy, Gamma wx + wz wy,
+    Gamma^2 + wz^2) / (Gamma^2 + |w|^2).  The shared denominator is formed
+    once and only the components asked for are evaluated, each by the same
+    operations whichever others are asked for.  Matches the LAPACK solve of
+    ``tests/oracles.py`` to 1e-12 relative for field components within
+    +-100 nT and Gamma in [10, 500] s^-1.
     """
+    _check_components(components, 3)
     g = p.gamma_rad
     wx, wy, wz = (g * np.asarray(b, float) for b in (bx, by, bz))
     gam = p.relax_rate
     den = gam**2 + (wx * wx + wy * wy + wz * wz)
-    out = np.empty(np.broadcast_shapes(wx.shape, wy.shape, wz.shape) + (3,))
-    out[..., 0] = p.m0 * (wz * wx - gam * wy) / den
-    out[..., 1] = p.m0 * (gam * wx + wz * wy) / den
-    out[..., 2] = p.m0 * (gam**2 + wz * wz) / den
+    formulas = (lambda: p.m0 * (wz * wx - gam * wy) / den,
+                lambda: p.m0 * (gam * wx + wz * wy) / den,
+                lambda: p.m0 * (gam**2 + wz * wz) / den)
+    out = np.empty(den.shape + (len(components),))
+    for j, k in enumerate(components):
+        out[..., j] = formulas[k]()
     return out
 
 
-def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
-    """Vectorized alignment steady state; returns shape (..., 5).
+def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams, *,
+                                components=(0, 1, 2, 3, 4)) -> np.ndarray:
+    """Vectorized alignment steady state; returns shape (..., len(components)).
+
+    Column j holds component ``components[j]`` of (m0c, m1c, m1s, m2c, m2s);
+    the default is all five.  The shared subexpressions are formed once and
+    only the components asked for are evaluated, each by the same operations
+    whichever others are asked for.
 
     Adjugate (Cramer) solution of (1 + b.G) m = a0 p_x with the dimensionless
     field b = (x, y, z) = gamma B / Gamma2, Gamma2 the alignment relaxation
@@ -134,6 +158,7 @@ def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     [1, 5] Hz/nT and Gamma in [5, 1500] s^-1 (up to ~10^3 resonance widths),
     also at the magic angle to the pump axis, where m is only O(1/r).
     """
+    _check_components(components, 5)
     s = p.gamma_rad / p.alignment_relax_rate
     x, y, z = (s * np.asarray(b, float) for b in (bx, by, bz))
     x2, y2, z2 = x * x, y * y, z * z
@@ -143,14 +168,16 @@ def alignment_steady_state_grid(bx, by, bz, p: EnsembleParams) -> np.ndarray:
     w = 2.0 * (y2 + z2) - 4.0 * x2
     c = p.a0 / ((1.0 + r2) * (1.0 + 4.0 * r2))
     r3c = math.sqrt(3.0) * c
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape, z.shape) + (5,))
-    out[..., 0] = c * (x2 * (5.0 * z2 - 2.0 * x2 - y2 - 2.5) + 9.0 * xyz
-                       + y2 * (y2 - z2 + 0.5) - z2 * (2.0 * z2 + 2.5) - 0.5)
-    out[..., 1] = r3c * (x * z * (w - 1.0) - y * q)
-    out[..., 2] = r3c * (y * z * (w + 2.0) - 3.0 * x * (y2 - z2))
-    out[..., 3] = r3c * (x2 * (2.0 * x2 - 3.0 * y2 - z2 + 2.5) + 3.0 * xyz
-                         + y2 * (y2 + z2 + 1.5) + 0.5 * z2 + 0.5)
-    out[..., 4] = r3c * (x * y * (1.0 - w) - z * q)
+    formulas = (lambda: c * (x2 * (5.0 * z2 - 2.0 * x2 - y2 - 2.5) + 9.0 * xyz
+                             + y2 * (y2 - z2 + 0.5) - z2 * (2.0 * z2 + 2.5) - 0.5),
+                lambda: r3c * (x * z * (w - 1.0) - y * q),
+                lambda: r3c * (y * z * (w + 2.0) - 3.0 * x * (y2 - z2)),
+                lambda: r3c * (x2 * (2.0 * x2 - 3.0 * y2 - z2 + 2.5) + 3.0 * xyz
+                               + y2 * (y2 + z2 + 1.5) + 0.5 * z2 + 0.5),
+                lambda: r3c * (x * y * (1.0 - w) - z * q))
+    out = np.empty(c.shape + (len(components),))
+    for j, k in enumerate(components):
+        out[..., j] = formulas[k]()
     return out
 
 
@@ -168,13 +195,12 @@ class SignalMix:
         reject_nonfinite(self)
 
 
-def signals_from_state(m1, m2, mix: SignalMix):
-    """Photocurrent-like (S_T, S_B) from moments of shape (..., 3) and (..., 5).
+def signals_from_state(m0c, m2s, mz, mix: SignalMix):
+    """Photocurrent-like (S_T, S_B) from the three moment components they read.
 
     S_T reads the alignment m0c (absorption); S_B the polarimeter-visible
-    coherence m2s plus the orientation mz (circular birefringence).
+    alignment coherence m2s plus the orientation mz (circular birefringence).
     """
-    st = mix.baseline_t + mix.c_t * m2[..., 0]
-    sb = mix.baseline_b + mix.c_al * m2[..., 4] + mix.c_or * m1[..., 2]
+    st = mix.baseline_t + mix.c_t * m0c
+    sb = mix.baseline_b + mix.c_al * m2s + mix.c_or * mz
     return st, sb
-

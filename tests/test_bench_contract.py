@@ -1,10 +1,11 @@
 """The benchmark's contract with the package, read from bench/ and never
 edited there: every wrap site of bench/spans.py names a callable, and one
 traced pass of each workload at the benchmark seed counts the latch samples
-the workload declares and passes the workload's own checks, the 1e-6
-comparison with bench/reference included.  A traced bench/run.py reports a
-run that breaks any of these as incorrect, so a change to the latch count
-or to where the package looks its layers up shows here first."""
+the workload declares, three grid field points per latch sample, and passes
+the workload's own checks, the 1e-6 comparison with bench/reference
+included.  A traced bench/run.py reports a run that breaks any of these as
+incorrect, so a change to the latch count or to where the package looks its
+layers up shows here first."""
 
 from importlib import import_module, util
 from pathlib import Path
@@ -45,4 +46,8 @@ def test_traced_pass_counts_declared_samples_and_passes_checks(name, tmp_path,
         wall = time.perf_counter() - start
     metrics = tracer.pass_metrics(0, wall)
     assert metrics["dynamics.latch_scan.samples"] == w.samples_per_pass
+    # each latch sample is one orientation point for the latch and one
+    # orientation and one alignment point for the synthesized signals, so
+    # the grids stay visible to the trace whatever components they evaluate
+    assert metrics["spincore.field_points"] == 3 * w.samples_per_pass
     assert w.check(out, None) == []

@@ -540,6 +540,21 @@ class TestStudyAndReport:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "trends.txt").exists()
 
+    def test_report_axis_span_overflow_is_data_error(self, tmp_path, capsys):
+        # w_anti spans 3e308: the trend figure's y axis has no finite span
+        columns = np.full((len(POINT_COLUMNS), 3), 0.25)
+        columns[0] = [0.1, 0.25, 0.4]
+        columns[POINT_COLUMNS.index("fit_converged")] = 1.0
+        columns[POINT_COLUMNS.index("w_anti")] = [-1.5e308, 1.5e308, 0.0]
+        write_table(tmp_path / "points.txt",
+                    ["# alignor-study points", "# kind: chi_grid", "# seed: 0"],
+                    POINT_COLUMNS, columns)
+        code, out, err = run(capsys, "report", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {tmp_path / 'trend_w_anti_linear.svg'}: "
+                              "the y axis (w_anti) spans ")
+
     def test_report_on_empty_dir_is_data_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "report", str(tmp_path))
         assert code == 2

@@ -2,20 +2,23 @@
 constant that nothing reads, no top-level function or class that nothing
 references, the shared constants each defined in exactly one place, no
 name of the test oracles (tests/oracles.py) defined in or imported by the
-package, the signal mix and the latch chain each written once (and no
-steady-state grid in dynamics), one trend table, one study-kind table,
-one circular pump fraction, one sampling rule, one settings-field helper and one 2*pi, LAPACK
-solves only in the Levenberg-Marquardt normal equations, no run-time filter
-design by scipy's bilinear transform, the table format (its column-names
-line, its text body parser and its binary body decoder) kept in recordio,
-one writer per file format, no scipy at run time (numpy is the only
-dependency; scipy is a test oracle), and no command-line option that its
-command's handler does not read."""
+package, the signal mix, the latch chain and each closed-form moment
+component each written once (and no steady-state grid in dynamics), one
+trend table, one study-kind table, one circular pump fraction, one sampling
+rule, one settings-field helper and one 2*pi, LAPACK solves only in the
+Levenberg-Marquardt normal equations, no run-time filter design by scipy's
+bilinear transform, the table format (its column-names line, its text body
+parser and its binary body decoder) kept in recordio, one writer per file
+format, no scipy at run time (numpy is the only dependency; scipy is a test
+oracle), and no command-line option that its command's handler does not
+read."""
 
 import argparse
 import ast
+from collections import Counter
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 
@@ -174,6 +177,34 @@ def test_one_latch_chain():
         ("instrument", "_latch_chain")}
     grids = {"orientation_steady_state_grid", "alignment_steady_state_grid"}
     assert grids.isdisjoint(_imported_names(_tree(SRC / "dynamics.py")))
+
+
+def _anonymous(node):
+    """The AST dump of an expression with every variable name replaced by _."""
+    return re.sub(r"Name\(id='\w+'", "Name(id='_'", ast.dump(node))
+
+
+def _grid_components(grid):
+    """The component expressions of a spincore grid: the bodies of the
+    lambdas in its ``formulas`` tuple, in component order."""
+    fn = next(node for node in _tree(SRC / "spincore.py").body
+              if isinstance(node, ast.FunctionDef) and node.name == grid)
+    (formulas,) = [node.value for node in ast.walk(fn) if _is_assignment_to("formulas")(node)]
+    return [lam.body for lam in formulas.elts]
+
+
+def test_each_moment_component_written_once():
+    # each closed-form component of the steady-state grids appears once in
+    # the package, also with its variables renamed: a caller that reads only
+    # some components asks the grid for them instead of inlining a copy
+    forms = {grid: _grid_components(grid)
+             for grid in ("orientation_steady_state_grid", "alignment_steady_state_grid")}
+    assert [len(f) for f in forms.values()] == [3, 5]
+    seen = Counter(_anonymous(node) for path in MODULES for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.expr))
+    copies = {(grid, k): seen[_anonymous(f)] for grid, fs in forms.items()
+              for k, f in enumerate(fs)}
+    assert {key: n for key, n in copies.items() if n != 1} == {}
 
 
 def _is_dict_keyed_by(key):

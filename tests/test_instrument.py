@@ -161,7 +161,7 @@ def straight_line_synthesis(cfg, p, c, mix):
 
     m1 = orientation_steady_state_grid(bx_mod, by, bz, pe)
     m2 = alignment_steady_state_grid(bx_mod, by_eff, bz, pe)
-    st_raw, sb_raw = signals_from_state(m1, m2, mix)
+    st_raw, sb_raw = signals_from_state(m2[:, 0], m2[:, 4], m1[:, 2], mix)
     rng = np.random.default_rng(cfg.seed)
     if cfg.noise_rms > 0:
         st_raw = st_raw + cfg.noise_rms * rng.standard_normal(t.size)
@@ -227,8 +227,8 @@ class TestBlockedSynthesis:
         sizes = {"orientation": [], "alignment": []}
 
         def recording(name, fn):
-            def grid(bx, by, bz, p):
-                out = fn(bx, by, bz, p)
+            def grid(bx, by, bz, p, **kw):
+                out = fn(bx, by, bz, p, **kw)
                 sizes[name].append(out.shape[0])
                 return out
             return grid

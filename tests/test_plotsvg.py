@@ -1,6 +1,7 @@
 import math
 import os
 from pathlib import Path
+import re
 import resource
 import subprocess
 import sys
@@ -172,6 +173,20 @@ class TestEmitPlot:
         s = Series("flat", np.array([1.0, 2.0]), np.array([3.0, 3.0]))
         out = emit_plot([s], tmp_path / "f.svg")
         assert out.exists()
+
+    @pytest.mark.parametrize("x, y, axis", [
+        ([0.0, 1.0, 2.0], [-1.5e308, 1.5e308, 0.0], "y"),
+        ([-1.5e308, 1.5e308], [0.0, 1.0], "x"),
+        # a finite span that overflows once padded by 6% at each end
+        ([0.0, 1.0], [-1e307, 1.6e308], "y"),
+    ])
+    def test_axis_span_beyond_the_largest_float_rejected(self, tmp_path, x, y, axis):
+        # the tick step is a power of ten of the span, which would be inf
+        path = tmp_path / "o.svg"
+        label = {"x": "chi", "y": "w_anti"}[axis]
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: the {axis} axis ({label})")):
+            emit_plot([Series("s", x, y)], path, xlabel="chi", ylabel="w_anti")
+        assert not path.exists()
 
     def test_matches_per_sample_oracle_with_nonfinite_values(self, tmp_path):
         assert_same_files(nonfinite_series(), tmp_path, title="t", xlabel="x",

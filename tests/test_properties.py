@@ -1,5 +1,6 @@
 """Property tests: record, points-table, trends-table and config round
 trips, replay of a scan from the meta of its file, scalar oracles vs grids,
+each grid's selected components vs the columns of its full result,
 latch invariants, the closed-form grid solver, the per-flip latch and the
 unit-vector trend designs against their slow or hand-written oracles (the
 batched LAPACK solve, the per-sample loop, the explicit design matrices),
@@ -7,6 +8,7 @@ composite-contour recovery by fit_record, and fits that do not depend on
 the units of the signal."""
 
 from dataclasses import fields, replace
+from itertools import permutations
 import math
 from pathlib import Path
 import tempfile
@@ -354,6 +356,38 @@ def test_closed_form_matches_alignment_grid(p, fields):
     shape = alignment_signal_shape(b[:, 0], b[:, 1], b[:, 2])
     assert ALIGNMENT_SIGNAL_CALIBRATION * m2s / p.a0 == pytest.approx(
         shape, rel=1e-12, abs=1e-12)
+
+
+GRIDS = ((orientation_steady_state_grid, 3), (alignment_steady_state_grid, 5))
+
+
+@settings(max_examples=50, deadline=None)
+@given(ensembles(), FIELDS, st.booleans())
+def test_grid_components_are_columns_of_the_full_grid(p, fields, scalar_transverse):
+    # every non-empty ordered subset of a grid's components, bit for bit,
+    # also with scalar by and bz broadcast against an array bx
+    b = np.array(fields)
+    bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
+    if scalar_transverse:
+        by, bz = float(by[0]), float(bz[0])
+    for grid, n in GRIDS:
+        full = grid(bx, by, bz, p)
+        for k in range(1, n + 1):
+            for comps in permutations(range(n), k):
+                got, want = grid(bx, by, bz, p, components=comps), full[:, comps]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 8), max_size=7))
+def test_grid_components_are_distinct_indices(comps):
+    for grid, n in GRIDS:
+        if comps and len(set(comps)) == len(comps) and all(0 <= k < n for k in comps):
+            assert grid(1.0, 0.2, -0.3, EnsembleParams(),
+                        components=tuple(comps)).shape == (len(comps),)
+        else:
+            with pytest.raises(ValueError, match="components"):
+                grid(1.0, 0.2, -0.3, EnsembleParams(), components=tuple(comps))
 
 
 @st.composite

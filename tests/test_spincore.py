@@ -226,8 +226,7 @@ class TestEnsembleParams:
 
 class TestSignals:
     def test_zero(self):
-        st, sb = signals_from_state(np.zeros(3), np.zeros(5),
-                                    SignalMix(baseline_t=0, baseline_b=0))
+        st, sb = signals_from_state(0.0, 0.0, 0.0, SignalMix(baseline_t=0, baseline_b=0))
         assert st == 0.0 and sb == 0.0
 
     def test_tracks_closed_form(self):
@@ -236,7 +235,7 @@ class TestSignals:
         f = p.width_nt
         b = (0.9, 0.2, -0.1)
         m2 = alignment_steady_state(*(v * f for v in b), p)
-        _, sb = signals_from_state(np.zeros(3), m2, mix)
+        _, sb = signals_from_state(m2[0], m2[4], 0.0, mix)
         expect = 2.0 * alignment_signal_shape(*b) / ALIGNMENT_SIGNAL_CALIBRATION
         assert sb == pytest.approx(expect, rel=1e-12)
 
@@ -244,7 +243,7 @@ class TestSignals:
         mix = StudyPreset().signal_mix()
         p = EnsembleParams()
         m2_eq = alignment_steady_state(0, 0, 0, p)
-        st, _ = signals_from_state(np.zeros(3), m2_eq, mix)
+        st, _ = signals_from_state(m2_eq[0], m2_eq[4], 0.0, mix)
         assert st == pytest.approx(6.0, rel=1e-6)
         # max alignment swing of S_B across a bx scan at by_eff_norm = 0.1
         bx = np.linspace(-5, 5, 2001) * p.width_nt
@@ -264,9 +263,9 @@ class TestSignals:
         rng = np.random.default_rng(5)
         m1, m2 = rng.normal(size=(40, 3)), rng.normal(size=(40, 5))
         mix = SignalMix(c_al=1.3, c_or=0.4, c_t=0.8, baseline_t=6.5, baseline_b=0.1)
-        st, sb = signals_from_state(m1, m2, mix)
+        st, sb = signals_from_state(m2[:, 0], m2[:, 4], m1[:, 2], mix)
         for i in range(40):
-            assert (st[i], sb[i]) == signals_from_state(m1[i], m2[i], mix)
+            assert (st[i], sb[i]) == signals_from_state(m2[i, 0], m2[i, 4], m1[i, 2], mix)
 
 
 class TestValidation:
