@@ -266,13 +266,15 @@ def _lm_covariance(res, jac, x, n_points, pinned):
 
 
 def _branch_rows(branch):
-    """The branch column as floats and the masks of its up (+1) and down
-    (-1) rows; any other value raises ValueError."""
+    """The branch column as floats and, by name, the row masks of the
+    branches it holds: up (+1) before down (-1), and the empty up branch
+    when it holds no row.  Any other value raises ValueError."""
     sigma = np.asarray(branch, dtype=float)
     up, down = sigma == 1.0, sigma == -1.0
     if not np.all(up | down):
         raise ValueError("branch must be +1.0 (up) or -1.0 (down) on every row")
-    return sigma, up, down
+    held = {name: rows for name, rows in (("up", up), ("down", down)) if rows.any()}
+    return sigma, held or {"up": up}
 
 
 def _check_branch(name, bx, **columns):
@@ -283,12 +285,6 @@ def _check_branch(name, bx, **columns):
     for col, values in {"bx": bx, **columns}.items():
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} branch has a non-finite {col}")
-
-
-def _transition_index(bx, s):
-    """Index of maximum |ds/dbx| and the slope array (NaN-safe gradient)."""
-    slope = np.gradient(s, bx)
-    return int(np.argmax(np.abs(slope))), slope
 
 
 def _smooth(y, n):
@@ -313,14 +309,16 @@ def _half_max_run(y, i):
 
 def _initial_guess(bx, sigma, y):
     """Starting composite parameters from the branch sum and difference of
-    the joint (bx, sigma, y); without down rows the up rows read as both
-    branches."""
+    the joint (bx, sigma, y); a record of one branch, up or down, reads its
+    rows as both branches."""
     up, down = sigma > 0, sigma < 0
-    if not down.any():
-        down = up
-    xu, yu, xd, yd = bx[up], y[up], bx[down], y[down]
-    # work on a common ascending grid so branch sum/difference separate the
-    # shared antisymmetric part from the sign-flipping symmetric part
+    if not (up.any() and down.any()):
+        up = down = up | down
+    # work on a common ascending grid, the up rows ordered by bx, so branch
+    # sum/difference separate the shared antisymmetric part from the
+    # sign-flipping symmetric part
+    ref = np.argsort(bx[up], kind="stable")
+    xu, yu, xd, yd = bx[up][ref], y[up][ref], bx[down], y[down]
     order = np.argsort(xd)
     yd_i = np.interp(xu, xd[order], yd[order])
     n = max(xu.size // 50, 1)
@@ -328,9 +326,8 @@ def _initial_guess(bx, sigma, y):
     diff = _smooth(yu - yd_i, n)
     offset = float(np.median(avg))
 
-    i_up, _ = _transition_index(xu, yu)
-    i_dn, _ = _transition_index(xd, yd)
-    b_up, b_dn = float(xu[i_up]), float(xd[i_dn])
+    b_up, b_dn = (float(x[np.argmax(np.abs(np.gradient(v, x)))])
+                  for x, v in ((xu, yu), (xd, yd)))
     h = abs(b_up - b_dn)
 
     # symmetric part: up - down = 2*a_sym*L near the shared center
@@ -372,11 +369,12 @@ def fit_record(rec, init=None):
     ``rec`` must expose the demod columns bx, branch and s (a DemodRecord
     does): the fit's (bx, sigma, y), with sigma = +1 on the up rows and -1
     on the down rows.  All parameters are shared between branches except
-    the fixed branch signs.  A record with no down row is fitted as the up
-    branch alone, with hysteresis pinned at zero and a warning flag.  A
-    branch with fewer than 2 rows, or a branch value other than +-1, raises
-    ValueError.  hysteresis_h is reported as |h|, with a
-    warning when the winner's h < 0: that model does not reproduce the fit.
+    the fixed branch signs.  A record of one branch, up or down, is fitted
+    as that branch alone, with hysteresis pinned at zero and a warning flag.
+    A branch with fewer than 2 rows (a record of no rows has an empty up
+    branch), or a branch value other than +-1, raises ValueError.
+    hysteresis_h is reported as |h|, with a warning when the winner's
+    h < 0: that model does not reproduce the fit.
 
     Levenberg-Marquardt runs from the initial guess (or ``init``) and three
     variants of it with other w_sym and hysteresis.  Each converged start's
@@ -385,16 +383,15 @@ def fit_record(rec, init=None):
     LM_MERGE_TOL of one, since all it would do from there is polish a
     minimum the fit already has.  Of the starts that ran to the end, a sane
     converged one (widths and hysteresis under half the scan span) beats
-    the rest and then the lowest cost wins; only the winner gets its
-    covariance.
+    the rest and then the lowest cost wins, the earlier start on a tie;
+    only the winner gets its covariance.
     """
     bx = np.asarray(rec.bx, dtype=float)
     y = np.asarray(rec.s, dtype=float)
-    sigma, up, down = _branch_rows(rec.branch)
-    _check_branch("up", bx[up])
-    single = not down.any()
-    if not single:
-        _check_branch("down", bx[down])
+    sigma, branches = _branch_rows(rec.branch)
+    for name, rows in branches.items():
+        _check_branch(name, bx[rows])
+    single = len(branches) == 1
     p0 = np.array(init, dtype=float) if init is not None else _initial_guess(bx, sigma, y)
     if single:
         p0[5] = 0.0
@@ -427,7 +424,7 @@ def fit_record(rec, init=None):
         return any(np.max(np.abs(q - m) / (1.0 + np.abs(m))) < LM_MERGE_TOL
                    for m in minima)
 
-    res = None
+    finished = []
     for start in starts:
         cand = _lm_descend(_composite_fn, jc, (bx, sigma), y, start,
                            COMPOSITE_PARAM_NAMES, stop=known)
@@ -435,9 +432,8 @@ def fit_record(rec, init=None):
             continue
         if cand.converged:
             minima.append(_fold_signs(cand.params))
-        if res is None or (sane(cand) and not sane(res)) \
-                or (sane(cand) == sane(res) and cand.residual_rms < res.residual_rms):
-            res = cand
+        finished.append(cand)
+    res = min(finished, key=lambda r: (not sane(r), r.residual_rms))
     res = _lm_covariance(res, jc, (bx, sigma), y.size, ("hysteresis_h",) if single else ())
     p = _fold_signs(res.params)
     warnings = res.warnings
@@ -481,7 +477,7 @@ def _side_level(t, s, lo, hi, t_eval, fallback):
 
 
 def _branch_transition(t, bx, s):
-    _, slope = _transition_index(bx, s)
+    slope = np.gradient(s, bx)
     # ignore the filter's edge transients when locating the jump
     edge = max(3, len(s) // 100)
     if len(s) <= 2 * edge + 1:
@@ -530,33 +526,29 @@ def extract_transition(rec) -> TransitionResult:
     change on the record's own time base, deconvolved (in quadrature) from
     the instrument response ``meta["response_time"]`` when the record has
     one.  ``rec`` must expose the demod columns bx, branch, s and t; a
-    record with no down row has only the up transition.  A record without
-    transitions yields a monostable result rather than an error; a branch
-    with fewer than 2 rows, a non-finite bx, t or s, or a branch value other
-    than +-1 raises ValueError (the side-level polyfit would hand a
-    non-finite value to LAPACK).
+    record of one branch, up or down, has only that branch's transition,
+    and the other field is NaN.  A record without transitions yields a
+    monostable result rather than an error; a branch with fewer than 2
+    rows, a non-finite bx, t or s, or a branch value other than +-1 raises
+    ValueError (the side-level polyfit would hand a non-finite value to
+    LAPACK).
     """
     meta = getattr(rec, "meta", None)
     response_time = meta.get("response_time") if isinstance(meta, dict) else None
     response_time = 0.0 if response_time is None else float(response_time)
     bx, t, s = (np.asarray(col, float) for col in (rec.bx, rec.t, rec.s))
-    _, up, down = _branch_rows(rec.branch)
-    found = []
-    for name, rows in (("up", up), ("down", down)):
-        if name == "down" and not rows.any():
-            found.append(None)
-            continue
+    found = {}
+    for name, rows in _branch_rows(rec.branch)[1].items():
         _check_branch(name, bx[rows], t=t[rows], s=s[rows])
-        found.append(_branch_transition(t[rows], bx[rows], s[rows]))
-    if found == [None, None]:
+        found[name] = _branch_transition(t[rows], bx[rows], s[rows])
+    hits = [f for f in found.values() if f is not None]
+    if not hits:
         return TransitionResult(math.nan, math.nan, math.nan, math.nan, monostable=True)
-    (b_up, dt_up, sl_up), (b_dn, dt_dn, sl_dn) = (
-        f or (math.nan, math.nan, 0.0) for f in found)
-    dts = [d for d in (dt_up, dt_dn) if not math.isnan(d)]
-    dt = float(np.mean(dts))
+    dt = float(np.mean([d for _, d, _ in hits]))
     dt = math.sqrt(max(dt * dt - response_time * response_time, 0.0))
+    b_up, b_dn = ((found.get(name) or (math.nan,))[0] for name in ("up", "down"))
     return TransitionResult(bx_up=b_up, bx_down=b_dn, dt=dt,
-                            max_slope=max(sl_up, sl_dn))
+                            max_slope=max(sl for *_, sl in hits))
 
 
 # ---------------------------------------------------------------------------

@@ -117,12 +117,14 @@ def config_from_meta(meta: dict):
     return cfg, build(EnsembleParams), build(CouplingParams), build(SignalMix)
 
 
-# Samples per block of the grids in _latch_chain and synthesize_record.
+# Samples per block of the grids and the signal mix in synthesize_record.
 # Full-length (50k-sample) grid calls spent much of their time in minor page
 # faults: their full-length outputs and dozens of 400 KB temporaries were
 # mapped, first-touched and released again on every call, about 36k faults
 # per study_chi pass; in blocks the grids fault about 2k times.  Of
 # 2,048-16,384 samples, 4,096 gave the lowest median study time (CHANGES.md).
+# _latch_chain's M_y, one component of one grid, runs full-length: in
+# blocks it was no faster.
 SYNTH_BLOCK = 4096
 
 
@@ -130,12 +132,9 @@ def _latch_chain(t, bx_slow, direction, by, bz, pe: EnsembleParams,
                  c: CouplingParams, s0: int | None = None):
     """The orientation -> latch -> field step: (M_y, latch, flip starts,
     by_eff).  M_y is the orientation steady state at (bx_slow, by, bz), by
-    and bz scalars, in SYNTH_BLOCK-sample blocks; the latch starts in state
-    s0, and by_eff = by + kappa*my0*latch is the field the alignment sees."""
-    my = np.empty(t.size)
-    for i in range(0, t.size, SYNTH_BLOCK):
-        b = slice(i, i + SYNTH_BLOCK)
-        my[b] = orientation_steady_state_grid(bx_slow[b], by, bz, pe, components=(1,))[:, 0]
+    and bz scalars; the latch starts in state s0, and by_eff = by +
+    kappa*my0*latch is the field the alignment sees."""
+    my = orientation_steady_state_grid(bx_slow, by, bz, pe, components=(1,))[:, 0]
     ell, flips = latch_scan(t, my, direction, c.my0, default_tau_flip(pe, c), s0=s0)
     return my, ell, flips, by + c.kappa * c.my0 * ell
 
@@ -150,14 +149,15 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
     dynamics are slower than a modulation period; both moments otherwise
     follow the instantaneous field quasi-statically.
 
-    The steady-state grids and the signal mix run over SYNTH_BLOCK-sample
-    blocks written into full-length arrays, so their temporaries stay small
-    enough to be reused instead of page-faulted in on every call.  The grids
-    evaluate only the components read downstream: M_y for the latch, and
-    the m0c, m2s and mz of the signal mix.  Every blocked step is
-    elementwise and each component is computed by the same operations as in
-    a full grid, so the record is bit-identical to one full-length pass of
-    the full grids; the latch, the ramp and the noise draws stay full-length.
+    The signal's steady-state grids and the signal mix run over
+    SYNTH_BLOCK-sample blocks written into full-length arrays, so their
+    temporaries stay small enough to be reused instead of page-faulted in
+    on every call.  The grids evaluate only the components read
+    downstream: M_y for the latch, and the m0c, m2s and mz of the signal
+    mix.  Every blocked step is elementwise and each component is computed
+    by the same operations as in a full grid, so the record is
+    bit-identical to one full-length pass of the full grids; the latch's
+    M_y, the latch, the ramp and the noise draws stay full-length.
     """
     if mix is None:
         mix = SignalMix()
@@ -399,8 +399,10 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
     sb_ac = rec.sb_raw - lowpass_filter(rec.sb_raw, lpf_cutoff / 2.0, fs)
     demod = gain * lowpass_filter(sb_ac * ref, lpf_cutoff, fs)
     st = lowpass_filter(rec.st_raw, lpf_cutoff, fs)
-    # fs >= 20 f and 0 < lpf_cutoff < f / 2 put fs / (8 * lpf_cutoff) above 5
-    dec = int(round(fs / (8.0 * lpf_cutoff)))
+    # fs >= 20 f and 0 < lpf_cutoff < f / 2 put fs / (8 * lpf_cutoff) above
+    # 5; a cutoff so small that the step passes the record's length keeps
+    # only its first sample
+    dec = int(round(min(fs / (8.0 * lpf_cutoff), rec.t.size)))
     idx = np.arange(0, rec.t.size, dec)
     up = idx[rec.direction[idx] > 0]
     down = idx[rec.direction[idx] < 0]

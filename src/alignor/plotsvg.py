@@ -15,6 +15,8 @@ import numpy as np
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # figure size in pixels
 _WIDTH, _HEIGHT = 640, 420
+# the characters a text node may not hold raw, as str.translate escapes them
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
            'stroke="black" stroke-width="1"/>']
     if title:
         out.append(f'<text x="{_WIDTH / 2}" y="{mt - 10}" text-anchor="middle" '
-                   f'font-size="14">{title}</text>')
+                   f'font-size="14">{title.translate(_XML_TEXT)}</text>')
     for tx in _ticks(xlo, xhi):
         out.append(f'<line x1="{px(tx):.1f}" y1="{mt + ph}" x2="{px(tx):.1f}" '
                    f'y2="{mt + ph + 5}" stroke="black"/>')
@@ -110,12 +112,12 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
         out.append(f'<text x="{ml - 8}" y="{py(ty) + 4:.1f}" text-anchor="end" '
                    f'font-size="11">{_fmt(ty)}</text>')
     if xlabel:
-        out.append(f'<text x="{ml + pw / 2}" y="{_HEIGHT - 8}" '
-                   f'text-anchor="middle" font-size="12">{xlabel}</text>')
+        out.append(f'<text x="{ml + pw / 2}" y="{_HEIGHT - 8}" text-anchor="middle" '
+                   f'font-size="12">{xlabel.translate(_XML_TEXT)}</text>')
     if ylabel:
         out.append(f'<text x="14" y="{mt + ph / 2}" text-anchor="middle" '
                    f'font-size="12" transform="rotate(-90 14 {mt + ph / 2})">'
-                   f'{ylabel}</text>')
+                   f'{ylabel.translate(_XML_TEXT)}</text>')
     for i, s in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
@@ -128,7 +130,8 @@ def emit_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
             out.extend(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="{color}"/>'
                        for a, b in xy)
         out.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 14 * i}" '
-                   f'text-anchor="end" font-size="11" fill="{color}">{s.name}</text>')
+                   f'text-anchor="end" font-size="11" fill="{color}">'
+                   f'{s.name.translate(_XML_TEXT)}</text>')
     out.append("</svg>")
     path.write_text("\n".join(out) + "\n")
     return path

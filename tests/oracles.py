@@ -141,26 +141,26 @@ def fit_record_all_starts(rec, init=None):
     """``fit_record`` as four full Levenberg-Marquardt runs, one from each
     start, with no merging of starts that reach a known minimum: the oracle
     of its basin merge.  The body below is the fit before the merge,
-    verbatim but for two changes ``fit_record`` also made: it fits the
-    single-branch rows once, and it takes the record's columns as the joint
-    (bx, sigma, y) as they are.
+    verbatim but for three changes ``fit_record`` also made: it fits the
+    single-branch rows once, it takes the record's columns as the joint
+    (bx, sigma, y) as they are, and it checks and fits whichever branches
+    the record holds.
 
     Joint up/down-branch fit of the composite contour to a demodulated scan.
 
     ``rec`` must expose the demod columns bx, branch and s: the fit's
     (bx, sigma, y), sigma = +1 on the up rows and -1 on the down rows.
     All parameters are shared between branches except the fixed branch signs.
-    A record with no down row is fitted as the up branch alone, with
+    A record of one branch, up or down, is fitted as that branch alone, with
     hysteresis pinned at zero and a warning flag.  A branch with fewer than
     2 rows raises ValueError.
     """
     bx = np.asarray(rec.bx, dtype=float)
     y = np.asarray(rec.s, dtype=float)
-    sigma, up, down = _branch_rows(rec.branch)
-    _check_branch("up", bx[up])
-    single = not down.any()
-    if not single:
-        _check_branch("down", bx[down])
+    sigma, branches = _branch_rows(rec.branch)
+    for name, rows in branches.items():
+        _check_branch(name, bx[rows])
+    single = len(branches) == 1
     p0 = np.array(init, dtype=float) if init is not None \
         else _initial_guess(bx, sigma, y)
     if single:

@@ -332,6 +332,36 @@ class TestPipeline:
             assert out == ""
             assert "up branch has 1 row" in err
 
+    @pytest.mark.parametrize("cutoff", ["1e-20", "1e-320"])
+    def test_demod_tiny_cutoff_keeps_one_row(self, pipeline, tmp_path, capsys, cutoff):
+        # the decimation step passed 2**63 (an IndexError from np.arange) or
+        # was infinite; clamped to the record, it keeps the first sample
+        code, _, err = run(capsys, "demod", str(pipeline / "scan.txt"), "--lpf-cutoff", cutoff,
+                           "--out", str(tmp_path))
+        assert code == 0, err
+        assert read_record(tmp_path / "demod.txt").bx.size == 1
+        for extra in ([], ["--transition"]):
+            code, out, err = run(capsys, "fit", str(tmp_path / "demod.txt"), *extra)
+            assert code == 2
+            assert out == ""
+            assert "up branch has 1 row" in err
+
+    def test_down_sweep_fits_as_one_branch(self, tmp_path, capsys):
+        # a down sweep holds only down rows; it fits as that one branch
+        cfg = tmp_path / "down.cfg"
+        cfg.write_text("ramp.direction_pattern = 'down'\n")
+        assert run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))[0] == 0
+        assert run(capsys, "demod", str(tmp_path / "scan.txt"), "--lpf-cutoff", "2.0",
+                   "--out", str(tmp_path))[0] == 0
+        assert set(read_record(tmp_path / "demod.txt").branch) == {-1.0}
+        code, out, err = run(capsys, "fit", "--transition", "--format", "json",
+                             str(tmp_path / "demod.txt"))
+        assert code == 0, err
+        assert err == "warning: single branch: hysteresis fixed at 0\n"
+        vals = {name: v["value"] for name, v in json.loads(out).items()}
+        assert vals["converged"] is True and vals["hysteresis_h"] == 0.0
+        assert math.isnan(vals["bx_up"]) and math.isfinite(vals["bx_down"])
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", str(tmp_path / "nope.txt"))
         assert code == 2

@@ -349,29 +349,35 @@ class TestFitRecord:
         res = fit_record(rec, init=np.array([0.1, 3.0, 0.0, 2.5, 0.0, 0.0, 6.0]))
         assert "w_sym" in res.unidentifiable
 
+    # the single-branch tests run on each branch alone: the up rows
+    # (ascending bx) and the down rows (descending bx)
+    SIGNS = (+1, -1)
+
     def test_single_branch_fixes_hysteresis(self):
         rec = make_record(self.TRUE, noise=0.0005, seed=4)
-        one = take_rows(rec, rows_of(rec, +1))
-        res = fit_record(one)
-        assert res.model.hysteresis_h == 0.0
-        # pinned, so neither unidentifiable nor in that warning
-        assert "hysteresis_h" not in res.unidentifiable
-        assert [w for w in res.warnings if "hysteresis" in w] == [
-            "single branch: hysteresis fixed at 0"]
+        for sign in self.SIGNS:
+            res = fit_record(take_rows(rec, rows_of(rec, sign)))
+            assert res.model.hysteresis_h == 0.0
+            # pinned, so neither unidentifiable nor in that warning
+            assert "hysteresis_h" not in res.unidentifiable
+            assert [w for w in res.warnings if "hysteresis" in w] == [
+                "single branch: hysteresis fixed at 0"]
 
     def test_single_branch_keeps_other_unidentifiable_parameters(self):
         m = CompositeContourModel(a_anti=0.1, w_anti=3.0, a_sym=0.0, w_sym=2.5,
                                   hysteresis_h=0.0, offset=6.0)
         rec = make_record(m, noise=0.0, seed=3)
-        one = take_rows(rec, rows_of(rec, +1))
-        res = fit_record(one, init=np.array([0.1, 3.0, 0.0, 2.5, 0.0, 0.0, 6.0]))
-        assert "w_sym" in res.unidentifiable
-        assert "hysteresis_h" not in res.unidentifiable
-        assert f"unidentifiable parameters: {', '.join(res.unidentifiable)}" in res.warnings
+        for sign in self.SIGNS:
+            one = take_rows(rec, rows_of(rec, sign))
+            res = fit_record(one, init=np.array([0.1, 3.0, 0.0, 2.5, 0.0, 0.0, 6.0]))
+            assert "w_sym" in res.unidentifiable
+            assert "hysteresis_h" not in res.unidentifiable
+            assert f"unidentifiable parameters: {', '.join(res.unidentifiable)}" in res.warnings
 
     @pytest.mark.parametrize("n_up, n_down, message", [(1, 0, "up branch has 1 row"),
                                                        (0, 0, "up branch has 0 row"),
-                                                       (20, 1, "down branch has 1 row")])
+                                                       (20, 1, "down branch has 1 row"),
+                                                       (0, 1, "down branch has 1 row")])
     def test_short_branch_is_value_error(self, n_up, n_down, message):
         rec = make_record(self.TRUE)
         short = take_rows(rec, np.concatenate([rows_of(rec, +1)[:n_up],
@@ -414,17 +420,20 @@ class TestFitRecord:
             fit_record(huge)
 
     def test_single_branch_recovers_every_parameter(self):
-        # the up rows are fitted once: a copy of them with the down sign
-        # would cancel the symmetric part and pin a_sym at 0
+        # the branch's rows are fitted once: a copy of them with the other
+        # sign would cancel the symmetric part and pin a_sym at 0
         m = CompositeContourModel(a_anti=0.2, w_anti=2.0, a_sym=0.15, w_sym=1.5,
                                   center=0.3, offset=0.1)
-        bx = np.linspace(-12.0, 12.0, 241)
-        one = branch_record((bx, composite_eval(m, bx, 1.0)))
-        for res in (fit_record(one), fit_record_all_starts(one)):
-            assert res.converged
-            assert res.residual_rms < 1e-10
-            assert np.allclose(res.params, m.free_params(), rtol=1e-8, atol=1e-10)
-            assert "w_sym" not in res.unidentifiable
+        rec = make_record(m)
+        for sign in self.SIGNS:
+            one = take_rows(rec, rows_of(rec, sign))
+            for res in (fit_record(one), fit_record_all_starts(one)):
+                assert res.converged
+                assert res.residual_rms < 1e-10
+                assert np.allclose(res.params, m.free_params(), rtol=1e-8, atol=1e-10)
+                assert "w_sym" not in res.unidentifiable
+                assert np.allclose(composite_eval(res.model, one.bx, one.branch), one.s,
+                                   rtol=0.0, atol=1e-10)
 
     def test_negative_hysteresis_is_flagged(self):
         # with the branch labels swapped the best fit has h < 0; the model
@@ -440,13 +449,23 @@ class TestFitRecord:
                 (composite_eval(res.model, rec.bx, rec.branch) - rec.s) ** 2))
             assert (model_rms > 1e-3) == folded
 
+    def test_single_branch_start_does_not_depend_on_row_order(self):
+        # the reference rows are ordered by bx, as np.interp needs, so a
+        # branch's rows start the fit in either order from the same point
+        rec = make_record(self.TRUE, noise=0.0005, seed=4)
+        for sign in self.SIGNS:
+            one = take_rows(rec, rows_of(rec, sign))
+            fwd, rev = (fitkit._initial_guess(one.bx[k], one.branch[k], one.s[k])
+                        for k in (slice(None), slice(None, None, -1)))
+            assert fwd.tobytes() == rev.tobytes()
+
     def test_single_branch_leaves_init_untouched(self):
         rec = make_record(self.TRUE, noise=0.0005, seed=4)
-        one = take_rows(rec, rows_of(rec, +1))
-        init = np.array([0.1, 3.2, 0.15, 2.5, 0.2, 1.8, 6.0])
-        res = fit_record(one, init=init)
-        assert res.model.hysteresis_h == 0.0
-        assert init.tolist() == [0.1, 3.2, 0.15, 2.5, 0.2, 1.8, 6.0]
+        for sign in self.SIGNS:
+            init = np.array([0.1, 3.2, 0.15, 2.5, 0.2, 1.8, 6.0])
+            res = fit_record(take_rows(rec, rows_of(rec, sign)), init=init)
+            assert res.model.hysteresis_h == 0.0
+            assert init.tolist() == [0.1, 3.2, 0.15, 2.5, 0.2, 1.8, 6.0]
 
 
 class TestExtractTransition:
@@ -483,6 +502,18 @@ class TestExtractTransition:
         assert res.bx_up == pytest.approx(mid, abs=0.05)
         assert res.bx_down == pytest.approx(-mid, abs=0.05)
         assert res.hysteresis == pytest.approx(2 * mid, abs=0.1)
+
+    def test_one_branch_alone_gives_that_branchs_fields(self):
+        # each branch is located on its own rows, so a record of one branch
+        # gives its field bit for bit as the whole record does
+        rec = self.latch_record()
+        whole = extract_transition(rec)
+        up, down = (extract_transition(take_rows(rec, rows_of(rec, sign))) for sign in (+1, -1))
+        assert up.bx_up == whole.bx_up and math.isnan(up.bx_down)
+        assert down.bx_down == whole.bx_down and math.isnan(down.bx_up)
+        assert not (up.monostable or down.monostable or whole.monostable)
+        assert whole.max_slope == max(up.max_slope, down.max_slope)
+        assert whole.dt == pytest.approx(0.5 * (up.dt + down.dt), rel=1e-15)
 
     def test_monostable_record(self):
         bx = np.linspace(-5, 5, 500)

@@ -188,6 +188,14 @@ class TestEmitPlot:
             emit_plot([Series("s", x, y)], path, xlabel="chi", ylabel="w_anti")
         assert not path.exists()
 
+    def test_markup_characters_in_text_are_escaped(self, tmp_path):
+        # written raw, the '&' and '<' made a file no XML parser reads
+        s = Series("a<b & c", [0.0, 1.0], [0.0, 1.0])
+        out = emit_plot([s], tmp_path / "m.svg", title="S_T & S_B", xlabel="x > 0",
+                        ylabel="<y>")
+        texts = {e.text for e in ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")}
+        assert {"a<b & c", "S_T & S_B", "x > 0", "<y>"} <= texts
+
     def test_matches_per_sample_oracle_with_nonfinite_values(self, tmp_path):
         assert_same_files(nonfinite_series(), tmp_path, title="t", xlabel="x",
                           ylabel="y")
