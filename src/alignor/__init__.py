@@ -30,7 +30,6 @@ from .estimators import (
 )
 from .fitkit import (
     CompositeContourModel,
-    DegenerateFitError,
     FitResult,
     TransitionResult,
     composite_eval,
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BroadeningBudget", "CompositeContourModel", "CouplingParams",
-    "DegenerateFitError", "DemodRecord", "DipoleConfig", "EnsembleParams",
+    "DemodRecord", "DipoleConfig", "EnsembleParams",
     "FitResult", "FlipEvent", "ScanConfig", "ScanRecord", "Series",
     "SignalMix", "StudyConfig", "StudyPreset", "StudyResult",
     "SweepProtocol", "Trajectory", "TransitionResult",

@@ -8,10 +8,11 @@ SweepProtocol, ``instrument.*`` -> ScanConfig, ``physics.*`` ->
 EnsembleParams, ``coupling.*`` -> CouplingParams, ``mix.*`` -> SignalMix
 over the StudyPreset reference loop; ``study.*``/``preset.*`` ->
 StudyConfig); any other key, such as ``ramp.sample_rate`` (a scan is
-sampled at ``instrument.sample_rate``), is a data error.  Exit codes: 0
-success, 1 usage error, 2 data error, 3 fit non-convergence (partial
-output is still printed).  The ALIGNOR_OUT environment variable overrides
-the base output directory.
+sampled at ``instrument.sample_rate``), or a key given twice, is a data
+error.  Exit codes: 0 success, 1 usage error, 2 data error, 3 fit
+non-convergence, the one way a fit fails (partial output is still
+printed); json output writes a missing or non-finite value as null.  The
+ALIGNOR_OUT environment variable overrides the base output directory.
 """
 
 import argparse
@@ -30,7 +31,7 @@ from .estimators import (
     dipole_field,
     ensemble_volume,
 )
-from .fitkit import DegenerateFitError, extract_transition, fit_record
+from .fitkit import extract_transition, fit_record
 from .instrument import lockin_demodulate, synthesize_record
 from .recordio import config_section, load_config, read_record, write_record
 from .study import (
@@ -80,10 +81,11 @@ def _out_dir(args) -> Path:
 
 
 def _emit(rows, fmt: str):
-    """Print (quantity, value, unit) rows as csv or json."""
+    """Print (quantity, value, unit) rows as csv or json (non-finite as null)."""
     if fmt == "json":
-        print(json.dumps({name: {"value": value, "unit": unit}
-                          for name, value, unit in rows}, indent=2))
+        print(json.dumps({name: {"value": value if not isinstance(value, float)
+                                 or math.isfinite(value) else None, "unit": unit}
+                          for name, value, unit in rows}, indent=2, allow_nan=False))
     else:
         print("quantity,value,unit")
         for name, value, unit in rows:
@@ -276,13 +278,10 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(e, file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as e:  # --help / --version paths
+    except SystemExit as e:  # the --help path
         return int(e.code or 0)
     try:
         return args.func(args)
-    except DegenerateFitError as e:
-        print(f"fit failed: {e}", file=sys.stderr)
-        return EXIT_FIT
     # OverflowError: an integer setting or meta value too large for a float
     except (ValueError, KeyError, TypeError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)

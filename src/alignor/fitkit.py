@@ -22,10 +22,6 @@ import math
 import numpy as np
 
 
-class DegenerateFitError(ValueError):
-    """Normal equations stayed singular at maximum damping."""
-
-
 # ---------------------------------------------------------------------------
 # composite contour model
 
@@ -159,24 +155,29 @@ def levenberg_marquardt(fn, jac, x, y, init, *, param_names=None):
     """Damped Gauss-Newton with multiplicative damping (x10 reject, /10 accept).
 
     fn(x, p) evaluates the model, jac(x, p) its (N, P) Jacobian; x is passed
-    through opaquely.  The iteration has two exits: it converges when an
-    accepted step both drops the cost by less than LM_COST_TOL of the cost
-    and moves every parameter by less than LM_STEP_TOL of 1 + |p|, or when
-    no damped step can lower the cost at all.  Neither compares a cost or
-    gradient in the units of y, so scaling y scales the fitted amplitudes
-    and leaves the other parameters; the 1 + |p| is a floor of 1 in each
-    parameter's own units.  Covariance is sigma^2 (J^T J)^+ at the optimum.
+    through opaquely.  The iteration has three exits.  It converges by the
+    relative rule, when an accepted step both drops the cost by less than
+    LM_COST_TOL of the cost and moves every parameter by less than
+    LM_STEP_TOL of 1 + |p|, or when no damped step lowers the cost (a
+    stationary point, such as a zero Jacobian); it stops unconverged at
+    LM_MAX_ITER.  No exit compares a cost or gradient in the units of y, so
+    scaling y scales the fitted amplitudes and leaves the other parameters;
+    the 1 + |p| is a floor of 1 in each parameter's own units.  Covariance
+    is sigma^2 (J^T J)^+ at the optimum.
     """
     res = _lm_descend(fn, jac, x, y, init, param_names)
     return _lm_covariance(res, jac, x, np.size(y), ())
 
 
 def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
-    """The iteration of ``levenberg_marquardt``: its FitResult without the
-    covariance, or None once ``stop(p)`` holds at an accepted iterate p that
-    has not converged.  A cost or Jacobian that is not finite at ``init``
-    (overflowing data or starting values) raises ValueError before any
-    LAPACK call sees it."""
+    """The iteration of ``levenberg_marquardt``, its FitResult without the
+    covariance, with a fourth exit, the merge stop: None once ``stop(p)``
+    holds at an accepted iterate p that has not converged.  A cost or
+    Jacobian not finite at ``init`` (overflowing data or starting values)
+    raises ValueError before any LAPACK call sees it.  A singular damped
+    system only raises the damping: every package model has a constant
+    Jacobian column (its offset), so J^T J + lam diag(scale) is positive
+    definite for every lam > 0."""
     y = np.asarray(y, dtype=float)
     p = np.asarray(init, dtype=float).copy()
     if not np.all(np.isfinite(y)):
@@ -194,16 +195,14 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
     history = [cost]
     converged = False
     warnings = []
-    for it in range(1, LM_MAX_ITER + 1):
+    for _ in range(LM_MAX_ITER):
         jtj = j.T @ j
         jtr = j.T @ r
         scale = np.diag(jtj)
         scale = np.maximum(scale, 1e-12 * scale.max())
-        solvable = False
         while lam <= LM_LAMBDA_MAX:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(scale), jtr)
-                solvable = True
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -221,10 +220,6 @@ def _lm_descend(fn, jac, x, y, init, param_names, stop=None):
                 break
             lam *= 10.0
         else:
-            if not solvable:
-                raise DegenerateFitError(
-                    f"degenerate fit: normal equations singular at "
-                    f"lambda={lam:.1e} after {it} iterations (cost {cost:.3e})")
             converged = True  # no damped step can lower the cost any further
         if converged:
             break
@@ -442,7 +437,7 @@ def fit_record(rec, init=None):
     elif p[5] < 0:
         warnings = warnings + (f"hysteresis_h = {p[5]:.6g} folded to |h|: the model "
                                "does not reproduce the fit (branch labels swapped?)",)
-    p[5] = abs(p[5]) if not single else 0.0
+    p[5] = abs(p[5])
     model = CompositeContourModel(*p)
     return replace(res, params=p, warnings=warnings, model=model)
 

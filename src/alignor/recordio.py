@@ -264,9 +264,9 @@ def parse_config(text: str) -> dict:
     Values are Python literals where possible (numbers, strings, booleans,
     None, lists); comma-separated values become lists, split only on commas
     outside quotes; everything else stays a string.  Lines starting with '#'
-    and blank lines are ignored.
+    and blank lines are ignored.  A key given twice raises ValueError.
     """
-    out = {}
+    out, seen = {}, {}
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -276,6 +276,9 @@ def parse_config(text: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if not key:
             raise ValueError(f"config line {n}: empty key")
+        if key in seen:
+            raise ValueError(f"config line {n}: duplicate key {key!r} (first on line {seen[key]})")
+        seen[key] = n
         try:
             value = _parse_literal(val)
         except (ValueError, SyntaxError):

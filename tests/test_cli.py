@@ -26,10 +26,23 @@ instrument.noise_rms = 0.001
 """
 
 
+def small_config_with(line):
+    """SMALL_CONFIG with ``line`` in place of its own line for that key, if
+    it has one: a config key given twice is a data error."""
+    key = line.partition("=")[0].strip()
+    kept = [ln for ln in SMALL_CONFIG.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def strict_json_constant(name):
+    """json.loads's parse_constant: NaN and Infinity are not JSON."""
+    raise ValueError(f"bare {name} in JSON output")
 
 
 def csv_values(text):
@@ -76,6 +89,12 @@ class TestEstimate:
             assert code == 2
             assert out == ""
             assert "n_atoms" in err
+
+    def test_nonfinite_estimate_is_data_error(self, capsys):
+        code, out, err = run(capsys, "estimate", "dipole", "--n", "nan", "--l-mm", "1")
+        assert code == 2
+        assert out == ""
+        assert "estimate produced a non-finite value" in err
 
     def test_negative_pump_power_is_data_error(self, capsys):
         code, out, err = run(capsys, "estimate", "broadening", "--p-in", "-3")
@@ -240,7 +259,7 @@ class TestPipeline:
         # overflows where it is first used as a float
         huge = "1" + "0" * 400
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text(SMALL_CONFIG + f"ramp.rate = {huge}\n")
+        cfg.write_text(small_config_with(f"ramp.rate = {huge}"))
         code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 2
         assert "too large" in err
@@ -358,9 +377,12 @@ class TestPipeline:
                              str(tmp_path / "demod.txt"))
         assert code == 0, err
         assert err == "warning: single branch: hysteresis fixed at 0\n"
-        vals = {name: v["value"] for name, v in json.loads(out).items()}
+        # strict JSON: the up branch's missing fields are null, never a bare NaN
+        vals = {name: v["value"] for name, v in
+                json.loads(out, parse_constant=strict_json_constant).items()}
         assert vals["converged"] is True and vals["hysteresis_h"] == 0.0
-        assert math.isnan(vals["bx_up"]) and math.isfinite(vals["bx_down"])
+        assert vals["bx_up"] is None and vals["loop_hysteresis"] is None
+        assert math.isfinite(vals["bx_down"])
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", str(tmp_path / "nope.txt"))
@@ -389,12 +411,38 @@ class TestPipeline:
     ])
     def test_simulate_rejects_nonfinite_setting(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text(SMALL_CONFIG + line + "\n")
+        cfg.write_text(small_config_with(line))
         code, out, err = run(capsys, "simulate", "--config", str(cfg),
                              "--out", str(tmp_path))
         assert code == 2
         assert out == ""
         assert f"{field} must be finite" in err
+        assert not (tmp_path / "scan.txt").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("ramp.hold_time = -1", "hold_time must be >= 0"),
+        ("physics.gamma_over_2pi = 0", "gamma_over_2pi must be > 0"),
+        ("physics.relax_ratio_alignment = 0", "relax_ratio_alignment must be > 0"),
+    ])
+    def test_simulate_rejects_out_of_range_setting(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(small_config_with(line))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                             "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not (tmp_path / "scan.txt").exists()
+
+    def test_duplicate_config_key_is_data_error(self, tmp_path, capsys):
+        # SMALL_CONFIG sets ramp.rate on its line 3
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SMALL_CONFIG + "ramp.rate = 50\n")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                             "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "config line 6: duplicate key 'ramp.rate' (first on line 3)" in err
         assert not (tmp_path / "scan.txt").exists()
 
     @pytest.mark.parametrize("value, message", [

@@ -57,6 +57,10 @@ class TestPredictFlipField:
         resid = b0 - (res.params[0] + res.params[1] / chi)
         assert np.sqrt(np.mean(resid**2)) < 0.05 * (b0.max() - b0.min())
 
+    def test_nonpositive_m0_is_value_error(self):
+        with pytest.raises(ValueError, match="m0 must be > 0"):
+            predict_flip_field(replace(P, m0=0.0), CouplingParams(kappa=5.0, my0=0.0))
+
     def test_unreachable_threshold(self):
         with pytest.raises(UnreachableThresholdError):
             predict_flip_field(replace(P, m0=0.05), CouplingParams(kappa=5.0, my0=0.1))

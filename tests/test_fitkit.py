@@ -10,7 +10,6 @@ from alignor.fitkit import (
     COMPOSITE_PARAM_NAMES,
     TRENDS,
     CompositeContourModel,
-    DegenerateFitError,
     _arctan_fn,
     _arctan_jac,
     _composite_fn,
@@ -263,6 +262,27 @@ class TestLevenbergMarquardt:
         y = _lorentz_fn(x, [1.0, 1.0, 0.0])
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             levenberg_marquardt(_lorentz_fn, _lorentz_jac, x, y, [1.0, 0.0, 0.0])
+
+    def test_zero_jacobian_ends_at_the_stationary_start(self):
+        # every damped system J^T J + lam diag(scale) is zero, so no step
+        # lowers the cost: the start is stationary, and its parameters are
+        # unidentifiable
+        x = np.linspace(0.0, 1.0, 10)
+        res = levenberg_marquardt(lambda x, p: np.zeros(x.size),
+                                  lambda x, p: np.zeros((x.size, 2)), x, x, [1.0, 2.0])
+        assert res.converged and res.iterations == 0
+        assert res.params.tolist() == [1.0, 2.0]
+        assert res.unidentifiable == ("p0", "p1")
+
+    def test_every_package_model_has_a_constant_jacobian_column(self):
+        # the offset column keeps J^T J + lam diag(scale) positive definite,
+        # so a singular damped system only raises the damping; a single
+        # branch zeroes the hysteresis column, not this one
+        x = np.linspace(-3.0, 3.0, 20)
+        sigma = np.where(x < 0, 1.0, -1.0)
+        for j in (_composite_jac((x, sigma), self.TRUE.free_params()),
+                  _arctan_jac(x, [1.2, 0.8, -0.3]), _lorentz_jac(x, [2.0, 1.5, 0.5])):
+            assert np.all(j[:, -1] == 1.0)
 
     def test_overflowing_cost_is_value_error(self):
         # finite data whose squared residual overflows: before the fix the
@@ -619,6 +639,10 @@ class TestFitTrend:
         assert res.residual_rms > 0.0
         assert math.sqrt(np.mean(resid**2)) == pytest.approx(res.residual_rms,
                                                              rel=1e-9)
+
+    def test_mismatched_lengths_is_value_error(self):
+        with pytest.raises(ValueError, match="x and y must be matching 1-d arrays"):
+            fit_trend(np.arange(5.0), np.arange(6.0), "linear")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

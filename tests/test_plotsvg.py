@@ -169,6 +169,12 @@ class TestEmitPlot:
         with pytest.raises(ValueError):
             Series("empty", np.array([]), np.array([]))
 
+    def test_all_nonfinite_values_rejected(self, tmp_path):
+        s = Series("nan", np.array([0.0, 1.0]), np.array([np.nan, np.nan]))
+        with pytest.raises(ValueError, match="all series values are non-finite"):
+            emit_plot([s], tmp_path / "n.svg")
+        assert not (tmp_path / "n.svg").exists()
+
     def test_constant_series_does_not_crash(self, tmp_path):
         s = Series("flat", np.array([1.0, 2.0]), np.array([3.0, 3.0]))
         out = emit_plot([s], tmp_path / "f.svg")

@@ -180,6 +180,12 @@ def demod_record(scan_record):
 
 
 class TestStrictBody:
+    def test_columns_of_unequal_length_are_not_written(self, tmp_path):
+        f = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match=re.escape(f"{f}: expected 2 columns of one length")):
+            write_table(f, [], ("a", "b"), [np.zeros(3), np.zeros(4)])
+        assert not f.exists()
+
     def test_truncated_scan_is_data_error_naming_the_line(self, scan_record,
                                                           tmp_path, capsys):
         f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
@@ -311,6 +317,13 @@ class TestStrictPointsHeader:
 
 
 class TestStrictHeader:
+    def test_unknown_record_kind_is_value_error(self, scan_record, tmp_path):
+        f = write_record(scan_record, tmp_path / "scan.txt")
+        n = _line_no(f, "# kind:")
+        f.write_bytes(f.read_bytes().replace(b"# kind: scan\n", b"# kind: ring\n", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: unknown record kind 'ring'")):
+            read_record(f)
+
     @pytest.mark.parametrize("extra", [
         "garbage line", "# metaX = 1", "#meta.x = 1", "# meta.x =1", "# meta.a0 = 2.0",
         "# kind: scan", "# kind: demod"])
@@ -499,3 +512,10 @@ class TestConfig:
             parse_config("no equals sign here")
         with pytest.raises(ValueError):
             parse_config("= orphan value")
+
+    def test_duplicate_key_is_value_error(self):
+        # the last value does not silently win, as a record's meta key
+        # given twice does not either
+        with pytest.raises(ValueError, match=re.escape(
+                "config line 4: duplicate key 'ramp.rate' (first on line 2)")):
+            parse_config("# sweep\nramp.rate = 0.8\nramp.bx_end = 5.0\nramp.rate = 50\n")
