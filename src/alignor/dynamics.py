@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .estimators import circular_power
+from .estimators import MAX_ELLIPTICITY_DEG, circular_power
 from .spincore import EnsembleParams, reject_nonfinite
 
 # 10-90% fraction of the half-period of a raised-cosine step
@@ -92,8 +92,8 @@ class SweepProtocol:
             raise ValueError("bx_start and bx_end must differ")
         if self.direction_pattern not in ("up", "down", "triangle"):
             raise ValueError("direction_pattern must be up, down or triangle")
-        if self.ellipticity_deg is not None and abs(self.ellipticity_deg) > 45.0:
-            raise ValueError("|ellipticity_deg| must be <= 45")
+        if self.ellipticity_deg is not None and abs(self.ellipticity_deg) > MAX_ELLIPTICITY_DEG:
+            raise ValueError(f"|ellipticity_deg| must be <= {MAX_ELLIPTICITY_DEG:g}")
         if self.hold_time < 0:
             raise ValueError("hold_time must be >= 0")
 

@@ -16,6 +16,8 @@ MU_0 = 1.25663706127e-06          # N/A^2, vacuum magnetic permeability
 BOHR_MAGNETON = 9.2740100657e-24  # J/T
 
 DEG = math.pi / 180.0
+ZERO_CELSIUS_K = 273.15     # K
+MAX_ELLIPTICITY_DEG = 45.0  # |chi| of circular light
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class DipoleConfig:
 
 def circular_power(p_in: float, chi_deg: float) -> float:
     """Power of the circular pump component, p_in * sin|2*chi| (mW)."""
-    if abs(chi_deg) > 45.0:
-        raise ValueError("|chi_deg| must be <= 45")
+    if abs(chi_deg) > MAX_ELLIPTICITY_DEG:
+        raise ValueError(f"|chi_deg| must be <= {MAX_ELLIPTICITY_DEG:g}")
     return p_in * math.sin(abs(2.0 * chi_deg) * DEG)
 
 
@@ -117,11 +119,11 @@ def cs_vapor_pressure_pa(t_celsius: float) -> float:
     """
     if not 0.0 <= t_celsius <= 250.0:
         raise ValueError("temperature outside the 0-250 C liquid-phase window")
-    t = t_celsius + 273.15
+    t = t_celsius + ZERO_CELSIUS_K
     return ATMOSPHERE * 10.0 ** (8.232 - 4062.0 / t - 1.3359 * math.log10(t))
 
 
 def cs_number_density(t_celsius: float) -> float:
     """Saturated Cs vapor number density in cm^-3 (ideal gas)."""
-    t = t_celsius + 273.15
+    t = t_celsius + ZERO_CELSIUS_K
     return cs_vapor_pressure_pa(t_celsius) / (BOLTZMANN * t) * 1e-6

@@ -282,13 +282,6 @@ def _check_branch(name, bx, **columns):
             raise ValueError(f"{name} branch has a non-finite {col}")
 
 
-def _smooth(y, n):
-    if n < 2:
-        return y
-    k = np.ones(n) / n
-    return np.convolve(y, k, mode="same")
-
-
 def _half_max_run(y, i):
     """(lo, hi), the run of samples around i where |y| stays above half of
     |y[i]|."""
@@ -316,9 +309,9 @@ def _initial_guess(bx, sigma, y):
     xu, yu, xd, yd = bx[up][ref], y[up][ref], bx[down], y[down]
     order = np.argsort(xd)
     yd_i = np.interp(xu, xd[order], yd[order])
-    n = max(xu.size // 50, 1)
-    avg = _smooth(0.5 * (yu + yd_i), n)
-    diff = _smooth(yu - yd_i, n)
+    # raw, not smoothed: a zero-padded average sags at the ends when offset != 0
+    avg = 0.5 * (yu + yd_i)
+    diff = yu - yd_i
     offset = float(np.median(avg))
 
     b_up, b_dn = (float(x[np.argmax(np.abs(np.gradient(v, x)))])
@@ -518,8 +511,8 @@ def extract_transition(rec) -> TransitionResult:
     The transition on each branch sits at the maximum of |ds/dbx|; it counts
     only if that slope exceeds TRANSITION_SLOPE_FACTOR times the robust
     baseline slope noise.  The duration is the 10-90% rise time of the level
-    change on the record's own time base, deconvolved (in quadrature) from
-    the instrument response ``meta["response_time"]`` when the record has
+    change on the record's own time base, with the instrument response
+    ``meta["response_time"]`` removed in quadrature when the record has
     one.  ``rec`` must expose the demod columns bx, branch, s and t; a
     record of one branch, up or down, has only that branch's transition,
     and the other field is NaN.  A record without transitions yields a

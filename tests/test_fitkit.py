@@ -326,11 +326,11 @@ class TestFitRecord:
         assert np.all(np.abs(moved.params - want) <= 1e-6 * np.maximum(np.abs(want), floor))
 
     def test_later_starts_merge_and_covariance_formed_once(self, monkeypatch):
-        # the second start converges to another minimum (negative w_sym and
-        # h), the third comes within LM_MERGE_TOL of the first start's
-        # minimum and stops, the fourth runs to the iteration cap.  Run to
-        # the end, the third start polishes the same minimum and wins by a
-        # rounding-level cost, so the four full runs agree to 1e-7
+        # the first start converges to a folded minimum (h < 0, rms 0.00233)
+        # and the second comes within LM_MERGE_TOL of it and stops; the third
+        # converges near the truth (rms 0.00045) and wins, and the fourth
+        # stops at that minimum.  Run to the end, the merged starts polish
+        # the minima they stopped at, so the four full runs agree to 1e-7
         descend, covariance = fitkit._lm_descend, fitkit._lm_covariance
         descents, tails = [], []
 
@@ -346,8 +346,8 @@ class TestFitRecord:
         monkeypatch.setattr(fitkit, "_lm_covariance", spy_covariance)
         rec = make_record(self.TRUE, noise=0.0005, seed=1)
         res = fit_record(rec)
-        assert [d is None for d in descents] == [False, False, True, False]
-        assert tails == [descents[0]]
+        assert [d is None for d in descents] == [False, True, False, True]
+        assert tails == [descents[2]]
         ref = fit_record_all_starts(rec)
         assert res.converged and ref.converged
         assert res.residual_rms == pytest.approx(ref.residual_rms, rel=1e-9)
@@ -479,6 +479,21 @@ class TestFitRecord:
                         for k in (slice(None), slice(None, None, -1)))
             assert fwd.tobytes() == rev.tobytes()
 
+    def test_first_start_does_not_depend_on_offset(self):
+        # the branch average and difference are read as measured, so an
+        # offset moves only the offset guess: no extremum of the odd part is
+        # pulled to a scan end, where it would set w_anti near the scan span
+        guesses = {}
+        for c in (0.0, -0.174, 0.5, -2.0):
+            m = CompositeContourModel(0.05, 2.2994384765625, 0.150390625, 2.830078125,
+                                      -0.203125, 0.566015625, c)
+            rec = make_record(m)
+            guesses[c] = fitkit._initial_guess(rec.bx, rec.branch, rec.s)
+        base = guesses[0.0]
+        for c, g in guesses.items():
+            assert g[:6] == pytest.approx(base[:6], rel=1e-9, abs=0.0)
+            assert g[6] == pytest.approx(base[6] + c, rel=1e-9, abs=0.0)
+
     def test_single_branch_leaves_init_untouched(self):
         rec = make_record(self.TRUE, noise=0.0005, seed=4)
         for sign in self.SIGNS:
@@ -544,6 +559,34 @@ class TestExtractTransition:
         res = extract_transition(rec)
         assert res.monostable
         assert math.isnan(res.bx_up)
+
+    def test_short_branch_is_searched_to_its_ends(self):
+        # a branch of 7 rows or fewer keeps no filter edge, so a step in its
+        # first rows is found; a 3-row edge would leave only row 3 to search
+        bx, t = np.arange(7.0), 0.1 * np.arange(7)
+        s = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        res = extract_transition(branch_record((bx, s, t)))
+        assert not res.monostable
+        assert res.bx_up == 1.0
+
+    def test_spike_on_a_flat_baseline_is_no_transition(self):
+        # the slope peaks beside the spike, but the levels before and after
+        # it are equal, so there is no level change to time
+        bx = np.linspace(-5.0, 5.0, 201)
+        s = np.zeros(bx.size)
+        s[100] = 1.0
+        res = extract_transition(branch_record((bx, s, 0.01 * np.arange(bx.size))))
+        assert res.monostable
+
+    def test_step_within_one_sample_is_timed_within_it(self):
+        # a steep step on a sloped background: no sample at or before the
+        # peak-slope one reaches the 10% level, so that crossing falls back
+        # to the peak sample and the width stays inside one sample
+        bx = np.linspace(-5.0, 5.0, 201)
+        s = np.tanh((bx - 0.02) / 0.005) + 0.05 * bx
+        res = extract_transition(branch_record((bx, s, 0.01 * np.arange(bx.size))))
+        assert res.bx_up == pytest.approx(0.0, abs=1e-12)
+        assert 0.0 < res.dt < 0.01
 
 
 class TestFitTrend:

@@ -180,6 +180,14 @@ class TestEmitPlot:
         out = emit_plot([s], tmp_path / "f.svg")
         assert out.exists()
 
+    def test_flat_x_axis_draws_the_series_mid_plot(self, tmp_path):
+        # every x equal: the axis spans x +- 1, so the points sit at the
+        # middle of the 560 px plot area, which starts 64 px in
+        s = Series("vertical", np.array([2.0, 2.0, 2.0]), np.array([0.0, 1.0, 3.0]))
+        root = ET.parse(emit_plot([s], tmp_path / "v.svg")).getroot()
+        line, = root.findall("{http://www.w3.org/2000/svg}polyline")
+        assert {p.split(",")[0] for p in line.get("points").split()} == {"344.00"}
+
     @pytest.mark.parametrize("x, y, axis", [
         ([0.0, 1.0, 2.0], [-1.5e308, 1.5e308, 0.0], "y"),
         ([-1.5e308, 1.5e308], [0.0, 1.0], "x"),

@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from alignor.dynamics import CouplingParams, SweepProtocol, latch_scan
@@ -410,8 +410,23 @@ def identifiable_contours(draw):
         offset=draw(st.floats(-0.5, 0.5)))
 
 
-@settings(max_examples=25, deadline=None)
-@given(identifiable_contours())
+@st.composite
+def recoverable_contours(draw):
+    """A region strictly wider than identifiable_contours' that fit_record
+    recovers from noiseless data: a_anti 0.03-0.3, a_sym 0.1-0.3, w_sym
+    1.5-4 nT, w_anti within 0.67-1.5 of w_sym, hysteresis 0.1-0.8 of w_sym,
+    center +-1 and offset +-5."""
+    f = st.floats
+    w_sym = draw(f(1.5, 4.0))
+    return CompositeContourModel(
+        a_anti=draw(f(0.03, 0.3)), w_anti=w_sym * draw(f(0.67, 1.5)),
+        a_sym=draw(f(0.1, 0.3)), w_sym=w_sym, center=draw(f(-1.0, 1.0)),
+        hysteresis_h=w_sym * draw(f(0.1, 0.8)), offset=draw(f(-5.0, 5.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(recoverable_contours())
+@example(CompositeContourModel(0.11, 2.5, 0.1, 2.0, 0.0, 0.75, -2.0))
 def test_fit_record_recovers_noiseless_contour(model):
     res = fit_record(_noiseless_record(model))
     assert res.converged
@@ -479,6 +494,13 @@ unit_factors = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
 @settings(max_examples=20, deadline=None)
 @given(identifiable_contours(), st.floats(1e-3, 2e-2), st.integers(0, 2 ** 32 - 1),
        unit_factors)
+@example(CompositeContourModel(0.125, 2.53125, 0.25, 2.25, 0.375, 0.4921875, 0.0),
+         0.015625, 375, 10.0)
+@example(CompositeContourModel(0.05, 2.2994384765625, 0.150390625, 2.830078125,
+                               -0.203125, 0.566015625, -0.173828125),
+         0.015609587132432948, 1, 10.0)
+@example(CompositeContourModel(0.0625, 1.6015625, 0.15234375, 2.0, 0.0, 0.40625, 0.0),
+         0.015625, 433, 10.0)
 def test_fit_record_does_not_depend_on_signal_units(model, noise, seed, k):
     # k * s fits to the widths, center and hysteresis of s, with a_anti,
     # a_sym and offset scaled by k; center and offset can sit near zero, so
