@@ -105,10 +105,12 @@ def record_meta(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
 def config_from_meta(meta: dict):
     """Inverse of record_meta: rebuild the config/parameter objects.
 
-    Records older than ``relax_ratio_alignment`` replay with its default;
-    keys of no current field (an old ``back_action`` or ``mode``) are not
-    read."""
-    meta = {"relax_ratio_alignment": 1.0, **meta}
+    A meta that lacks a settings field raises ValueError naming every one
+    it lacks; keys of no current field (an old ``back_action`` or ``mode``)
+    are not read."""
+    settings = (ScanConfig, SweepProtocol, EnsembleParams, CouplingParams, SignalMix)
+    if missing := [n for cls in settings for n in settings_fields(cls) if n not in meta]:
+        raise ValueError(f"record meta lacks the settings field(s) {', '.join(missing)}")
 
     def build(cls, **given):
         return cls(**{name: meta[name] for name in settings_fields(cls)}, **given)

@@ -9,11 +9,10 @@ of little-endian float64, one column after another, so ``head scan.txt``
 shows the header and nothing below it is text.  A record's columns are
 its array fields in order (a demod ``branch`` is +1.0 on the up rows,
 which come first, and -1.0 on the down rows), so a record is written and
-read as it is held.  v1 records, with a text body (``branch`` the word
-``up`` or ``down``), still read and are rewritten as v2.  write -> read
--> write is byte-identical, and a malformed header or body raises
-ValueError naming the file and the line (or, from the ``# body:`` line
-on, the byte offset).  Configs are flat ``section.key = value`` files.
+read as it is held.  write -> read -> write is byte-identical, and a
+malformed header or body raises ValueError naming the file and the line
+(or, from the ``# body:`` line on, the byte offset).  Configs are flat
+``section.key = value`` files.
 """
 
 import ast
@@ -33,14 +32,14 @@ _BODY = "# body: "
 _BODY_LINE = re.compile(_BODY.encode() + rb"f8-le (0|[1-9][0-9]*)\n")
 _KIND_LINE = re.compile(r"# kind: (.*)")
 _META_LINE = re.compile(r"# meta\.([^\s=]+) = (.*)")
+# the types of a meta value as read and written: the repr of each is its literal
+_META_TYPES = (str, int, float, bool, type(None))
 
 SCAN_COLUMNS = ("t", "bx_ramp", "st_raw", "sb_raw", "direction")
 DEMOD_COLUMNS = ("bx", "st", "sb_demod", "t", "branch")
 # record kind -> (record type, whose array fields are the columns in file
-# order, then meta; column names; loadtxt converters of the words in a v1
-# text body)
-_LAYOUTS = {"scan": (ScanRecord, SCAN_COLUMNS, None),
-            "demod": (DemodRecord, DEMOD_COLUMNS, {4: {"up": 1.0, "down": -1.0}.__getitem__})}
+# order, then meta; column names)
+_LAYOUTS = {"scan": (ScanRecord, SCAN_COLUMNS), "demod": (DemodRecord, DEMOD_COLUMNS)}
 
 
 def _column_length(path, names, columns) -> int:
@@ -140,26 +139,6 @@ def read_table(path, parse_header):
     raise ValueError(f"{path}: malformed table body")
 
 
-def _plain(v):
-    """v with numpy scalars, also inside lists, tuples and dicts, turned
-    into the Python scalars whose repr is a literal."""
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
-        return int(v)
-    if isinstance(v, np.generic):
-        return v.item()
-    if isinstance(v, (list, tuple)):
-        return (list if isinstance(v, list) else tuple)(map(_plain, v))
-    if isinstance(v, dict):
-        return {_plain(k): _plain(x) for k, x in v.items()}
-    return v
-
-
-def _format_value(v):
-    return repr(_plain(v))
-
-
 class _NonFinite(ast.NodeTransformer):
     """Turn the bare names nan and inf, which repr writes for non-finite
     floats and literal_eval rejects, into float constants."""
@@ -179,10 +158,9 @@ def _parse_header(path, lines):
     sig = re.fullmatch(_MAGIC + " v([0-9]+)", lines[0]) if lines else None
     if sig is None:
         raise ValueError(f"{path}:1: not a record file: missing signature line")
-    version = int(sig.group(1))
-    if version not in (1, 2):
+    if (version := int(sig.group(1))) != 2:
         raise ValueError(f"{path}:1: unsupported record format version {version} "
-                         "(supported: 1, 2)")
+                         "(supported: 2)")
     kind, meta = None, {}
     for n, ln in enumerate(lines[1:], start=2):
         if m := _KIND_LINE.fullmatch(ln):
@@ -202,36 +180,31 @@ def _parse_header(path, lines):
                              f"'# meta.<key> = <literal>', got {ln!r}") from None
         if m[1] in meta:
             raise ValueError(f"{path}:{n}: duplicate meta key {m[1]!r}")
-        try:
-            written = _meta_line(m[1], value)
-        except ValueError:
-            written = None
-        if written != ln:
+        if type(value) not in _META_TYPES or repr(value) != m[2]:
             raise ValueError(f"{path}:{n}: {ln!r} would not be written back as itself")
         meta[m[1]] = value
     if kind is None:
         raise ValueError(f"{path}:2: missing '# kind:' line")
-    return (kind, meta), *_LAYOUTS[kind][1:], version == 2
+    return (kind, meta), _LAYOUTS[kind][1], None, True
 
 
 def _meta_line(key, value) -> str:
-    """The ``# meta.<key> = <literal>`` line of one meta item; a key or a
-    value that would not read back as itself raises ValueError."""
-    line = f"# meta.{key} = {(text := _format_value(value))}"
-    try:  # the repr of a str, int, float, bool or None is its literal
-        if isinstance(key, str) and _META_LINE.fullmatch(line)[1] == key and (
-                type(value) in (str, int, float, bool, type(None))
-                or _format_value(_parse_literal(text)) == text):
-            return line
-    except (TypeError, ValueError, SyntaxError):
-        pass
-    raise ValueError(f"meta key {key!r}: {text} does not read back as a literal")
+    """The ``# meta.<key> = <literal>`` line of one meta item, whose value is
+    a str, int, float, bool or None, or a numpy scalar of one, written as
+    the repr of its ``.item()``; any other value, or a key that would not
+    read back as itself, raises ValueError."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    line = f"# meta.{key} = {value!r}"
+    if type(value) in _META_TYPES and (m := _META_LINE.fullmatch(line)) and m[1] == key:
+        return line
+    raise ValueError(f"meta key {key!r}: {value!r} does not read back as a literal")
 
 
 def write_record(rec, path) -> Path:
     """Serialize a ScanRecord or a DemodRecord as format v2 (binary body),
     its array fields as the columns."""
-    kind = next((k for k, (cls, *_) in _LAYOUTS.items() if isinstance(rec, cls)), None)
+    kind = next((k for k, (cls, _) in _LAYOUTS.items() if isinstance(rec, cls)), None)
     if kind is None:
         raise TypeError(f"cannot serialize {type(rec).__name__}")
     header = [f"{_MAGIC} v2", f"# kind: {kind}",
@@ -243,7 +216,7 @@ def write_record(rec, path) -> Path:
 def read_record(path):
     """Read a record file back into a ScanRecord or DemodRecord."""
     (kind, meta), body = read_table(path, _parse_header)
-    # v1 words read as +-1.0; branch is the last column, the file's last bytes
+    # branch is the last column, the file's last bytes
     if kind == "demod" and (bad := np.flatnonzero(np.abs(body[:, 4]) != 1.0)).size:
         raise ValueError(f"{path}: byte {os.path.getsize(path) - 8 * (len(body) - bad[0])}: "
                          f"branch {float(body[bad[0], 4])!r} is neither 1.0 (up) nor -1.0 (down)")
@@ -254,17 +227,14 @@ def read_record(path):
 # flat dotted-key config files
 
 
-# one comma-separated list item; quoted strings may hold commas
-_LIST_ITEM = re.compile(r"""(?:'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*"|[^,])+""")
-
-
 def parse_config(text: str) -> dict:
     """Parse ``section.key = value`` lines into a flat dict.
 
-    Values are Python literals where possible (numbers, strings, booleans,
-    None, lists); comma-separated values become lists, split only on commas
-    outside quotes; everything else stays a string.  Lines starting with '#'
-    and blank lines are ignored.  A key given twice raises ValueError.
+    A value is one Python literal where it parses as one (a number, a
+    string, a boolean, None or a list; ``0.25, 0.55`` is a tuple literal
+    and becomes a list), else the bare string as written.  Lines starting
+    with '#' and blank lines are ignored.  A key given twice raises
+    ValueError.
     """
     out, seen = {}, {}
     for n, raw in enumerate(text.splitlines(), start=1):
@@ -282,18 +252,9 @@ def parse_config(text: str) -> dict:
         try:
             value = _parse_literal(val)
         except (ValueError, SyntaxError):
-            # not one literal: bare words, maybe a list mixed with literals
-            value = val if "," not in val else [
-                _parse_scalar(v.strip()) for v in _LIST_ITEM.findall(val) if v.strip()]
+            value = val
         out[key] = list(value) if isinstance(value, tuple) else value
     return out
-
-
-def _parse_scalar(s: str):
-    try:
-        return _parse_literal(s)
-    except (ValueError, SyntaxError):
-        return s
 
 
 def config_section(flat: dict, prefix: str, base):

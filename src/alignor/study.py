@@ -153,6 +153,9 @@ class StudyConfig:
         reject_nonint(self, "seed")
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"kind must be one of {STUDY_KINDS}, got {self.kind!r}")
+        if not all(isinstance(g, (int, float, np.integer, np.floating))
+                   and not isinstance(g, bool) and math.isfinite(g) for g in self.grid):
+            raise ValueError(f"grid values must be finite real numbers, got {self.grid!r}")
         grid = tuple(float(g) for g in self.grid)
         if not grid:
             raise ValueError("grid must not be empty")
@@ -160,8 +163,6 @@ class StudyConfig:
             raise ValueError("a 'single' study takes exactly one grid value")
         if len(set(grid)) != len(grid):
             raise ValueError("grid values must be unique")
-        if not all(math.isfinite(g) for g in grid):
-            raise ValueError("grid values must be finite")
         object.__setattr__(self, "grid", grid)
 
 

@@ -530,6 +530,18 @@ class TestStudyAndReport:
         assert message in err
         assert not (tmp_path / "study").exists()
 
+    @pytest.mark.parametrize("value", ["True", "0.1, foo"])
+    def test_study_rejects_grid_value_that_is_not_a_number(self, tmp_path, capsys, value):
+        # True used to run as x = 1.0; a bare word, a message naming no setting
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"study.grid = {value}\n")
+        code, out, err = run(capsys, "study", "--config", str(cfg),
+                             "--out", str(tmp_path / "study"))
+        assert code == 2
+        assert out == ""
+        assert "grid values must be finite real numbers" in err
+        assert not (tmp_path / "study").exists()
+
     @pytest.mark.parametrize("value", ["3.7", "True"])
     def test_study_rejects_noninteger_seed(self, tmp_path, capsys, value):
         # a float seed used to be truncated and a bool run as seed 1

@@ -1,11 +1,11 @@
-"""Property tests: record, points-table, trends-table and config round
-trips, replay of a scan from the meta of its file, scalar oracles vs grids,
-each grid's selected components vs the columns of its full result,
-latch invariants, the closed-form grid solver, the per-flip latch and the
-unit-vector trend designs against their slow or hand-written oracles (the
-batched LAPACK solve, the per-sample loop, the explicit design matrices),
-composite-contour recovery by fit_record, and fits that do not depend on
-the units of the signal."""
+"""Property tests: record, scalar record meta, points-table, trends-table
+and config round trips, replay of a scan from the meta of its file,
+scalar oracles vs grids, each grid's selected components vs the columns
+of its full result, latch invariants, the closed-form grid solver, the
+per-flip latch and the unit-vector trend designs against their slow or
+hand-written oracles (the batched LAPACK solve, the per-sample loop, the
+explicit design matrices), composite-contour recovery by fit_record, and
+fits that do not depend on the units of the signal."""
 
 from dataclasses import fields, replace
 from itertools import permutations
@@ -138,6 +138,36 @@ def test_demod_record_round_trip(rec):
     assert signature == b"# alignor-record v2"
     for name in ("bx", "st", "s", "t", "branch"):
         assert getattr(back, name).tobytes() == getattr(rec, name).tobytes()
+
+
+# meta keys are UTF-8 text with no whitespace and no '='; meta values are
+# every scalar a record holds, Python's and numpy's, with the floats a repr
+# must keep apart
+META_KEYS = st.text(st.characters(codec="utf-8", exclude_characters="="), min_size=1).filter(
+    lambda k: not any(c.isspace() for c in k))
+META_FLOATS = RECORD_FLOATS.map(float)
+META_VALUES = st.one_of(
+    META_FLOATS, st.integers(), st.booleans(), st.none(),
+    st.text(), st.text(alphabet="'\"\\\n\r\t ,=é€😀\x00\u2028"),
+    st.floats(width=32).map(np.float32), META_FLOATS.map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(META_KEYS, META_VALUES, max_size=6))
+def test_scalar_meta_round_trip(meta):
+    rec = ScanRecord(*np.zeros((5, 2)), meta=meta)
+    with tempfile.TemporaryDirectory() as tmp:
+        f1, f2 = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+        write_record(rec, f1)
+        back = read_record(f1).meta
+        write_record(replace(rec, meta=back), f2)
+        assert f1.read_bytes() == f2.read_bytes()
+    assert back.keys() == meta.keys()
+    for key, value in meta.items():
+        value = value.item() if isinstance(value, np.generic) else value
+        # repr tells -0.0 from 0.0 and matches NaN with NaN
+        assert type(back[key]) is type(value) and repr(back[key]) == repr(value)
 
 
 @st.composite

@@ -11,16 +11,13 @@ from alignor.dynamics import CouplingParams, SweepProtocol
 from alignor.instrument import (
     DemodRecord,
     ScanConfig,
-    ScanRecord,
     config_from_meta,
     lockin_demodulate,
     synthesize_from_meta,
     synthesize_record,
 )
 from alignor.recordio import (
-    DEMOD_COLUMNS,
     SCAN_COLUMNS,
-    _format_value,
     parse_config,
     read_record,
     write_record,
@@ -100,23 +97,11 @@ class TestRecordFile:
         with pytest.raises(TypeError):
             write_record({"not": "a record"}, tmp_path / "x.txt")
 
-    def test_nested_numpy_meta_round_trip(self, scan_record, tmp_path):
-        # numpy scalars inside containers are written as Python literals,
-        # not as their numpy 2 repr (np.float64(1.5)), which read rejects
-        rec = replace(scan_record, meta={**scan_record.meta, "lst": [np.float64(1.5)],
-                                         "tup": (np.int64(2), [np.float32(0.5)]),
-                                         "dct": {"on": np.bool_(True)}})
-        f1 = write_record(rec, tmp_path / "rec.txt")
-        assert b"# meta.lst = [1.5]\n" in f1.read_bytes()
-        back = read_record(f1)
-        assert back.meta["lst"] == [1.5]
-        assert back.meta["tup"] == (2, [0.5]) and back.meta["dct"] == {"on": True}
-        f2 = write_record(back, tmp_path / "rec2.txt")
-        assert f1.read_bytes() == f2.read_bytes()
-
-    @pytest.mark.parametrize("value", [np.array([1.0, 2.0]), object()],
-                             ids=["ndarray", "object"])
+    @pytest.mark.parametrize("value", [
+        np.array([1.0, 2.0]), object(), [np.float64(1.5)], (np.int64(2), [np.float32(0.5)]),
+        {"on": np.bool_(True)}], ids=["ndarray", "object", "list", "tuple", "dict"])
     def test_meta_that_does_not_read_back_is_refused(self, scan_record, tmp_path, value):
+        # a meta value is a scalar: containers, even of numpy scalars, are refused
         f = tmp_path / "rec.txt"
         with pytest.raises(ValueError, match="meta key 'bad'"):
             write_record(replace(scan_record, meta={**scan_record.meta, "bad": value}), f)
@@ -147,6 +132,13 @@ class TestRecordFile:
             assert getattr(replay, name).tobytes() == getattr(scan_record, name).tobytes()
         assert replay.meta == scan_record.meta
 
+    def test_meta_without_a_setting_does_not_replay(self, scan_record):
+        meta = {k: v for k, v in scan_record.meta.items()
+                if k not in ("relax_ratio_alignment", "seed")}
+        with pytest.raises(ValueError, match=re.escape(
+                "record meta lacks the settings field(s) seed, relax_ratio_alignment")):
+            config_from_meta(meta)
+
 
 def _line_no(path, prefix):
     """1-based number of the first line of ``path`` that starts with ``prefix``."""
@@ -154,24 +146,14 @@ def _line_no(path, prefix):
     return next(n for n, ln in enumerate(lines, start=1) if ln.startswith(prefix.encode()))
 
 
-def _v1_header(kind, meta):
-    return ["# alignor-record v1", f"# kind: {kind}",
-            *(f"# meta.{k} = {_format_value(meta[k])}" for k in sorted(meta))]
-
-
-def _write_v1_scan(rec, path):
-    """Write ``rec`` as format v1 did: the same header under a v1 signature,
-    then a text body of repr floats."""
-    return write_table(path, _v1_header("scan", rec.meta), SCAN_COLUMNS,
-                       [getattr(rec, c) for c in SCAN_COLUMNS])
-
-
-def _write_v1_demod(rec, path):
-    """Write ``rec`` as format v1 did: a text body of repr floats with the
-    words ``up`` and ``down`` in the branch column."""
-    branch = np.where(rec.branch > 0, "up", "down")
-    return write_table(path, _v1_header("demod", rec.meta), DEMOD_COLUMNS,
-                       [rec.bx, rec.st, rec.s, rec.t, branch])
+def _points_rows(tmp_path):
+    """A points table in ``tmp_path`` of six rows, each 17 distinct floats
+    and a ``fit_converged`` of 1.0; its path and its lines."""
+    points = [StudyPoint(*(0.1 * i + 1e-3 * k + 1.0 / 7 for k in range(17)),
+                         fit_converged=True) for i in range(6)]
+    f = tmp_path / "points.txt"
+    _write_points_table(StudyConfig("chi_grid", tuple(pt.x for pt in points)), points, f)
+    return f, f.read_text().splitlines()
 
 
 @pytest.fixture
@@ -186,46 +168,44 @@ class TestStrictBody:
             write_table(f, [], ("a", "b"), [np.zeros(3), np.zeros(4)])
         assert not f.exists()
 
-    def test_truncated_scan_is_data_error_naming_the_line(self, scan_record,
-                                                          tmp_path, capsys):
-        f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
-        f.write_bytes(f.read_bytes()[:2000])
+    def test_truncated_table_is_data_error_naming_the_line(self, tmp_path, capsys):
+        f, lines = _points_rows(tmp_path)
+        f.write_text(f.read_text()[:-len(lines[-1]) // 2])  # cut the last row
         lines = f.read_text().splitlines()
-        assert len(lines[-1].split()) != 5  # the cut leaves a ragged last row
-        assert main(["demod", str(f), "--out", str(tmp_path)]) == 2
+        assert len(lines[-1].split()) != 18  # the cut leaves a ragged last row
+        assert main(["report", str(tmp_path)]) == 2
         assert f"{f}:{len(lines)}:" in capsys.readouterr().err
-        assert not (tmp_path / "demod.txt").exists()
+        assert not (tmp_path / "trends.txt").exists()
 
-    def test_ragged_body_with_divisible_token_count(self, demod_record, tmp_path):
-        # a 3-field row then a 7-field row: 10 tokens, so a reshape to five
+    def test_ragged_body_with_divisible_token_count(self, tmp_path, capsys):
+        # a 3-field row then a 33-field row: 36 tokens, so a reshape to 18
         # columns alone would accept the body
-        f = _write_v1_demod(demod_record, tmp_path / "dem.txt")
-        lines = f.read_text().splitlines()
+        f, lines = _points_rows(tmp_path)
         n = _line_no(f, "# columns:") + 3
         tokens = (lines[n - 1] + " " + lines[n]).split()
         lines[n - 1:n + 1] = [" ".join(tokens[:3]), " ".join(tokens[3:])]
         f.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: bad row {lines[n - 1]!r}")):
-            read_record(f)
+            read_points_table(f)
+        assert main(["report", str(tmp_path)]) == 2
+        assert f"{f}:{n}: bad row" in capsys.readouterr().err
 
-    def test_body_one_column_short_rejected(self, scan_record, tmp_path):
-        # every row has the same four fields, so numpy parses the body
-        f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
-        lines = f.read_text().splitlines()
+    def test_body_one_column_short_rejected(self, tmp_path):
+        f, lines = _points_rows(tmp_path)
         n = _line_no(f, "# columns:") + 1
         lines[n - 1:] = [ln.rsplit(" ", 1)[0] for ln in lines[n - 1:]]
         f.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: bad row {lines[n - 1]!r}")):
-            read_record(f)
+            read_points_table(f)
 
-    def test_unknown_branch_rejected(self, demod_record, tmp_path):
-        f = _write_v1_demod(demod_record, tmp_path / "dem.txt")
-        lines = f.read_text().splitlines()
-        n = _line_no(f, "# columns:") + 2
-        lines[n - 1] = lines[n - 1].replace(" up", " sideways")
+    def test_body_one_column_long_rejected(self, tmp_path):
+        # every row has the same 19 fields, so numpy parses the body
+        f, lines = _points_rows(tmp_path)
+        n = _line_no(f, "# columns:") + 1
+        lines[n - 1:] = [ln + " 0.5" for ln in lines[n - 1:]]
         f.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{f}:{n}: bad row {lines[n - 1]!r}")):
-            read_record(f)
+            read_points_table(f)
 
     def test_swapped_columns_line_rejected(self, scan_record, tmp_path):
         f = write_record(scan_record, tmp_path / "scan.txt")
@@ -428,17 +408,20 @@ class TestBinaryBody:
         assert f"{f}: byte {at}:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "demod.txt").exists()
 
-    def test_v1_signature_on_binary_body_rejected(self, scan_record, tmp_path):
-        f = write_record(scan_record, tmp_path / "scan.txt")
-        f.write_bytes(f.read_bytes().replace(b"v2", b"v1", 1))
-        with pytest.raises(ValueError, match=re.escape(f"{f}:")):
-            read_record(f)
-
-    def test_v2_signature_on_text_body_rejected(self, scan_record, tmp_path):
-        f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
-        f.write_bytes(f.read_bytes().replace(b"v1", b"v2", 1))
-        with pytest.raises(ValueError, match=re.escape(f"{f}: byte ")):
-            read_record(f)
+    def test_v1_signature_on_binary_body_rejected(self, scan_record, demod_record, tmp_path,
+                                                  capsys):
+        scan = write_record(scan_record, tmp_path / "scan.txt")
+        dem = write_record(demod_record, tmp_path / "dem.txt")
+        for f, argv in ((scan, ["demod", str(scan), "--out", str(tmp_path / "out")]),
+                        (dem, ["fit", str(dem)])):
+            f.write_bytes(f.read_bytes().replace(b"v2", b"v1", 1))
+            message = f"{f}:1: unsupported record format version 1 (supported: 2)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read_record(f)
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "demod.txt").exists()
 
     @pytest.mark.parametrize("value", [0.0, -0.0, 0.5, 2.0, -1.5, math.nan, math.inf])
     def test_bad_branch_is_data_error_naming_the_offset(self, demod_record, tmp_path,
@@ -458,29 +441,6 @@ class TestBinaryBody:
         assert main(["fit", str(f)]) == 2
         assert f"{f}: byte {at}:" in capsys.readouterr().err
 
-    def test_v1_demod_reads_and_rewrites_as_v2(self, demod_record, tmp_path):
-        f = _write_v1_demod(demod_record, tmp_path / "dem.txt")
-        assert f.read_text().startswith("# alignor-record v1\n# kind: demod\n")
-        back = read_record(f)
-        assert back.meta == demod_record.meta
-        for name in ("bx", "st", "s", "t", "branch"):
-            assert getattr(back, name).tobytes() == getattr(demod_record, name).tobytes()
-        assert write_record(back, tmp_path / "v2.txt").read_bytes() == \
-            write_record(demod_record, tmp_path / "ref.txt").read_bytes()
-
-    def test_v1_scan_reads_and_replays(self, scan_record, tmp_path):
-        f = _write_v1_scan(scan_record, tmp_path / "scan.txt")
-        assert f.read_text().startswith("# alignor-record v1\n# kind: scan\n")
-        back = read_record(f)
-        assert back.meta == scan_record.meta
-        replay = synthesize_from_meta(back.meta)
-        for name in SCAN_COLUMNS:
-            assert getattr(back, name).tobytes() == getattr(scan_record, name).tobytes()
-            assert getattr(replay, name).tobytes() == getattr(scan_record, name).tobytes()
-        # rewriting a v1 scan gives the v2 file of the same record
-        assert write_record(back, tmp_path / "v2.txt").read_bytes() == \
-            write_record(scan_record, tmp_path / "ref.txt").read_bytes()
-
 
 class TestConfig:
     def test_parse_types(self):
@@ -499,13 +459,15 @@ class TestConfig:
         assert cfg["instrument.seed"] == 42
         assert cfg["ramp.hold_on_zero"] is True
 
-    def test_quoted_commas_stay_in_one_value(self):
+    def test_value_that_is_not_one_literal_is_one_string(self):
         cfg = parse_config('a.b = "x,y"\n'
                            "a.c = 'p,q', bare, 2\n"
-                           "a.d = one, two\n")
+                           "a.d = one, two\n"
+                           "a.e = 'p,q', 2\n")
         assert cfg["a.b"] == "x,y"
-        assert cfg["a.c"] == ["p,q", "bare", 2]
-        assert cfg["a.d"] == ["one", "two"]
+        assert cfg["a.c"] == "'p,q', bare, 2"
+        assert cfg["a.d"] == "one, two"
+        assert cfg["a.e"] == ["p,q", 2]
 
     def test_bad_lines(self):
         with pytest.raises(ValueError):
