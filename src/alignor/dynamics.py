@@ -5,6 +5,9 @@ alignment-driving effective transverse field is a latched variable that
 flips only when the orientation's M_y crosses +/-my0, ramping through zero
 as a raised cosine of duration pi*tau_flip.  The chain that feeds it the
 steady-state M_y, and the sweeps built on it, live in ``instrument``.
+sweep_profile lays out each scan shape's time base once; every scan of
+that shape shares it read-only, with the arrays shared_arrays derives
+from it.
 """
 
 import bisect
@@ -138,16 +141,31 @@ def _segments(proto: SweepProtocol):
     return segs
 
 
-def sweep_profile(proto: SweepProtocol, sample_rate: float):
-    """Sample the scan at sample_rate Hz into (t, bx, direction).
+# The time bases sweep_profile has laid out, by scan shape, least recently
+# used first.  Every point of every study kind, and simulate's default, scans
+# one "up" ramp or one triangle at one rate and sample rate, so two shapes
+# are the whole traffic.  An entry holds its (t, bx, direction) and at most
+# one set of arrays per slot of shared_arrays: 6 float64 columns in all,
+# 5.4 MB for the preset's two shapes (75,001 + 37,501 samples) and 480 MB
+# for one scan of MAX_SCAN_SAMPLES, about half of the dozen columns such a
+# scan's synthesis allocates anyway.  Nothing is laid out at import.
+TIME_BASES_KEPT = 2
+_TIME_BASES = {}
 
-    Raises ValueError for a sample_rate that is not > 0 and, before
-    allocating, for a scan of more than MAX_SCAN_SAMPLES samples or of a
-    non-finite length.
-    """
-    if not sample_rate > 0:
-        raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
-    segs = _segments(proto)
+
+def _key(*values):
+    """A memo key that tells apart any two values that compute differently:
+    by type and repr, so -0.0 differs from 0.0 and a float32 from a float."""
+    return tuple((type(v), repr(v)) for v in values)
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _lay_out(segs, sample_rate):
     durations = np.array([s[0] for s in segs])
     edges = np.concatenate([[0.0], np.cumsum(durations)])
     dt = 1.0 / sample_rate
@@ -163,7 +181,49 @@ def sweep_profile(proto: SweepProtocol, sample_rate: float):
     for (_, b0, slope), edge, lo, hi in zip(segs, edges.tolist(), starts, starts[1:]):
         bx[lo:hi] = b0 + slope * (t[lo:hi] - edge)
         direction[lo:hi] = np.sign(slope)
-    return t, bx, direction
+    return _read_only((t, bx, direction))
+
+
+def sweep_profile(proto: SweepProtocol, sample_rate: float):
+    """Sample the scan at sample_rate Hz into (t, bx, direction).
+
+    The three arrays are read-only and shared: a scan of the same shape
+    (the same _segments(proto) and sample_rate; static_by, static_bz and
+    the ellipticity do not enter it) returns the same objects, laid out
+    once while it stays among the TIME_BASES_KEPT most recently used
+    shapes.  Raises ValueError for a sample_rate that is not > 0 and,
+    before allocating, for a scan of more than MAX_SCAN_SAMPLES samples or
+    of a non-finite length.
+    """
+    if not sample_rate > 0:
+        raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
+    segs = _segments(proto)
+    key = _key(*(v for seg in segs for v in seg), sample_rate)
+    entry = _TIME_BASES.pop(key, None) or {"profile": _lay_out(segs, sample_rate)}
+    _TIME_BASES[key] = entry            # now the most recently used
+    if len(_TIME_BASES) > TIME_BASES_KEPT:
+        del _TIME_BASES[next(iter(_TIME_BASES))]
+    return entry["profile"]
+
+
+def shared_arrays(t, slot: str, values: tuple, make):
+    """The tuple of arrays make() returns, shared read-only through t's time base.
+
+    When t *is* the t of a time base sweep_profile holds, its entry keeps
+    the last (values, arrays) of each slot: a call with the slot's values
+    returns the stored arrays, another computes make() and stores it in
+    their place.  Any other t, one read from a file or built by hand,
+    computes make() and stores nothing.  values must name everything make()
+    reads besides the entry's own arrays.
+    """
+    entry = next((e for e in _TIME_BASES.values() if e["profile"][0] is t), None)
+    if entry is None:
+        return make()
+    key = _key(*values)
+    held = entry.get(slot)
+    if held is None or held[0] != key:
+        held = entry[slot] = key, _read_only(make())
+    return held[1]
 
 
 # ---------------------------------------------------------------------------

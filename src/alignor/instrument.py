@@ -18,6 +18,7 @@ from .dynamics import (
     default_tau_flip,
     effective_params,
     latch_scan,
+    shared_arrays,
     sweep_profile,
 )
 from .spincore import (
@@ -67,7 +68,11 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """Raw sampled scan: time, ramp field and the two photodetector signals."""
+    """Raw sampled scan: time, ramp field and the two photodetector signals.
+
+    From synthesize_record, t, bx_ramp and direction are sweep_profile's
+    read-only arrays, shared by every scan of the same shape; a record read
+    from a file, or built by hand, holds its own."""
 
     t: np.ndarray
     bx_ramp: np.ndarray
@@ -130,6 +135,16 @@ def config_from_meta(meta: dict):
 SYNTH_BLOCK = 4096
 
 
+def carrier(t, freq: float, phase: float = 0.0):
+    """sin(2 pi freq t + phase): the modulation (at phase 0.0) and the
+    lock-in reference.  On a t that sweep_profile holds it is computed once
+    per (freq, phase) and shared read-only (see dynamics.shared_arrays);
+    since freq * t >= 0, adding phase 0.0 changes no bit, so the modulation
+    and the default reference are the same array."""
+    return shared_arrays(t, "carrier", (freq, phase),
+                         lambda: (np.sin(TWO_PI * freq * t + phase),))[0]
+
+
 def _latch_chain(t, bx_slow, direction, by, bz, pe: EnsembleParams,
                  c: CouplingParams, s0: int | None = None):
     """The orientation -> latch -> field step: (M_y, latch, flip starts,
@@ -151,6 +166,12 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
     dynamics are slower than a modulation period; both moments otherwise
     follow the instantaneous field quasi-statically.
 
+    The time base is sweep_profile's: t, bx_ramp and direction are shared
+    read-only arrays, and the slow and modulated fields are computed once
+    per (drift_rate, mod_amplitude, mod_freq) and kept with them (see
+    dynamics.shared_arrays), as is the carrier, which lockin_demodulate
+    reads too.  Only the latch, the signals and the noise are per scan.
+
     The signal's steady-state grids and the signal mix run over
     SYNTH_BLOCK-sample blocks written into full-length arrays, so their
     temporaries stay small enough to be reused instead of page-faulted in
@@ -165,9 +186,13 @@ def synthesize_record(cfg: ScanConfig, p: EnsembleParams, c: CouplingParams,
         mix = SignalMix()
     t, bx_ramp, dirs = sweep_profile(cfg.ramp, cfg.sample_rate)
     pe = effective_params(p, cfg.ramp)
-    drift = cfg.drift_rate * t
-    bx_slow = bx_ramp + drift
-    bx_mod = bx_slow + cfg.mod_amplitude * np.sin(TWO_PI * cfg.mod_freq * t)
+
+    def fields():
+        bx_slow = bx_ramp + cfg.drift_rate * t
+        return bx_slow, bx_slow + cfg.mod_amplitude * carrier(t, cfg.mod_freq)
+
+    bx_slow, bx_mod = shared_arrays(
+        t, "fields", (cfg.drift_rate, cfg.mod_amplitude, cfg.mod_freq), fields)
     by, bz = cfg.ramp.static_by, cfg.ramp.static_bz
     *_, by_eff = _latch_chain(t, bx_slow, dirs, by, bz, pe, c)
 
@@ -202,7 +227,8 @@ class FlipEvent:
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled sweep output: the ramp bx, the transverse field
-    by_eff the alignment evolved under and the latch variable in [-1, 1]."""
+    by_eff the alignment evolved under and the latch variable in [-1, 1].
+    t, bx and direction are sweep_profile's shared read-only arrays."""
 
     t: np.ndarray              # (N,)
     bx: np.ndarray             # (N,)
@@ -235,6 +261,9 @@ def run_sweep(proto: SweepProtocol, p: EnsembleParams, c: CouplingParams,
 
     Both moments follow their quasi-static steady states at the plain ramp;
     the alignment sees static_by plus the latched field kappa*my0*latch(t).
+    The trajectory's t, bx and direction are sweep_profile's shared
+    read-only arrays, the same objects a synthesized scan of the same
+    shape holds.
     """
     t, bx, direction = sweep_profile(proto, sample_rate)
     pe = effective_params(p, proto)
@@ -388,7 +417,10 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
     8 * lpf_cutoff samples per second (the exact rate goes into
     meta["output_rate"]) and laid out by ramp slope: the up rows, then the
     down rows, with branch +1.0 and -1.0; dwell samples (zero slope) are
-    dropped.
+    dropped.  The reference is carrier(rec.t, f, phase): when rec.t is a
+    time base sweep_profile holds (a record just synthesized), the one the
+    synthesis modulated with at the default phase; any other t computes its
+    own, by the same formula, bit for bit.
     """
     f = rec.meta["mod_freq"]
     fs = rec.meta["sample_rate"]
@@ -397,7 +429,7 @@ def lockin_demodulate(rec: ScanRecord, phase_deg: float = 0.0,
         raise ValueError("lpf_cutoff must be below mod_freq/2")
     if not (math.isfinite(phase_deg) and math.isfinite(gain)):
         raise ValueError("phase_deg and gain must be finite")
-    ref = np.sin(TWO_PI * f * rec.t + math.radians(phase_deg))
+    ref = carrier(rec.t, f, math.radians(phase_deg))
     sb_ac = rec.sb_raw - lowpass_filter(rec.sb_raw, lpf_cutoff / 2.0, fs)
     demod = gain * lowpass_filter(sb_ac * ref, lpf_cutoff, fs)
     st = lowpass_filter(rec.st_raw, lpf_cutoff, fs)

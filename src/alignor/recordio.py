@@ -66,9 +66,10 @@ def _write_binary_table(path, header, names, columns) -> Path:
     line, then the columns as little-endian float64, one after another."""
     path = Path(path)
     rows = _column_length(path, names, columns)
-    head = [*header, _COLUMNS + " ".join(names), f"{_BODY}f8-le {rows}"]
+    # encoded before the file is opened, so a header that fails leaves no file
+    head = "\n".join([*header, _COLUMNS + " ".join(names), f"{_BODY}f8-le {rows}\n"]).encode()
     with path.open("wb") as f:
-        f.write(("\n".join(head) + "\n").encode())
+        f.write(head)
         for col in columns:
             f.write(np.ascontiguousarray(col, "<f8"))
     return path
@@ -192,11 +193,16 @@ def _meta_line(key, value) -> str:
     """The ``# meta.<key> = <literal>`` line of one meta item, whose value is
     a str, int, float, bool or None, or a numpy scalar of one, written as
     the repr of its ``.item()``; any other value, or a key that would not
-    read back as itself, raises ValueError."""
+    read back as itself or is not UTF-8 text (a lone surrogate), raises
+    ValueError naming the key."""
     if isinstance(value, np.generic):
         value = value.item()
     line = f"# meta.{key} = {value!r}"
     if type(value) in _META_TYPES and (m := _META_LINE.fullmatch(line)) and m[1] == key:
+        try:
+            line.encode()       # a repr is UTF-8 text, so only the key can fail
+        except UnicodeEncodeError:
+            raise ValueError(f"meta key {key!r} is not UTF-8 text") from None
         return line
     raise ValueError(f"meta key {key!r}: {value!r} does not read back as a literal")
 

@@ -1,10 +1,15 @@
 from dataclasses import replace
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
+import alignor.dynamics
 from alignor.dynamics import (
     RAISED_COS_10_90,
     CouplingParams,
@@ -22,6 +27,7 @@ from alignor.spincore import EnsembleParams
 
 P = EnsembleParams(gamma_over_2pi=3.5, relax_rate=60.0, m0=1.0, a0=1.0)
 FS = 50.0      # Hz, the sample rate of the sweeps below unless they name one
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def triangle(b=15.0, rate=1.0, **kw):
@@ -169,6 +175,61 @@ class TestSweepProfile:
         with pytest.raises(ValueError):
             SweepProtocol(bx_start=0.0, bx_end=1.0, rate=1.0,
                           direction_pattern="sideways")
+
+
+class TestTimeBaseMemo:
+    def test_same_shape_returns_the_same_read_only_arrays(self):
+        proto = triangle(b=4.0, rate=2.0)
+        first = sweep_profile(proto, FS)
+        # static fields and the ellipticity do not enter the time base
+        again = sweep_profile(replace(proto, static_by=0.3, ellipticity_deg=1.0), FS)
+        assert all(a is b for a, b in zip(first, again))
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        assert_profile_matches_oracle(proto, FS)
+
+    def test_holds_the_two_most_recently_used_shapes(self):
+        memo = alignor.dynamics._TIME_BASES
+        shapes = [triangle(b=b, rate=2.0) for b in (3.0, 5.0, 7.0)]
+        profiles = [sweep_profile(proto, FS) for proto in shapes]
+        assert alignor.dynamics.TIME_BASES_KEPT == len(memo) == 2
+        # the first shape was evicted, so it is laid out anew
+        assert sweep_profile(shapes[0], FS)[0] is not profiles[0][0]
+        assert sweep_profile(shapes[2], FS)[0] is profiles[2][0]
+        assert len(memo) == 2
+
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zeros_are_different_shapes(self, zeros):
+        # a down ramp from bx_end = -0.0 starts at -0.0, from 0.0 at 0.0
+        for zero in zeros:
+            assert_profile_matches_oracle(SweepProtocol(
+                bx_start=-3.0, bx_end=zero, rate=1.0, direction_pattern="down"), 10.0)
+
+    def test_shared_arrays_store_nothing_for_another_t(self):
+        t = sweep_profile(triangle(b=2.0), FS)[0]
+        calls = []
+
+        def make():
+            calls.append(1)
+            return (2.0 * t,)
+
+        held = alignor.dynamics.shared_arrays(t, "test", (2.0,), make)
+        assert alignor.dynamics.shared_arrays(t, "test", (2.0,), make) is held
+        assert not held[0].flags.writeable and len(calls) == 1
+        alignor.dynamics.shared_arrays(t, "test", (-2.0,), make)
+        own = alignor.dynamics.shared_arrays(t.copy(), "test", (2.0,), make)
+        assert own[0].flags.writeable and len(calls) == 3
+
+    def test_import_lays_out_nothing(self):
+        code = ("import alignor.cli, alignor.dynamics; "
+                "print(len(alignor.dynamics._TIME_BASES))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "0"
 
 
 class TestLatchScan:

@@ -5,7 +5,8 @@ name of the test oracles (tests/oracles.py) defined in or imported by the
 package, the signal mix, the latch chain and each closed-form moment
 component each written once (and no steady-state grid in dynamics), one
 trend table, one study-kind table, one circular pump fraction, one sampling
-rule, one settings-field helper and one 2*pi, LAPACK solves only in the
+rule, one settings-field helper, one 2*pi and one modulation carrier
+(np.sin), LAPACK solves only in the
 Levenberg-Marquardt normal equations, no run-time filter design by scipy's
 bilinear transform, the table format (its column-names line, its text body
 parser and its binary body decoder) kept in recordio, one writer per file
@@ -231,15 +232,22 @@ def test_one_study_kind_table():
     assert _enclosing_functions(_is_dict_keyed_by("single")) == [("study", None)]
 
 
-def _is_math_call(name):
+def _is_module_call(module, name):
     return lambda node: _is_call_to(name)(node) and isinstance(node.func, ast.Attribute) \
-        and isinstance(node.func.value, ast.Name) and node.func.value.id == "math"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == module
 
 
 def test_circular_pump_fraction_written_once():
     # sin|2 chi| is circular_power's; the simulation's m0 scaling and the
     # preset's latch threshold call it
-    assert _enclosing_functions(_is_math_call("sin")) == [("estimators", "circular_power")]
+    assert _enclosing_functions(_is_module_call("math", "sin")) == [
+        ("estimators", "circular_power")]
+
+
+def test_carrier_written_once():
+    # sin(2 pi f t + phase): the synthesized modulation and the lock-in
+    # reference read one carrier
+    assert _enclosing_functions(_is_module_call("np", "sin")) == [("instrument", "carrier")]
 
 
 def _is_product_with(factor):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal as sig
 
+import alignor.dynamics
 import alignor.instrument
 from alignor.dynamics import (
     CouplingParams,
@@ -292,6 +293,54 @@ def scan_setups(draw):
 @given(scan_setups())
 def test_blocked_synthesis_equals_straight_line_chain(setup):
     assert_matches_oracle(*setup)
+
+
+def _columns(rec):
+    """Every array field of a record as bytes, and its meta."""
+    return [getattr(rec, f.name).tobytes() for f in fields(rec) if f.name != "meta"], rec.meta
+
+
+class TestSharedTimeBase:
+    CFG = ScanConfig(ramp=SweepProtocol(bx_start=-4.0, bx_end=4.0, rate=2.0),
+                     sample_rate=200.0, noise_rms=0.01, drift_rate=0.01, seed=3)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"phase_deg": 30.0, "lpf_cutoff": 1.0}])
+    def test_lockin_equals_the_uncached_path(self, kwargs):
+        # a copy of t is not a time base sweep_profile holds: its carrier is
+        # computed and not stored
+        rec = synthesize_record(self.CFG, P, C)
+        own = replace(rec, t=rec.t.copy())
+        assert _columns(lockin_demodulate(rec, **kwargs)) == \
+            _columns(lockin_demodulate(own, **kwargs))
+
+    def test_modulation_and_reference_are_one_carrier(self):
+        rec = synthesize_record(self.CFG, P, C)
+        ref = alignor.instrument.carrier(rec.t, self.CFG.mod_freq)
+        assert alignor.instrument.carrier(rec.t, self.CFG.mod_freq, 0.0) is ref
+        assert not ref.flags.writeable
+        assert ref.tobytes() == np.sin(TWO_PI * self.CFG.mod_freq * rec.t).tobytes()
+
+    def test_scan_and_trajectory_time_bases_are_read_only(self):
+        rec = synthesize_record(self.CFG, P, C)
+        traj = run_sweep(self.CFG.ramp, P, C, self.CFG.sample_rate)
+        assert traj.t is rec.t and traj.bx is rec.bx_ramp and traj.direction is rec.direction
+        for a in (rec.t, rec.bx_ramp, rec.direction):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_cold_and_warm_study_write_the_same_files(self, tmp_path):
+        from alignor.study import DEFAULT_GRIDS, StudyConfig, run_study
+
+        cfg = StudyConfig(kind="chi_grid", grid=DEFAULT_GRIDS["chi_grid"], seed=3)
+        alignor.dynamics._TIME_BASES.clear()
+        run_study(cfg, tmp_path / "cold")
+        run_study(cfg, tmp_path / "warm")
+        cold = sorted(p.relative_to(tmp_path / "cold") for p in (tmp_path / "cold").rglob("*"))
+        assert cold == sorted(p.relative_to(tmp_path / "warm")
+                              for p in (tmp_path / "warm").rglob("*"))
+        for name in cold:
+            assert (tmp_path / "cold" / name).read_bytes() == \
+                (tmp_path / "warm" / name).read_bytes(), name
 
 
 class TestLockin:

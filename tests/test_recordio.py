@@ -18,6 +18,7 @@ from alignor.instrument import (
 )
 from alignor.recordio import (
     SCAN_COLUMNS,
+    _write_binary_table,
     parse_config,
     read_record,
     write_record,
@@ -105,6 +106,19 @@ class TestRecordFile:
         f = tmp_path / "rec.txt"
         with pytest.raises(ValueError, match="meta key 'bad'"):
             write_record(replace(scan_record, meta={**scan_record.meta, "bad": value}), f)
+        assert not f.exists()
+
+    def test_meta_key_that_is_not_utf8_is_refused(self, scan_record, tmp_path):
+        # a lone surrogate reads as a key but does not encode as UTF-8
+        f = tmp_path / "rec.txt"
+        with pytest.raises(ValueError, match=r"meta key '\\ud800' is not UTF-8"):
+            write_record(replace(scan_record, meta={**scan_record.meta, "\ud800": 1.0}), f)
+        assert not f.exists()
+
+    def test_header_that_does_not_encode_leaves_no_file(self, tmp_path):
+        f = tmp_path / "table.txt"
+        with pytest.raises(UnicodeEncodeError):
+            _write_binary_table(f, ["# \ud800"], ["x"], [np.zeros(3)])
         assert not f.exists()
 
     def test_record_with_back_action_replays(self, scan_record, tmp_path):
